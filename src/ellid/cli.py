@@ -1,9 +1,9 @@
 """Command-line harness: list, check, check-all and eval.
 
-Exit codes: 0 success (all PASS, or the entry is Contested/DocumentOnly),
-1 an ExpectPass entry produced a non-PASS point, 2 usage errors (unknown
+Exit codes: 0 success (all PASS, or the entry is Contested), 1 an
+ExpectPass entry produced a non-PASS point, 2 usage errors (unknown
 identity, malformed flags).  Reports go to --out or stdout and are
-byte-identical across runs and across --parallel settings.
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .elliptic import Convention, EllipticArgument, Nome, ellint_E, ellint_K
@@ -37,14 +37,12 @@ FORMATS = ("json", "csv", "text")
 
 @dataclass
 class RunConfig:
-    """Validated run settings; round-trips through to_dict/from_dict."""
+    """Validated run settings."""
 
     tolerance: float = 1e-14
     cap: int = 10000
     out: str | None = None
     format: str = "text"
-    identity_filter: list[str] = field(default_factory=list)
-    parallelism: int = 0  # 0 means "use available cores"
 
     def __post_init__(self) -> None:
         if not (isinstance(self.tolerance, float) and math.isfinite(self.tolerance)
@@ -54,29 +52,10 @@ class RunConfig:
             raise ConfigError(f"cap: must be a positive integer, got {self.cap!r}")
         if self.format not in FORMATS:
             raise ConfigError(f"format: must be one of {FORMATS}, got {self.format!r}")
-        if not (isinstance(self.parallelism, int) and self.parallelism >= 0):
-            raise ConfigError(f"parallelism: must be a nonnegative integer, "
-                              f"got {self.parallelism!r}")
 
     @property
     def policy(self) -> TruncationPolicy:
         return TruncationPolicy(tolerance=self.tolerance, cap=self.cap)
-
-    @property
-    def workers(self) -> int:
-        return self.parallelism if self.parallelism > 0 else (os.cpu_count() or 1)
-
-    def to_dict(self) -> dict:
-        return {"tolerance": self.tolerance, "cap": self.cap, "out": self.out,
-                "format": self.format, "identity_filter": list(self.identity_filter),
-                "parallelism": self.parallelism}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(tolerance=d["tolerance"], cap=d["cap"], out=d.get("out"),
-                   format=d["format"],
-                   identity_filter=list(d.get("identity_filter", [])),
-                   parallelism=d["parallelism"])
 
 
 def _cap_default() -> int:
@@ -96,8 +75,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cap = args.cap if args.cap is not None else _cap_default()
     return RunConfig(tolerance=args.tol, cap=cap,
                      out=getattr(args, "out", None),
-                     format=getattr(args, "format", "text"),
-                     parallelism=getattr(args, "parallel", 0) or 0)
+                     format=getattr(args, "format", "text"))
 
 
 def _parse_grid_overrides(specs: Sequence[str]) -> dict[str, list]:
@@ -194,8 +172,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                                                      config.policy))
             reports.sort(key=report_sort_key)
         else:
-            reports = registry.run_grid(record.identity_id, config.policy,
-                                        config.workers)
+            reports = registry.run_grid(record.identity_id, config.policy)
     except (ConfigError, EllidError) as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 2
@@ -207,22 +184,20 @@ def cmd_check_all(args: argparse.Namespace) -> int:
     registry = default_registry()
     try:
         config = _config_from_args(args)
-        config.identity_filter = list(args.only or [])
-        unknown = set(config.identity_filter) - set(registry.ids())
+        unknown = set(args.only) - set(registry.ids())
         if unknown:
             sys.stderr.write(f"unknown identity id(s): {', '.join(sorted(unknown))}\n")
             return 2
     except ConfigError as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return 2
-    if config.identity_filter:
+    if args.only:
         reports = []
-        for identity_id in config.identity_filter:
-            reports.extend(registry.run_grid(identity_id, config.policy,
-                                             config.workers))
+        for identity_id in args.only:
+            reports.extend(registry.run_grid(identity_id, config.policy))
         reports.sort(key=report_sort_key)
     else:
-        reports = registry.run_all(config.policy, config.workers)
+        reports = registry.run_all(config.policy)
     _emit(_render(reports, config, registry), config.out)
     return _exit_code(reports, registry)
 
@@ -353,8 +328,10 @@ def _add_common(parser: argparse.ArgumentParser, with_output: bool) -> None:
     if with_output:
         parser.add_argument("--out", default=None, help="output path (default stdout)")
         parser.add_argument("--format", choices=FORMATS, default="text")
-        parser.add_argument("--parallel", type=int, default=0,
-                            help="worker threads (default: available cores)")
+        # Accepted and ignored, so existing invocations keep working (the
+        # traced cli_cold run in bench/run.py passes --parallel 1): audits
+        # run serially, and the report never depended on it.
+        parser.add_argument("--parallel", type=int, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Sequence
@@ -36,9 +35,8 @@ from .series import (DEFAULT_POLICY, S1_cosh_over_sinh,
                      SeriesResult, TruncationPolicy, exp_over_sinh,
                      n_cosh_over_sinh_double, sum_series, zeta_neg, zeta_even)
 from .singular import dadk_candidates, dadk_fd, solve_k
-from .theta import (ThetaEval, ThetaKind, log_theta_derivative, q_product_P0,
-                    theta2, theta4_imag, theta4_u_derivative_imag,
-                    theta_u_derivative)
+from .theta import (ThetaKind, log_theta_derivative, q_product_P0, theta2,
+                    theta4_imag, theta4_u_derivative_imag, theta_u_derivative)
 
 PASS_THRESHOLD = 1e-9
 FAIL_THRESHOLD = 1e-6
@@ -53,7 +51,6 @@ class Classification(str, Enum):
 class Expectation(str, Enum):
     EXPECT_PASS = "ExpectPass"
     CONTESTED = "Contested"
-    DOCUMENT_ONLY = "DocumentOnly"
 
 
 def classify(rel_residual: float) -> Classification:
@@ -67,26 +64,10 @@ def classify(rel_residual: float) -> Classification:
     return Classification.FAIL
 
 
-@dataclass(frozen=True)
-class Side:
-    """One evaluated side of an identity plus its summation metadata."""
-    value: float
-    terms: int = 0
-    tail: float = 0.0
-
-
-def _side(x) -> Side:
-    if isinstance(x, Side):
-        return x
-    if isinstance(x, (SeriesResult, ThetaEval)):
-        return Side(x.value, x.terms_used, x.tail_bound)
-    return Side(float(x))
-
-
-def _merge(value: float, *parts) -> Side:
-    terms = sum(_side(p).terms for p in parts)
-    tail = sum(_side(p).tail for p in parts)
-    return Side(value, terms, tail)
+def _combine(value: float, *parts: SeriesResult) -> SeriesResult:
+    """``value`` carrying the summed terms and tail bounds of its series parts."""
+    return SeriesResult(value, sum(p.terms_used for p in parts),
+                        sum(p.tail_bound for p in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +198,8 @@ def poly_even_zeta_integral(F: PolynomialSpec) -> float:
 
 def poly_weighted_log_theta4_sum(f: PolynomialSpec, a: float, s: float,
                                  form: str = "derivative",
-                                 policy: TruncationPolicy = DEFAULT_POLICY) -> Side:
+                                 policy: TruncationPolicy = DEFAULT_POLICY
+                                 ) -> SeriesResult:
     """The polynomial-weighted left sides built on log theta4(i s/2, e^(-pi a)).
 
     form="derivative": sum_n (-1)^n f_n d^n/ds^n log theta4(i s/2, q)
@@ -231,7 +213,7 @@ def poly_weighted_log_theta4_sum(f: PolynomialSpec, a: float, s: float,
                 continue
             d = log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, n, s, q, policy)
             total += (-1.0 if n % 2 else 1.0) * c * d.value
-        return Side(total)
+        return SeriesResult(total)
     if form == "shift":
         total = 0.0
         terms = 0
@@ -243,12 +225,13 @@ def poly_weighted_log_theta4_sum(f: PolynomialSpec, a: float, s: float,
             total += c * math.log(th.value)
             terms += th.terms_used
             tail += th.tail_bound
-        return Side(total, terms, tail)
+        return SeriesResult(total, terms, tail)
     raise DomainError(f"unknown form {form!r}; use 'derivative' or 'shift'")
 
 
 def poly_weighted_log_theta2_sum(f: PolynomialSpec, a: float, s: float,
-                                 policy: TruncationPolicy = DEFAULT_POLICY) -> Side:
+                                 policy: TruncationPolicy = DEFAULT_POLICY
+                                 ) -> SeriesResult:
     """sum_n (-1)^n f_n d^n/ds^n log theta2(s, e^(-1/a))."""
     q = Nome.from_exponent(1.0 / a)
     total = 0.0
@@ -257,7 +240,7 @@ def poly_weighted_log_theta2_sum(f: PolynomialSpec, a: float, s: float,
             continue
         d = log_theta_derivative(ThetaKind.THETA2, n, s, q, policy)
         total += (-1.0 if n % 2 else 1.0) * c * d.value
-    return Side(total)
+    return SeriesResult(total)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +304,7 @@ class ParamSpec:
     choices: tuple | None = None
 
 
-Evaluator = Callable[[Mapping, TruncationPolicy], Side]
+Evaluator = Callable[[Mapping, TruncationPolicy], SeriesResult]
 
 
 @dataclass(frozen=True)
@@ -400,6 +383,15 @@ class ResidualReport:
     note: str = ""
 
 
+def _error_report(identity_id: str, variant_id: str, point: Mapping,
+                  exc: Exception) -> ResidualReport:
+    """The INCONCLUSIVE row for a point whose evaluation raised ``exc``."""
+    return ResidualReport(
+        identity_id, variant_id, dict(point), math.nan, math.nan, math.nan,
+        math.nan, Classification.INCONCLUSIVE, {"lhs": 0, "rhs": 0},
+        f"{type(exc).__name__}: {exc}")
+
+
 def _sort_token(v) -> tuple:
     if isinstance(v, str):
         return (1, v)
@@ -427,26 +419,26 @@ def _ke_at(a: float) -> tuple[float, float, float]:
 # -- P1 ---------------------------------------------------------------------
 
 def _p1_lhs(p, policy):
-    return _side(S1_cosh_over_sinh(p["a"], p["t"], policy))
+    return S1_cosh_over_sinh(p["a"], p["t"], policy)
 
 
 def _p1_rhs(p, policy):
     q = Nome.from_pi_exponent(p["a"])
     prod = q_product_P0(q, policy)
     th = theta4_imag(p["t"], q, policy)
-    return _merge(math.log(prod.value) - math.log(th.value), prod, th)
+    return _combine(math.log(prod.value) - math.log(th.value), prod, th)
 
 
 # -- P2 ---------------------------------------------------------------------
 
 def _p2_lhs(p, policy):
     r = S2_alt_sin_sq_over_expm1(2.0 * math.pi * p["a"], p["theta"], policy)
-    return _merge(4.0 * r.value, r)
+    return _combine(4.0 * r.value, r)
 
 
 def _p2_lhs_sinh(p, policy):
     r = S2h_alt_sinh_sq_over_expm1(2.0 * math.pi * p["a"], p["theta"], policy)
-    return _merge(4.0 * r.value, r)
+    return _combine(4.0 * r.value, r)
 
 
 def _p2_rhs(p, policy):
@@ -456,7 +448,7 @@ def _p2_rhs(p, policy):
     den = theta4_imag(0.0, q, policy)
     value = (math.log(num.value) - math.log(den.value) - math.log(math.cos(th))
              - th * th / (a * math.pi))
-    return _merge(value, num, den)
+    return _combine(value, num, den)
 
 
 def _p2_rhs_theta2(p, policy):
@@ -465,31 +457,22 @@ def _p2_rhs_theta2(p, policy):
     num = theta2(th, q, policy)
     den = theta2(0.0, q, policy)
     value = math.log(num.value) - math.log(den.value) - math.log(math.cos(th))
-    return _merge(value, num, den)
+    return _combine(value, num, den)
 
 
 # -- P2b --------------------------------------------------------------------
 
-def _p2b_lhs(p, policy):
-    q = Nome.from_exponent(p["z"])
-    return Side(theta4_u_derivative_imag(p["z"], q, policy))
+def _p2b_lhs_for(nome: Callable[[float], Nome]):
+    def lhs(p, policy):
+        return SeriesResult(theta4_u_derivative_imag(p["z"], nome(p["z"]), policy))
+    return lhs
 
 
-def _p2b_rhs(p, policy):
-    q = Nome.from_exponent(p["z"])
-    th = theta4_imag(p["z"], q, policy)
-    return _merge(-2.0 * th.value, th)
-
-
-def _p2b_lhs_pi(p, policy):
-    q = Nome.from_pi_exponent(p["z"])
-    return Side(theta4_u_derivative_imag(p["z"], q, policy))
-
-
-def _p2b_rhs_pi(p, policy):
-    q = Nome.from_pi_exponent(p["z"])
-    th = theta4_imag(p["z"], q, policy)
-    return _merge(-2.0 * th.value, th)
+def _p2b_rhs_for(nome: Callable[[float], Nome]):
+    def rhs(p, policy):
+        th = theta4_imag(p["z"], nome(p["z"]), policy)
+        return _combine(-2.0 * th.value, th)
+    return rhs
 
 
 # -- P3 ---------------------------------------------------------------------
@@ -498,24 +481,25 @@ def _p3_lhs(p, policy):
     a = p["a"]
     q = Nome.from_pi_exponent(2.0 * a)
     d = log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, 2, math.pi * a, q, policy)
-    return Side(2.0 * math.pi ** 2 * d.value)
+    return SeriesResult(2.0 * math.pi ** 2 * d.value)
 
 
 def _p3_rhs(p, policy):
     _, K, E = _ke_at(p["a"])
-    return Side(K * E - K * K)
+    return SeriesResult(K * E - K * K)
 
 
 # -- E4 / E5 ----------------------------------------------------------------
 
 def _e4_lhs(p, policy):
-    return _side(S3_alt_n_over_expm1(2.0 * math.pi / p["a"], policy))
+    return S3_alt_n_over_expm1(2.0 * math.pi / p["a"], policy)
 
 
 def _e4_rhs(p, policy):
     a = p["a"]
     _, K, E = _ke_at(a)
-    return Side(0.125 - a / (4.0 * math.pi) + a * a * K * (E - K) / (2.0 * math.pi ** 2))
+    return SeriesResult(0.125 - a / (4.0 * math.pi)
+                        + a * a * K * (E - K) / (2.0 * math.pi ** 2))
 
 
 def _e5_lhs(p, policy):
@@ -523,87 +507,74 @@ def _e5_lhs(p, policy):
     alt = S3_alt_n_over_expm1(2.0 * math.pi / a, policy)
     hyp = n_cosh_over_sinh_double(a, policy)
     value = -0.25 + a / (2.0 * math.pi) + 2.0 * alt.value + 2.0 * a * a * hyp.value
-    return _merge(value, alt, hyp)
+    return _combine(value, alt, hyp)
 
 
 def _zero_rhs(p, policy):
-    return Side(0.0)
+    return SeriesResult(0.0)
 
 
 # -- E5b / E5c --------------------------------------------------------------
 
 def _e5b_lhs(p, policy):
-    return _side(S4_n_over_sinh(p["b"], policy))
+    return S4_n_over_sinh(p["b"], policy)
 
 
 def _e5b_rhs(p, policy):
     _, K, E = _ke_at(p["b"])
-    return Side(K * (K - E) / math.pi ** 2)
+    return SeriesResult(K * (K - E) / math.pi ** 2)
 
 
 def _e5c_lhs(p, policy):
-    return _side(S5sq_sech2(p["x"], policy))
+    return S5sq_sech2(p["x"], policy)
 
 
 def _e5c_rhs(p, policy):
     r = S3_alt_n_over_expm1(2.0 * math.pi * p["x"], policy)
-    return _merge(-4.0 * r.value, r)
+    return _combine(-4.0 * r.value, r)
 
 
 # -- E7 / E7b ---------------------------------------------------------------
 
 def _e7_lhs(p, policy):
-    return Side(0.5 * p["a"] * math.tan(0.5 * p["v"]))
+    return SeriesResult(0.5 * p["a"] * math.tan(0.5 * p["v"]))
 
 
-def _e7_rhs(p, policy):
-    a, v = p["a"], p["v"]
-    s6 = S6_alt_sin_over_expm1(a, v, policy)
-    s7 = S7_csch_sinh(a, v, policy)
-    return _merge(v + 2.0 * a * s6.value + 2.0 * math.pi * s7.value, s6, s7)
-
-
-def _e7_rhs_inverted(p, policy):
-    a, v = p["a"], p["v"]
-    s6 = S6_alt_sin_over_expm1(a, v, policy)
-    s7 = S7_csch_sinh(1.0 / a, v, policy)
-    return _merge(v + 2.0 * a * s6.value + 2.0 * math.pi * s7.value, s6, s7)
+def _e7_rhs_for(inverted: bool):
+    """The right side; ``inverted`` pairs the hyperbolic sum with 1/a."""
+    def rhs(p, policy):
+        a, v = p["a"], p["v"]
+        s6 = S6_alt_sin_over_expm1(a, v, policy)
+        s7 = S7_csch_sinh(1.0 / a if inverted else a, v, policy)
+        return _combine(v + 2.0 * a * s6.value + 2.0 * math.pi * s7.value, s6, s7)
+    return rhs
 
 
 def _e7b_lhs(p, policy):
-    return _side(S6_alt_sin_over_expm1(p["a"], p["v"], policy))
+    return S6_alt_sin_over_expm1(p["a"], p["v"], policy)
 
 
 def _e7b_rhs(p, policy):
-    return _side(S6closed(p["a"], p["v"], policy))
+    return S6closed(p["a"], p["v"], policy)
 
 
 # -- E8 ---------------------------------------------------------------------
 
-def _e8_lhs(p, policy):
-    r = S10_alt_sin_lambert(p["z"], Nome.from_value(p["q"]), policy)
-    return _merge(4.0 * r.value, r)
+def _e8_lhs_for(scale: float):
+    def lhs(p, policy):
+        r = S10_alt_sin_lambert(p["z"], Nome.from_value(p["q"]), policy)
+        return _combine(scale * r.value, r)
+    return lhs
 
 
-def _e8_lhs_half(p, policy):
-    r = S10_alt_sin_lambert(p["z"], Nome.from_value(p["q"]), policy)
-    return _merge(2.0 * r.value, r)
-
-
-def _e8_rhs(p, policy):
-    z = p["z"]
-    q = Nome.from_value(p["q"])
-    th = theta2(z, q, policy)
-    dth = theta_u_derivative(ThetaKind.THETA2, z, q, policy)
-    return _merge(math.tan(z) + dth / th.value, th)
-
-
-def _e8_rhs_minus_tan(p, policy):
-    z = p["z"]
-    q = Nome.from_value(p["q"])
-    th = theta2(z, q, policy)
-    dth = theta_u_derivative(ThetaKind.THETA2, z, q, policy)
-    return _merge(-math.tan(z) + dth / th.value, th)
+def _e8_rhs_for(tan_sign: float):
+    def rhs(p, policy):
+        z = p["z"]
+        q = Nome.from_value(p["q"])
+        th = theta2(z, q, policy)
+        dth = theta_u_derivative(ThetaKind.THETA2, z, q, policy)
+        return _combine(tan_sign * math.tan(z) + dth / th.value, th)
+    return rhs
 
 
 # -- P4 / P4b ---------------------------------------------------------------
@@ -611,27 +582,24 @@ def _e8_rhs_minus_tan(p, policy):
 _P4_X_GRID = (0.0, 0.1, 0.2, 0.3)
 
 
-def _p4_bracket(a: float, x: float, policy) -> tuple[float, int, float]:
+def _p4_bracket(a: float, x: float, policy) -> SeriesResult:
     t2 = theta2(x, Nome.from_pi_exponent(1.0 / a), policy)
     t4 = theta4_imag(a * x, Nome.from_pi_exponent(a), policy)
-    value = math.exp(x * x * a / math.pi) * t2.value / t4.value
-    return value, t2.terms_used + t4.terms_used, t2.tail_bound + t4.tail_bound
+    return _combine(math.exp(x * x * a / math.pi) * t2.value / t4.value, t2, t4)
 
 
 def _p4_lhs(p, policy):
     vals = [_p4_bracket(p["a"], x, policy) for x in _P4_X_GRID]
-    return Side(max(v for v, _, _ in vals),
-                sum(t for _, t, _ in vals), sum(b for _, _, b in vals))
+    return _combine(max(v.value for v in vals), *vals)
 
 
 def _p4_rhs(p, policy):
-    vals = [_p4_bracket(p["a"], x, policy) for x in _P4_X_GRID]
-    return Side(min(v for v, _, _ in vals))
+    return SeriesResult(min(_p4_bracket(p["a"], x, policy).value for x in _P4_X_GRID))
 
 
 def _p4b_lhs(p, policy):
     r = S7_csch_sinh(2.0 / p["a"], 2.0 * p["z"], policy)
-    return _merge(2.0 * math.pi * r.value, r)
+    return _combine(2.0 * math.pi * r.value, r)
 
 
 def _p4b_rhs(p, policy):
@@ -639,7 +607,7 @@ def _p4b_rhs(p, policy):
     q = Nome.from_exponent(1.0 / a)
     th = theta2(z, q, policy)
     dth = theta_u_derivative(ThetaKind.THETA2, z, q, policy)
-    return _merge(-2.0 * z - dth / (a * th.value), th)
+    return _combine(-2.0 * z - dth / (a * th.value), th)
 
 
 # -- P5 ---------------------------------------------------------------------
@@ -648,7 +616,7 @@ def _p5_lhs(p, policy):
     b = p["b"]
     cube = S8_exp_over_cube(b, policy)
     nsq = S3sq_alt_nsq_over_expm1(2.0 * math.pi / b, policy)
-    return _merge(-2.0 * cube.value + nsq.value, cube, nsq)
+    return _combine(-2.0 * cube.value + nsq.value, cube, nsq)
 
 
 def _p5_lhs_shifted(p, policy):
@@ -656,13 +624,13 @@ def _p5_lhs_shifted(p, policy):
     cube = S8_exp_over_cube(b, policy)
     nsq = S3sq_alt_nsq_over_expm1(2.0 * math.pi / b, policy)
     lin = S3_alt_n_over_expm1(2.0 * math.pi / b, policy)
-    return _merge(-2.0 * cube.value + nsq.value + lin.value, cube, nsq, lin)
+    return _combine(-2.0 * cube.value + nsq.value + lin.value, cube, nsq, lin)
 
 
 def _p5_rhs(p, policy):
     b = p["b"]
     _, K, E = _ke_at(b)
-    return Side(0.125 - b / (4.0 * math.pi)
+    return SeriesResult(0.125 - b / (4.0 * math.pi)
                 + b * b * (E * K - K * K) / (2.0 * math.pi ** 2))
 
 
@@ -670,7 +638,7 @@ def _p5_rhs(p, policy):
 
 def _p6_lhs(p, policy):
     q = Nome.from_pi_exponent(0.5 / p["a"])
-    return Side(theta_u_derivative(ThetaKind.THETA2, 0.25 * math.pi, q, policy))
+    return SeriesResult(theta_u_derivative(ThetaKind.THETA2, 0.25 * math.pi, q, policy))
 
 
 def _p6_rhs(p, policy):
@@ -678,21 +646,19 @@ def _p6_rhs(p, policy):
     q = Nome.from_pi_exponent(0.5 / a)
     th = theta2(0.25 * math.pi, q, policy)
     _, K, _ = _ke_at(a)
-    return _merge(-(2.0 * a / math.pi) * th.value * K, th)
+    return _combine(-(2.0 * a / math.pi) * th.value * K, th)
 
 
 def _p6b_lhs(p, policy):
-    return _side(S5_sech(p["a"], policy))
+    return S5_sech(p["a"], policy)
 
 
-def _p6b_rhs_plus(p, policy):
-    _, K, _ = _ke_at(p["a"])
-    return Side(0.5 + K / math.pi)
-
-
-def _p6b_rhs_minus(p, policy):
-    _, K, _ = _ke_at(p["a"])
-    return Side(K / math.pi - 0.5)
+def _p6b_rhs_for(half: float):
+    """K/pi + half, with half = +1/2 (stated) or -1/2."""
+    def rhs(p, policy):
+        _, K, _ = _ke_at(p["a"])
+        return SeriesResult(K / math.pi + half)
+    return rhs
 
 
 # -- P7 ---------------------------------------------------------------------
@@ -703,29 +669,29 @@ def _p7_arg(p) -> EllipticArgument:
 
 
 def _p7_lhs_stated(p, policy):
-    return Side(dict(dadk_candidates(_p7_arg(p)))["stated-formula"])
+    return SeriesResult(dict(dadk_candidates(_p7_arg(p)))["stated-formula"])
 
 
 def _p7_lhs_classical(p, policy):
-    return Side(dict(dadk_candidates(_p7_arg(p)))["classical"])
+    return SeriesResult(dict(dadk_candidates(_p7_arg(p)))["classical"])
 
 
 def _p7_rhs_fd(p, policy):
-    return Side(dadk_fd(_p7_arg(p)).value)
+    return SeriesResult(dadk_fd(_p7_arg(p)).value)
 
 
 # -- P8 ---------------------------------------------------------------------
 
 def _p8_lhs(p, policy):
     r = S9_lambert_E2(Nome.from_pi_exponent(p["r"]), policy)
-    return _merge(24.0 * r.value, r)
+    return _combine(24.0 * r.value, r)
 
 
 def _p8_rhs_with(drdm: Callable[[float, float, float], float], p, policy):
     k, K, E = _ke_at(p["r"])
     m = k * k
     d = drdm(m, K, E)
-    return Side(1.0 + (6.0 * E + (m - 5.0) * K) / (math.pi * m * (1.0 - m) * K * d))
+    return SeriesResult(1.0 + (6.0 * E + (m - 5.0) * K) / (math.pi * m * (1.0 - m) * K * d))
 
 
 def _p8_rhs_stated(p, policy):
@@ -744,11 +710,11 @@ def _p8_rhs_classical(p, policy):
 
 def _p9_lhs_parameter(p, policy):
     x = p["x"]
-    return Side(ellint_K_extended(x / (x - 1.0)) / math.sqrt(1.0 - x))
+    return SeriesResult(ellint_K_extended(x / (x - 1.0)) / math.sqrt(1.0 - x))
 
 
 def _p9_rhs_parameter(p, policy):
-    return Side(ellint_K(EllipticArgument.from_parameter(p["x"])))
+    return SeriesResult(ellint_K(EllipticArgument.from_parameter(p["x"])))
 
 
 def _p9_lhs_modulus(p, policy):
@@ -758,11 +724,11 @@ def _p9_lhs_modulus(p, policy):
     # records the failure.
     if abs(km) >= 1.0:
         raise DomainError(f"modulus reading undefined: |x/(x-1)| = {abs(km)!r} >= 1")
-    return Side(ellint_K_extended(km * km) / math.sqrt(1.0 - x))
+    return SeriesResult(ellint_K_extended(km * km) / math.sqrt(1.0 - x))
 
 
 def _p9_rhs_modulus(p, policy):
-    return Side(ellint_K(EllipticArgument.from_modulus(p["x"])))
+    return SeriesResult(ellint_K(EllipticArgument.from_modulus(p["x"])))
 
 
 # -- P10 / P10a -------------------------------------------------------------
@@ -793,26 +759,22 @@ def _imag_poly_over_sinh(F: PolynomialSpec, b: float,
     return sum_series(term, policy)
 
 
-def _p10_lhs(p, policy):
-    F = PolynomialSpec.monomial(int(p["fdeg"]))
-    b = p["b"]
-    a = 2.0 * math.pi / b
-    integral = poly_even_zeta_integral(F)
-    alt = _alt_poly_over_expm1(F, a, policy)
-    hyp = _imag_poly_over_sinh(F, b, policy)
-    return _merge(integral + 2.0 * alt.value - hyp.value, alt, hyp)
+def _p10a_zeta_term(F: PolynomialSpec) -> float:
+    """sum_nu f_(2nu) (2^(2nu)-1) zeta(1-2nu)."""
+    return sum(F.coefficient(2 * nu) * (2 ** (2 * nu) - 1) * zeta_neg(nu)
+               for nu in range(1, F.degree // 2 + 1))
 
 
-def _p10a_lhs(p, policy):
-    F = PolynomialSpec.monomial(int(p["fdeg"]))
-    b = p["b"]
-    a = 2.0 * math.pi / b
-    zeta_term = sum(
-        F.coefficient(2 * nu) * (2 ** (2 * nu) - 1) * zeta_neg(nu)
-        for nu in range(1, F.degree // 2 + 1))
-    alt = _alt_poly_over_expm1(F, a, policy)
-    hyp = _imag_poly_over_sinh(F, b, policy)
-    return _merge(zeta_term + 2.0 * alt.value - hyp.value, alt, hyp)
+def _p10_lhs_for(head: Callable[[PolynomialSpec], float]):
+    """head(F) + 2 sum (-1)^n F(n)/(n(e^(an)-1)) - sum F(ibn)/(n sinh(b n pi))."""
+    def lhs(p, policy):
+        F = PolynomialSpec.monomial(int(p["fdeg"]))
+        b = p["b"]
+        h = head(F)
+        alt = _alt_poly_over_expm1(F, 2.0 * math.pi / b, policy)
+        hyp = _imag_poly_over_sinh(F, b, policy)
+        return _combine(h + 2.0 * alt.value - hyp.value, alt, hyp)
+    return lhs
 
 
 # -- P11a / P11b ------------------------------------------------------------
@@ -829,8 +791,8 @@ def _p11a_rhs(p, policy):
     f0 = f.coefficient(0)
     if f0 != 0.0:
         prod = q_product_P0(Nome.from_pi_exponent(a), policy)
-        return _merge(f0 * math.log(prod.value) + bil.value, prod, bil)
-    return _merge(bil.value, bil)
+        return _combine(f0 * math.log(prod.value) + bil.value, prod, bil)
+    return _combine(bil.value, bil)
 
 
 _P11B_POLYS = {
@@ -852,7 +814,7 @@ def _p11b_rhs_for(key: str):
         a, s = p["a"], p["s"]
         bil = _poly_exp_bilateral_exp_sinh(f, a, s, policy)
         prod = q_product_P0(Nome.from_pi_exponent(a), policy)
-        return _merge(f.eval(1.0) * math.log(prod.value) + bil.value, prod, bil)
+        return _combine(f.eval(1.0) * math.log(prod.value) + bil.value, prod, bil)
     return rhs
 
 
@@ -891,7 +853,7 @@ def _p12_rhs_printed(p, policy):
     f = _P12_POLY
     bil = _p12_bilateral(f, a, s, weight_half_n=False, policy=policy)
     value = 2.0 * a - 2.0 * a * f.eval(0.0) * s + a * math.pi * bil.value
-    return _merge(value, bil)
+    return _combine(value, bil)
 
 
 def _p12_rhs_derived(p, policy):
@@ -900,7 +862,7 @@ def _p12_rhs_derived(p, policy):
     bil = _p12_bilateral(f, a, s, weight_half_n=True, policy=policy)
     value = (2.0 * a * f.coefficient(1) * s - 2.0 * a * f.coefficient(2)
              - bil.value)
-    return _merge(value, bil)
+    return _combine(value, bil)
 
 
 # -- P7b ----------------------------------------------------------------
@@ -909,22 +871,22 @@ def _p7b_lhs(p, policy):
     x = p["x"]
     q = Nome.from_pi_exponent(2.0 * x)
     d = log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, 1, math.pi * x, q, policy)
-    return Side(2.0 * math.pi * d.value)
+    return SeriesResult(2.0 * math.pi * d.value)
 
 
 def _p7b_rhs_k(p, policy):
     _, K, _ = _ke_at(p["x"])
-    return Side(0.5 * math.pi - K)
+    return SeriesResult(0.5 * math.pi - K)
 
 
 def _p7b_rhs_sech(p, policy):
     r = S5_sech(p["x"], policy)
-    return _merge(-math.pi * r.value, r)
+    return _combine(-math.pi * r.value, r)
 
 
 def _p7b_rhs_plus_half(p, policy):
     _, K, _ = _ke_at(p["x"])
-    return Side(-math.pi * (0.5 + K / math.pi))
+    return SeriesResult(-math.pi * (0.5 + K / math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -964,8 +926,10 @@ def build_registry() -> "Registry":
             "read as the real series -4 sum (-1)^n n q^(n^2) sinh(2nz) "
             "+ 2 theta4(iz, q) = 0",
             (ParamSpec("z", (0.5, 1.0, 2.0), lo=0.05, hi=20.0),),
-            (Variant("base", _p2b_lhs, _p2b_rhs),
-             Variant("nome-exp-pi-z", _p2b_lhs_pi, _p2b_rhs_pi,
+            (Variant("base", _p2b_lhs_for(Nome.from_exponent),
+                     _p2b_rhs_for(Nome.from_exponent)),
+             Variant("nome-exp-pi-z", _p2b_lhs_for(Nome.from_pi_exponent),
+                     _p2b_rhs_for(Nome.from_pi_exponent),
                      note="alternative reading with nome e^(-pi z)")),
             Expectation.CONTESTED),
         IdentityRecord(
@@ -1007,8 +971,8 @@ def build_registry() -> "Registry":
             "+ 2 pi sum csch(2 n pi^2/a) sinh(2 pi n v/a)",
             (ParamSpec("a", (2.0, 4.0), lo=0.05, hi=50.0),
              ParamSpec("v", (0.5, 1.0, 2.0), lo=0.0, hi=3.1)),
-            (Variant("base", _e7_lhs, _e7_rhs),
-             Variant("inverted-a", _e7_lhs, _e7_rhs_inverted,
+            (Variant("base", _e7_lhs, _e7_rhs_for(inverted=False)),
+             Variant("inverted-a", _e7_lhs, _e7_rhs_for(inverted=True),
                      note="hyperbolic sum with a replaced by 1/a, the other "
                           "plausible pairing")),
             Expectation.CONTESTED,
@@ -1028,10 +992,10 @@ def build_registry() -> "Registry":
             "tan(z) + (d theta2/dz)/theta2(z, q)",
             (ParamSpec("z", (0.3, 0.6), lo=0.0, hi=1.4),
              ParamSpec("q", (0.2, math.exp(-pi)), lo=0.0, hi=0.9)),
-            (Variant("base", _e8_lhs, _e8_rhs),
-             Variant("minus-tan", _e8_lhs, _e8_rhs_minus_tan,
+            (Variant("base", _e8_lhs_for(4.0), _e8_rhs_for(1.0)),
+             Variant("minus-tan", _e8_lhs_for(4.0), _e8_rhs_for(-1.0),
                      note="sign variant on the tangent term"),
-             Variant("half-scale", _e8_lhs_half, _e8_rhs,
+             Variant("half-scale", _e8_lhs_for(2.0), _e8_rhs_for(1.0),
                      note="scale variant: factor 2 instead of 4")),
             Expectation.CONTESTED),
         IdentityRecord(
@@ -1072,8 +1036,8 @@ def build_registry() -> "Registry":
             "P6b",
             "sum sech(n pi a) = 1/2 + K(k_a)/pi",
             (ParamSpec("a", (0.5, 1.0, 2.0), lo=0.11, hi=20.0),),
-            (Variant("base", _p6b_lhs, _p6b_rhs_plus),
-             Variant("minus-half", _p6b_lhs, _p6b_rhs_minus,
+            (Variant("base", _p6b_lhs, _p6b_rhs_for(0.5)),
+             Variant("minus-half", _p6b_lhs, _p6b_rhs_for(-0.5),
                      note="closed form with -1/2; the desk-checked reading")),
             Expectation.CONTESTED),
         IdentityRecord(
@@ -1126,7 +1090,7 @@ def build_registry() -> "Registry":
             "to second order",
             (ParamSpec("fdeg", (4, 6), choices=(4, 6)),
              ParamSpec("b", (1.0, 2.0), lo=0.2, hi=10.0)),
-            (Variant("base", _p10_lhs, _zero_rhs),),
+            (Variant("base", _p10_lhs_for(poly_even_zeta_integral), _zero_rhs),),
             Expectation.CONTESTED),
         IdentityRecord(
             "P10a",
@@ -1134,7 +1098,7 @@ def build_registry() -> "Registry":
             "- sum f(ibn)/(n sinh(b n pi)) = 0, ab = 2 pi",
             (ParamSpec("fdeg", (2, 4), choices=(2, 4)),
              ParamSpec("b", (1.0, 2.0), lo=0.2, hi=10.0)),
-            (Variant("base", _p10a_lhs, _zero_rhs),),
+            (Variant("base", _p10_lhs_for(_p10a_zeta_term), _zero_rhs),),
             Expectation.CONTESTED),
         IdentityRecord(
             "P11a",
@@ -1210,66 +1174,47 @@ class Registry:
         """Evaluate one (identity, variant, grid point) into a report.
 
         Unknown ids and constraint violations raise; numeric evaluation
-        failures come back as INCONCLUSIVE reports with a note.
+        failures, including a division by an underflowed denominator, come
+        back as INCONCLUSIVE reports with a note.
         """
         record = self.get(identity_id)
         variant = record.variant(variant_id)
         record.validate_point(point)
-        params = dict(point)
         try:
             lhs = variant.lhs(point, policy)
             rhs = variant.rhs(point, policy)
-        except EllidError as exc:
-            return ResidualReport(
-                identity_id, variant_id, params, math.nan, math.nan,
-                math.nan, math.nan, Classification.INCONCLUSIVE,
-                {"lhs": 0, "rhs": 0}, f"{type(exc).__name__}: {exc}")
+        except (EllidError, ZeroDivisionError) as exc:
+            return _error_report(identity_id, variant_id, point, exc)
         abs_res = abs(lhs.value - rhs.value)
         rel_res = abs_res / max(1.0, abs(lhs.value), abs(rhs.value))
         return ResidualReport(
-            identity_id, variant_id, params, lhs.value, rhs.value,
+            identity_id, variant_id, dict(point), lhs.value, rhs.value,
             abs_res, rel_res, classify(rel_res),
-            {"lhs": lhs.terms, "rhs": rhs.terms}, "")
+            {"lhs": lhs.terms_used, "rhs": rhs.terms_used}, "")
 
-    def _tasks(self, record: IdentityRecord) -> list[tuple[str, str, dict]]:
-        return [(record.identity_id, v.variant_id, point)
-                for v in record.variants
-                for point in record.grid_points()]
-
-    def _run_tasks(self, tasks: list[tuple[str, str, dict]],
-                   policy: TruncationPolicy,
-                   parallelism: int) -> list[ResidualReport]:
-        def one(task: tuple[str, str, dict]) -> ResidualReport:
-            identity_id, variant_id, point = task
-            try:
-                return self.evaluate(identity_id, variant_id, point, policy)
-            except EllidError as exc:
-                # Per-point failures are embedded, never fatal to the run.
-                return ResidualReport(
-                    identity_id, variant_id, dict(point), math.nan, math.nan,
-                    math.nan, math.nan, Classification.INCONCLUSIVE,
-                    {"lhs": 0, "rhs": 0}, f"{type(exc).__name__}: {exc}")
-
-        if parallelism > 1:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                reports = list(pool.map(one, tasks))
-        else:
-            reports = [one(t) for t in tasks]
+    def _run(self, records: Sequence[IdentityRecord],
+             policy: TruncationPolicy) -> list[ResidualReport]:
+        reports = []
+        for record in records:
+            points = record.grid_points()
+            for v in record.variants:
+                for point in points:
+                    try:
+                        reports.append(self.evaluate(record.identity_id,
+                                                     v.variant_id, point, policy))
+                    except EllidError as exc:
+                        # Per-point failures are embedded, never fatal to the run.
+                        reports.append(_error_report(record.identity_id,
+                                                     v.variant_id, point, exc))
         reports.sort(key=report_sort_key)
         return reports
 
     def run_grid(self, identity_id: str,
-                 policy: TruncationPolicy = DEFAULT_POLICY,
-                 parallelism: int = 1) -> list[ResidualReport]:
-        record = self.get(identity_id)
-        return self._run_tasks(self._tasks(record), policy, parallelism)
+                 policy: TruncationPolicy = DEFAULT_POLICY) -> list[ResidualReport]:
+        return self._run([self.get(identity_id)], policy)
 
-    def run_all(self, policy: TruncationPolicy = DEFAULT_POLICY,
-                parallelism: int = 1) -> list[ResidualReport]:
-        tasks: list[tuple[str, str, dict]] = []
-        for record in self.records():
-            tasks.extend(self._tasks(record))
-        return self._run_tasks(tasks, policy, parallelism)
+    def run_all(self, policy: TruncationPolicy = DEFAULT_POLICY) -> list[ResidualReport]:
+        return self._run(self.records(), policy)
 
 
 _DEFAULT_REGISTRY: Registry | None = None
@@ -1287,11 +1232,10 @@ def evaluate_identity(identity_id: str, variant_id: str, point: Mapping,
     return default_registry().evaluate(identity_id, variant_id, point, policy)
 
 
-def run_grid(identity_id: str, policy: TruncationPolicy = DEFAULT_POLICY,
-             parallelism: int = 1) -> list[ResidualReport]:
-    return default_registry().run_grid(identity_id, policy, parallelism)
+def run_grid(identity_id: str,
+             policy: TruncationPolicy = DEFAULT_POLICY) -> list[ResidualReport]:
+    return default_registry().run_grid(identity_id, policy)
 
 
-def run_all(policy: TruncationPolicy = DEFAULT_POLICY,
-            parallelism: int = 1) -> list[ResidualReport]:
-    return default_registry().run_all(policy, parallelism)
+def run_all(policy: TruncationPolicy = DEFAULT_POLICY) -> list[ResidualReport]:
+    return default_registry().run_all(policy)

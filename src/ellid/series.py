@@ -48,9 +48,14 @@ DEFAULT_POLICY = TruncationPolicy()
 
 @dataclass(frozen=True)
 class SeriesResult:
+    """A value plus how it was summed: terms added and the dropped-tail bound.
+
+    Closed-form values carry the defaults (no terms, no tail).
+    """
+
     value: float
-    terms_used: int
-    tail_bound: float
+    terms_used: int = 0
+    tail_bound: float = 0.0
 
 
 def kahan_add(total: float, comp: float, term: float) -> tuple[float, float]:
@@ -64,17 +69,23 @@ def kahan_add(total: float, comp: float, term: float) -> tuple[float, float]:
 def sum_series(term_fn: Callable[[int], tuple[float, float]],
                policy: TruncationPolicy = DEFAULT_POLICY,
                start: int = 1,
-               initial: float = 0.0) -> SeriesResult:
+               initial: float = 0.0,
+               relative: bool = False) -> SeriesResult:
     """Sum term_fn(n) for n = start, start+1, ... under the stop rule.
 
     ``term_fn`` returns (term, envelope) where the envelope is a positive
     bound on |term| that also drives the stop rule; using an envelope rather
     than |term| keeps an incidental zero of an oscillating factor from
     triggering a premature stop.
+
+    ``relative`` selects the theta-function rule: the envelope threshold
+    scales with max(1, |partial sum|) and the ratio guard is not applied
+    (any decreasing envelope may stop).
     """
     total = initial
     comp = 0.0
     prev_env = math.inf
+    guard = 1.0 if relative else policy.ratio_guard
     for n in range(start, start + policy.cap):
         try:
             term, env = term_fn(n)
@@ -89,10 +100,10 @@ def sum_series(term_fn: Callable[[int], tuple[float, float]],
         # so any tail estimate would be fiction.
         if math.isfinite(prev_env) and prev_env > 0.0:
             ratio = env / prev_env
-            if ratio < 1.0:
+            if ratio < guard:
                 tail = env * ratio / (1.0 - ratio)
-                if (env < policy.tolerance and ratio < policy.ratio_guard
-                        and tail <= policy.tolerance):
+                scale = max(1.0, abs(total)) if relative else 1.0
+                if env < policy.tolerance * scale and tail <= policy.tolerance:
                     return SeriesResult(total, n - start + 1, tail)
         prev_env = env
     raise NonConvergenceError(

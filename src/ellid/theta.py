@@ -18,24 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .elliptic import Nome
 from .errors import DomainError, NonConvergenceError, PoleError, UnsupportedOrderError
-from .series import DEFAULT_POLICY, TruncationPolicy, kahan_add
+from .series import (DEFAULT_POLICY, SeriesResult, TruncationPolicy, kahan_add,
+                     sum_series)
 
 MAX_LOG_DERIVATIVE_ORDER = 12
 
 # Below this fraction of the series scale a theta value counts as a pole for
 # the purposes of log-derivatives.
 POLE_THRESHOLD = 1e-8
-
-
-@dataclass(frozen=True)
-class ThetaEval:
-    value: float
-    terms_used: int
-    tail_bound: float
 
 
 @dataclass(frozen=True)
@@ -54,44 +47,8 @@ class ThetaKind(str, Enum):
     THETA4_IMAG_HALF = "theta4-imag-half"
 
 
-def _sum_theta(term_fn: Callable[[int], tuple[float, float]],
-               policy: TruncationPolicy,
-               start: int,
-               initial: float) -> ThetaEval:
-    """Shared theta summation loop.
-
-    Stops once the envelope drops below tolerance * max(1, |partial|), the
-    envelope is no longer growing, and the geometric tail estimate is below
-    tolerance.  The envelope (term magnitude without the oscillating factor)
-    is used so a cosine zero cannot stop the sum early.
-    """
-    total = initial
-    comp = 0.0
-    prev_env = math.inf
-    for n in range(start, start + policy.cap):
-        try:
-            term, env = term_fn(n)
-        except OverflowError:
-            raise NonConvergenceError(
-                f"theta term overflow at n={n}; the value is not "
-                f"representable in binary64") from None
-        total, comp = kahan_add(total, comp, term)
-        if env == 0.0:
-            return ThetaEval(total, n - start + 1, 0.0)
-        # First term carries no ratio information; never stop on it.
-        if math.isfinite(prev_env) and env <= prev_env:
-            ratio = env / prev_env if prev_env > 0.0 else 0.0
-            tail = env * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-            scale = max(1.0, abs(total))
-            if env < policy.tolerance * scale and tail <= policy.tolerance:
-                return ThetaEval(total, n - start + 1, tail)
-        prev_env = env
-    raise NonConvergenceError(
-        f"theta series did not converge within cap={policy.cap}")
-
-
 def theta4(u: float, q: Nome,
-           policy: TruncationPolicy = DEFAULT_POLICY) -> ThetaEval:
+           policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """theta4 at real argument u."""
     qq = q.q
 
@@ -100,11 +57,11 @@ def theta4(u: float, q: Nome,
         sign = -1.0 if n % 2 else 1.0
         return sign * env * math.cos(2.0 * n * u), env
 
-    return _sum_theta(term, policy, 1, 1.0)
+    return sum_series(term, policy, 1, 1.0, relative=True)
 
 
 def theta4_imag(t: float, q: Nome,
-                policy: TruncationPolicy = DEFAULT_POLICY) -> ThetaEval:
+                policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """theta4 at the imaginary argument it: 1 + 2 sum (-1)^n q^(n^2) cosh(2nt).
 
     Even in t bit for bit (|t| is summed).  The terms may grow before the
@@ -113,7 +70,7 @@ def theta4_imag(t: float, q: Nome,
     qq = q.q
     ta = abs(t)
     if qq == 0.0:
-        return ThetaEval(1.0, 1, 0.0)
+        return SeriesResult(1.0, 1, 0.0)
     lq = math.log(qq)
 
     def term(n: int) -> tuple[float, float]:
@@ -123,25 +80,25 @@ def theta4_imag(t: float, q: Nome,
         sign = -1.0 if n % 2 else 1.0
         return sign * env, env
 
-    return _sum_theta(term, policy, 1, 1.0)
+    return sum_series(term, policy, 1, 1.0, relative=True)
 
 
 def theta2(z: float, q: Nome,
-           policy: TruncationPolicy = DEFAULT_POLICY) -> ThetaEval:
+           policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """theta2 at real argument z."""
     qq = q.q
     if qq == 0.0:
-        return ThetaEval(0.0, 1, 0.0)
+        return SeriesResult(0.0, 1, 0.0)
 
     def term(n: int) -> tuple[float, float]:
         env = 2.0 * qq ** ((n + 0.5) ** 2)
         return env * math.cos((2 * n + 1) * z), env
 
-    return _sum_theta(term, policy, 0, 0.0)
+    return sum_series(term, policy, 0, 0.0, relative=True)
 
 
 def theta3(z: float, q: Nome,
-           policy: TruncationPolicy = DEFAULT_POLICY) -> ThetaEval:
+           policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """theta3 at real argument z (all-positive signs)."""
     qq = q.q
 
@@ -149,7 +106,7 @@ def theta3(z: float, q: Nome,
         env = 2.0 * qq ** (n * n)
         return env * math.cos(2.0 * n * z), env
 
-    return _sum_theta(term, policy, 1, 1.0)
+    return sum_series(term, policy, 1, 1.0, relative=True)
 
 
 def theta_u_derivative(kind: ThetaKind, z: float, q: Nome,
@@ -162,7 +119,7 @@ def theta_u_derivative(kind: ThetaKind, z: float, q: Nome,
             sign = 1.0 if n % 2 else -1.0  # -4 * (-1)^n
             return sign * env * math.sin(2.0 * n * z), env
 
-        return _sum_theta(term, policy, 1, 0.0).value
+        return sum_series(term, policy, 1, 0.0, relative=True).value
     if kind is ThetaKind.THETA2:
         if qq == 0.0:
             return 0.0
@@ -171,7 +128,7 @@ def theta_u_derivative(kind: ThetaKind, z: float, q: Nome,
             env = 2.0 * (2 * n + 1) * qq ** ((n + 0.5) ** 2)
             return -env * math.sin((2 * n + 1) * z), env
 
-        return _sum_theta(term, policy, 0, 0.0).value
+        return sum_series(term, policy, 0, 0.0, relative=True).value
     raise DomainError(f"u-derivative supports theta2/theta4, got {kind!r}")
 
 
@@ -193,7 +150,7 @@ def theta4_u_derivative_imag(t: float, q: Nome,
         sign = 4.0 if n % 2 else -4.0  # -4 * (-1)^n
         return sign * n * sh, env
 
-    return sign_t * _sum_theta(term, policy, 1, 0.0).value
+    return sign_t * sum_series(term, policy, 1, 0.0, relative=True).value
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +176,7 @@ def _theta4_imag_half_raw(s: float, q: Nome, order: int,
         return 2.0 * sign * float(n) ** order * hyp, env
 
     initial = 1.0 if order == 0 else 0.0
-    return _sum_theta(term, policy, 1, initial).value
+    return sum_series(term, policy, 1, initial, relative=True).value
 
 
 def _theta2_raw(s: float, q: Nome, order: int,
@@ -244,7 +201,7 @@ def _theta2_raw(s: float, q: Nome, order: int,
             osc = math.sin(x)
         return amp * osc, amp
 
-    return _sum_theta(term, policy, 0, 0.0).value
+    return sum_series(term, policy, 0, 0.0, relative=True).value
 
 
 def _series_scale(kind: ThetaKind, s: float, q: Nome,
@@ -262,13 +219,13 @@ def _series_scale(kind: ThetaKind, s: float, q: Nome,
             env = math.exp(w + y) + math.exp(w - y)
             return env, env
 
-        return _sum_theta(term, policy, 1, 1.0).value
+        return sum_series(term, policy, 1, 1.0, relative=True).value
 
     def term(n: int) -> tuple[float, float]:
         env = 2.0 * qq ** ((n + 0.5) ** 2)
         return env, env
 
-    return _sum_theta(term, policy, 0, 0.0).value
+    return sum_series(term, policy, 0, 0.0, relative=True).value
 
 
 def log_theta_derivative(kind: ThetaKind, order: int, s: float, q: Nome,
@@ -310,45 +267,33 @@ def log_theta_derivative(kind: ThetaKind, order: int, s: float, q: Nome,
 # ---------------------------------------------------------------------------
 # q-products
 
-def q_product_P0(q: Nome,
-                 policy: TruncationPolicy = DEFAULT_POLICY) -> ThetaEval:
-    """prod (1 - q^(2n)), accumulated as sum log1p(-q^(2n)).
+def _log_product(ratio: float, policy: TruncationPolicy) -> SeriesResult:
+    """prod_{n>=1} (1 - ratio^n), accumulated as sum log1p(-ratio^n).
 
-    The dropped log-tail is bounded by q^(2N+2)/(1 - q^2), which is also the
-    reported tail bound (relative, and to first order absolute, error of the
-    product).
+    The dropped log-tail is bounded by ratio^(N+1)/(1 - ratio), which is also
+    the reported tail bound (relative, and to first order absolute, error of
+    the product).
     """
-    qq = q.q
-    if qq == 0.0:
-        return ThetaEval(1.0, 1, 0.0)
-    q2 = qq * qq
     logsum = 0.0
     comp = 0.0
-    x = q2
+    x = ratio
     for n in range(1, policy.cap + 1):
         logsum, comp = kahan_add(logsum, comp, math.log1p(-x))
-        x_next = x * q2
-        tail = x_next / (1.0 - q2)
+        x_next = x * ratio
+        tail = x_next / (1.0 - ratio)
         if tail <= policy.tolerance:
-            return ThetaEval(math.exp(logsum), n, tail)
+            return SeriesResult(math.exp(logsum), n, tail)
         x = x_next
     raise NonConvergenceError(f"q-product did not converge within cap={policy.cap}")
 
 
+def q_product_P0(q: Nome,
+                 policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
+    """prod (1 - q^(2n)); the log-product with ratio q^2."""
+    return _log_product(q.q * q.q, policy)
+
+
 def euler_product(q: Nome,
-                  policy: TruncationPolicy = DEFAULT_POLICY) -> ThetaEval:
-    """prod (1 - q^n), same tail logic with ratio q."""
-    qq = q.q
-    if qq == 0.0:
-        return ThetaEval(1.0, 1, 0.0)
-    logsum = 0.0
-    comp = 0.0
-    x = qq
-    for n in range(1, policy.cap + 1):
-        logsum, comp = kahan_add(logsum, comp, math.log1p(-x))
-        x_next = x * qq
-        tail = x_next / (1.0 - qq)
-        if tail <= policy.tolerance:
-            return ThetaEval(math.exp(logsum), n, tail)
-        x = x_next
-    raise NonConvergenceError(f"euler product did not converge within cap={policy.cap}")
+                  policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
+    """prod (1 - q^n); the log-product with ratio q."""
+    return _log_product(q.q, policy)

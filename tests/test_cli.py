@@ -1,11 +1,26 @@
 """Command-line front end: exit codes, formats, overrides, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ellid import ConfigError
+import ellid
+from ellid import ConfigError, run_all
 from ellid.cli import RunConfig, main
+from ellid.reporting import render_json
+
+# The directory ellid was imported from, so child interpreters load the same
+# package whether or not it is installed.
+ELLID_ROOT = str(Path(ellid.__file__).resolve().parent.parent)
+
+GOLDEN_REPORT = Path(__file__).parent / "data" / "check_all.json"
+
+
+def child_env(**extra):
+    return dict(PATH="/usr/bin:/bin", PYTHONPATH=ELLID_ROOT, **extra)
 
 
 def run(argv, capsys):
@@ -85,14 +100,25 @@ def test_check_grid_override_constraint_violation(capsys):
     assert "2|t|" in err or "constraint" in err.lower()
 
 
+def test_check_p8_underflowed_denominator_is_inconclusive(capsys):
+    # at r = 16, E K - K^2 underflows to 0 in the stated dr/dm: the point
+    # must become an INCONCLUSIVE row, not a traceback
+    rc, out, _ = run(["check", "P8", "--grid", "r=16", "--format", "json"], capsys)
+    assert rc == 0
+    base, classical = json.loads(out)
+    assert base["variant"] == "base"
+    assert base["classification"] == "INCONCLUSIVE"
+    assert base["note"].startswith("ZeroDivisionError")
+    assert classical["classification"] == "PASS"
+
+
 # -- check-all -----------------------------------------------------------------
 
 def test_check_all_json_deterministic(tmp_path, capsys):
     p1 = tmp_path / "r1.json"
     p2 = tmp_path / "r2.json"
     rc1, _, _ = run(["check-all", "--format", "json", "--out", str(p1)], capsys)
-    rc2, _, _ = run(["check-all", "--format", "json", "--out", str(p2),
-                     "--parallel", "3"], capsys)
+    rc2, _, _ = run(["check-all", "--format", "json", "--out", str(p2)], capsys)
     assert rc1 == rc2 == 0
     b1 = p1.read_bytes()
     assert b1 == p2.read_bytes()
@@ -103,19 +129,30 @@ def test_check_all_json_deterministic(tmp_path, capsys):
 def test_check_all_hash_seed_independent(tmp_path):
     # separate interpreter processes with different hash seeds must emit
     # identical bytes
-    import subprocess
-    import sys
-
     outs = []
     for seed in ("1", "99"):
         path = tmp_path / f"seed{seed}.json"
-        env = dict(PYTHONHASHSEED=seed, PATH="/usr/bin:/bin")
         subprocess.run(
             [sys.executable, "-m", "ellid.cli", "check-all",
              "--format", "json", "--out", str(path)],
-            check=True, env=env)
+            check=True, env=child_env(PYTHONHASHSEED=seed))
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_check_all_matches_golden_report(capsys):
+    # any intended change to the report bytes regenerates the golden file
+    golden = GOLDEN_REPORT.read_bytes()
+    assert render_json(run_all()).encode() == golden
+    rc, out, _ = run(["check-all", "--format", "json"], capsys)
+    assert rc == 0
+    assert out.encode() == golden
+
+
+def test_cli_import_loads_no_thread_pool():
+    code = ("import sys, ellid.cli; "
+            "sys.exit('concurrent.futures' in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
 
 
 def test_check_all_only_filter(tmp_path, capsys):
@@ -206,12 +243,6 @@ def test_bad_env_cap(capsys, monkeypatch):
     assert "ELLID_CAP" in err
 
 
-def test_run_config_round_trip():
-    cfg = RunConfig(tolerance=1e-12, cap=500, out="x.json", format="json",
-                    identity_filter=["P1"], parallelism=2)
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
-
-
 def test_run_config_validation_names_field():
     with pytest.raises(ConfigError, match="tolerance"):
         RunConfig(tolerance=-1.0)
@@ -219,8 +250,6 @@ def test_run_config_validation_names_field():
         RunConfig(cap=0)
     with pytest.raises(ConfigError, match="format"):
         RunConfig(format="yaml")
-    with pytest.raises(ConfigError, match="parallelism"):
-        RunConfig(parallelism=-1)
 
 
 def test_malformed_flags_exit_2(capsys):
