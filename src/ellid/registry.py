@@ -16,6 +16,7 @@ are embedded as INCONCLUSIVE reports with a note, never as PASS.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -409,8 +410,15 @@ def report_sort_key(r: ResidualReport) -> tuple:
 # LHS and RHS of each entry share only the library primitives; no identity
 # feeds one side's intermediate values to the other.
 
+@functools.lru_cache(maxsize=64)
 def _ke_at(a: float) -> tuple[float, float, float]:
-    """(k, K, E) at the singular modulus for ratio a; parameter convention."""
+    """(k, K, E) at the singular modulus for ratio a; parameter convention.
+
+    Memoised here rather than on the public ``solve_k``: a cached
+    ``SingularSolve`` would echo in ``a`` whichever of two equal keys came
+    first (1.0 after True, 1.5 after Fraction(3, 2)).  Bounded because a
+    sweep never repeats an a.  Errors are not cached.
+    """
     k = solve_k(a).k.value
     arg = EllipticArgument.from_parameter(k * k)
     return k, ellint_K(arg), ellint_E(arg)

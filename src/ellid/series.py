@@ -93,12 +93,15 @@ def sum_series(term_fn: Callable[[int], tuple[float, float]],
             raise NonConvergenceError(
                 f"term overflow at n={n}; the series value is not "
                 f"representable in binary64") from None
-        total, comp = kahan_add(total, comp, term)
+        y = term - comp  # kahan_add, written out
+        t = total + y
+        comp = (t - total) - y
+        total = t
         if env == 0.0:
             return SeriesResult(total, n - start + 1, 0.0)
         # No stop on the first term: the geometric ratio is unknown there,
         # so any tail estimate would be fiction.
-        if math.isfinite(prev_env) and prev_env > 0.0:
+        if 0.0 < prev_env < math.inf:
             ratio = env / prev_env
             if ratio < guard:
                 tail = env * ratio / (1.0 - ratio)

@@ -10,7 +10,9 @@ Series conventions (argument u real unless stated otherwise):
 where cos(2n it) = cosh(2nt) and the value is real.  The log-derivative
 engine differentiates the series termwise (finite differences are hopeless
 in binary64 at the orders the audits need) and converts raw derivatives to
-derivatives of the logarithm through the binomial recurrence.
+derivatives of the logarithm through the binomial recurrence.  One pass per
+call sums every raw order and the pole-test scale; each keeps its own stop
+state, so the values are those of separate ``sum_series`` passes.
 """
 
 from __future__ import annotations
@@ -153,88 +155,23 @@ def theta4_u_derivative_imag(t: float, q: Nome,
     return sign_t * sum_series(term, policy, 1, 0.0, relative=True).value
 
 
-# ---------------------------------------------------------------------------
-# raw s-derivatives of the two theta builds the derivative identities need
-
-def _theta4_imag_half_raw(s: float, q: Nome, order: int,
-                          policy: TruncationPolicy) -> float:
-    """d^order/ds^order of theta4(i s/2, q) = 1 + 2 sum (-1)^n q^(n^2) cosh(ns)."""
-    qq = q.q
-    if qq == 0.0:
-        return 1.0 if order == 0 else 0.0
-    lq = math.log(qq)
-    even = order % 2 == 0
-
-    def term(n: int) -> tuple[float, float]:
-        w = lq * n * n
-        y = n * s
-        ay = abs(y)
-        hyp = 0.5 * (math.exp(w + y) + math.exp(w - y)) if even \
-            else 0.5 * (math.exp(w + y) - math.exp(w - y))
-        env = 2.0 * float(n) ** order * 0.5 * (math.exp(w + ay) + math.exp(w - ay))
-        sign = -1.0 if n % 2 else 1.0
-        return 2.0 * sign * float(n) ** order * hyp, env
-
-    initial = 1.0 if order == 0 else 0.0
-    return sum_series(term, policy, 1, initial, relative=True).value
-
-
-def _theta2_raw(s: float, q: Nome, order: int,
-                policy: TruncationPolicy) -> float:
-    """d^order/ds^order of theta2(s, q) by termwise differentiation."""
-    qq = q.q
-    if qq == 0.0:
-        return 0.0
-    phase = order % 4  # cos -> -sin -> -cos -> sin cycle
-
-    def term(n: int) -> tuple[float, float]:
-        m = 2 * n + 1
-        amp = 2.0 * float(m) ** order * qq ** ((n + 0.5) ** 2)
-        x = m * s
-        if phase == 0:
-            osc = math.cos(x)
-        elif phase == 1:
-            osc = -math.sin(x)
-        elif phase == 2:
-            osc = -math.cos(x)
-        else:
-            osc = math.sin(x)
-        return amp * osc, amp
-
-    return sum_series(term, policy, 0, 0.0, relative=True).value
-
-
-def _series_scale(kind: ThetaKind, s: float, q: Nome,
-                  policy: TruncationPolicy) -> float:
-    """Absolute-value envelope of the order-0 series, for the pole test."""
-    qq = q.q
-    if qq == 0.0:
-        return 1.0
-    if kind is ThetaKind.THETA4_IMAG_HALF:
-        lq = math.log(qq)
-
-        def term(n: int) -> tuple[float, float]:
-            w = lq * n * n
-            y = abs(n * s)
-            env = math.exp(w + y) + math.exp(w - y)
-            return env, env
-
-        return sum_series(term, policy, 1, 1.0, relative=True).value
-
-    def term(n: int) -> tuple[float, float]:
-        env = 2.0 * qq ** ((n + 0.5) ** 2)
-        return env, env
-
-    return sum_series(term, policy, 0, 0.0, relative=True).value
-
-
 def log_theta_derivative(kind: ThetaKind, order: int, s: float, q: Nome,
                          policy: TruncationPolicy = DEFAULT_POLICY) -> LogThetaDerivative:
     """d^order/ds^order of log theta for the tagged series build.
 
-    Raw derivatives come from termwise differentiation; log-derivatives
-    follow from solving f^(n) = sum_j C(n-1, j) g^(j+1) f^(n-1-j) for
-    g^(n), which is O(n^2) and stable for the supported orders.
+    The builds are theta4(i s/2, q) = 1 + 2 sum (-1)^n q^(n^2) cosh(ns) and
+    theta2(s, q).  Raw derivatives come from termwise differentiation;
+    log-derivatives follow from solving f^(n) = sum_j C(n-1, j) g^(j+1)
+    f^(n-1-j) for g^(n), which is O(n^2) and stable for the supported orders.
+
+    One pass over n feeds order+2 accumulators: the raw derivatives of
+    orders 0..order and the absolute-value envelope of the order-0 series,
+    the scale of the pole test.  Each n's exponentials (or q-power, cosine
+    and sine) are computed once.  Each accumulator keeps the Kahan state and
+    stop rule of ``sum_series(..., relative=True)`` and freezes when its own
+    rule fires, so every value has the bits a separate pass would give.  If
+    several accumulators fail, the error is that of the first in the order
+    raw 0..order, then scale.
     """
     if kind not in (ThetaKind.THETA2, ThetaKind.THETA4_IMAG_HALF):
         raise DomainError(f"log-derivative supports theta2/theta4-imag-half, got {kind!r}")
@@ -244,9 +181,80 @@ def log_theta_derivative(kind: ThetaKind, order: int, s: float, q: Nome,
         raise UnsupportedOrderError(
             f"order {order} above the supported cap {MAX_LOG_DERIVATIVE_ORDER}")
 
-    raw = _theta4_imag_half_raw if kind is ThetaKind.THETA4_IMAG_HALF else _theta2_raw
-    f = [raw(s, q, j, policy) for j in range(order + 1)]
-    scale = _series_scale(kind, s, q, policy)
+    imag = kind is ThetaKind.THETA4_IMAG_HALF
+    qq = q.q
+    last = order + 1  # index of the scale accumulator
+    sums = [0.0] * (order + 2)
+    if imag:
+        sums[0] = sums[last] = 1.0  # theta4's constant term
+    if qq == 0.0:
+        sums[last] = 1.0  # no series to sum; the pole test sees scale 1
+    else:
+        lq = math.log(qq) if imag else 0.0
+        tol = policy.tolerance
+        comps = [0.0] * (order + 2)
+        prevs = [math.inf] * (order + 2)
+        active = list(range(order + 2))
+        start = 1 if imag else 0
+        for n in range(start, start + policy.cap):
+            try:
+                if imag:
+                    fn = float(n)
+                    w = lq * n * n
+                    y = n * s
+                    ep = math.exp(w + y)
+                    em = math.exp(w - y)
+                    esum = ep + em  # also e^(w+|y|) + e^(w-|y|)
+                    hyp = (0.5 * esum, 0.5 * (ep - em))
+                    sign = -2.0 if n % 2 else 2.0
+                else:
+                    fn = float(2 * n + 1)
+                    qn = qq ** ((n + 0.5) ** 2)
+                    x = fn * s
+                    c = math.cos(x)
+                    sn = math.sin(x)
+                    osc = (c, -sn, -c, sn)  # d/ds cycles cos -> -sin -> -cos -> sin
+            except OverflowError:
+                raise NonConvergenceError(
+                    f"term overflow at n={n}; the series value is not "
+                    f"representable in binary64") from None
+            still = []
+            for j in active:
+                if j == last:
+                    term = env = esum if imag else 2.0 * qn
+                elif imag:
+                    p = fn ** j
+                    term = sign * p * hyp[j % 2]
+                    env = p * esum  # 2 n^j cosh, with the 2 and 1/2 cancelled exactly
+                else:
+                    env = 2.0 * fn ** j * qn
+                    term = env * osc[j % 4]
+                # sum_series(relative=True): Kahan step, then its stop rule
+                total = sums[j]
+                yk = term - comps[j]
+                t = total + yk
+                comps[j] = (t - total) - yk
+                sums[j] = t
+                if env == 0.0:
+                    continue
+                prev = prevs[j]
+                if 0.0 < prev < math.inf:
+                    ratio = env / prev
+                    if (ratio < 1.0 and env < tol * max(1.0, abs(t))
+                            and env * ratio / (1.0 - ratio) <= tol):
+                        continue
+                prevs[j] = env
+                still.append(j)
+            active = still
+            if not active:
+                break
+        else:
+            raise NonConvergenceError(
+                f"series did not meet the stop rule within cap={policy.cap} "
+                f"(last envelope {prevs[active[0]]!r})")
+
+    f = sums[:last]
+    scale = sums[last]
     if f[0] <= 0.0 or abs(f[0]) < POLE_THRESHOLD * scale:
         raise PoleError(
             f"{kind.value} value {f[0]!r} at s={s!r} is too close to zero "

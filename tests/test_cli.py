@@ -149,6 +149,13 @@ def test_check_all_matches_golden_report(capsys):
     assert out.encode() == golden
 
 
+def test_golden_report_matches_benchmark_reference():
+    # the benchmark checks check-all against its own copy; an intended byte
+    # change must update both files together
+    bench_ref = Path(__file__).parent.parent / "bench" / "ref" / "check_all.json"
+    assert GOLDEN_REPORT.read_bytes() == bench_ref.read_bytes()
+
+
 def test_cli_import_loads_no_thread_pool():
     code = ("import sys, ellid.cli; "
             "sys.exit('concurrent.futures' in sys.modules)")

@@ -2,16 +2,20 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ellid import (Classification, ConstraintError, DomainError, Expectation,
-                   PoleError, PolynomialSpec, S4_n_over_sinh, TruncationPolicy,
-                   UnknownIdentityError, classify, default_registry,
-                   evaluate_identity, poly_even_zeta_integral,
-                   poly_even_zeta_sum, poly_weighted_log_theta2_sum,
-                   poly_weighted_log_theta4_sum, run_all, run_grid)
+                   PoleError, PolynomialSpec, RangeError, ResidualReport,
+                   S4_n_over_sinh, TruncationPolicy, UnknownIdentityError,
+                   classify, default_registry, evaluate_identity,
+                   poly_even_zeta_integral, poly_even_zeta_sum,
+                   poly_weighted_log_theta2_sum, poly_weighted_log_theta4_sum,
+                   registry, run_all, run_grid)
 from ellid.reporting import render_csv, render_json, render_text
 
 PI = math.pi
@@ -140,6 +144,57 @@ def test_run_all_deterministic():
     b = run_all()
     assert a == b
     assert render_json(a) == render_json(b)
+
+
+def test_run_all_solves_each_singular_modulus_once(monkeypatch):
+    solved = []
+    solve_k = registry.solve_k
+
+    def counting_solve_k(a):
+        solved.append(a)
+        return solve_k(a)
+
+    monkeypatch.setattr(registry, "solve_k", counting_solve_k)
+    registry._ke_at.cache_clear()
+    try:
+        reports = run_all()
+        assert sorted(solved) == [0.5, 1.0, 2.0]
+        golden = Path(__file__).parent / "data" / "check_all.json"
+        assert render_json(reports).encode() == golden.read_bytes()
+
+        # a refused a reaches the solver every time: errors are not cached
+        for attempt in (1, 2):
+            with pytest.raises(RangeError):
+                registry._ke_at(0.06)
+            assert solved.count(0.06) == attempt
+
+        # callers pass 2 or 2.0 for the same point; both must give the same bits
+        from_int = registry._ke_at(2)
+        registry._ke_at.cache_clear()
+        from_float = registry._ke_at(2.0)
+        assert [v.hex() for v in from_int] == [v.hex() for v in from_float]
+    finally:
+        registry._ke_at.cache_clear()
+
+
+def _record_ids():
+    return [r.identity_id for r in default_registry().records()]
+
+
+@pytest.mark.parametrize("identity_id", _record_ids())
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_evaluate_returns_a_row_anywhere_in_declared_ranges(identity_id, data):
+    reg = default_registry()
+    record = reg.get(identity_id)
+    point = {p.name: data.draw(st.sampled_from(p.choices) if p.choices is not None
+                               else st.floats(p.lo, p.hi), label=p.name)
+             for p in record.params}
+    assume(record.constraint is None or record.constraint(point))
+    for v in record.variants:
+        report = reg.evaluate(identity_id, v.variant_id, point)
+        assert isinstance(report, ResidualReport)
 
 
 def test_adjudication_outcomes():

@@ -4,12 +4,13 @@ import math
 
 import pytest
 
-from ellid import (DomainError, EllipticArgument, Nome, PoleError, ThetaKind,
-                   UnsupportedOrderError, ellint_K, euler_product,
+from ellid import (DomainError, EllipticArgument, Nome, NonConvergenceError,
+                   PoleError, ThetaKind, UnsupportedOrderError, ellint_K, euler_product,
                    log_theta_derivative, q_product_P0, solve_k, theta2,
                    theta3, theta4, theta4_imag, theta4_u_derivative_imag,
                    theta_u_derivative)
-from ellid.series import TruncationPolicy
+from ellid import theta as theta_module
+from ellid.series import TruncationPolicy, sum_series
 
 PI = math.pi
 
@@ -230,6 +231,125 @@ def test_log_derivative_order_cap():
         log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, -1, 0.1, QPI)
     with pytest.raises(DomainError):
         log_theta_derivative(ThetaKind.THETA4, 1, 0.1, QPI)
+
+
+def _per_order_sums(kind, order, s, q, policy):
+    """Raw derivatives 0..order, then the pole-test scale, one
+    sum_series(relative=True) pass each: the unfused reference."""
+    qq = q.q
+    imag = kind is ThetaKind.THETA4_IMAG_HALF
+    if qq == 0.0:
+        return [1.0 if imag and j == 0 else 0.0 for j in range(order + 1)], 1.0
+    if imag:
+        lq = math.log(qq)
+
+        def raw(j):
+            def term(n):
+                w = lq * n * n
+                y = n * s
+                ay = abs(y)
+                if j % 2 == 0:
+                    hyp = 0.5 * (math.exp(w + y) + math.exp(w - y))
+                else:
+                    hyp = 0.5 * (math.exp(w + y) - math.exp(w - y))
+                env = 2.0 * float(n) ** j * 0.5 * (math.exp(w + ay) + math.exp(w - ay))
+                sign = -1.0 if n % 2 else 1.0
+                return 2.0 * sign * float(n) ** j * hyp, env
+            return term
+
+        def scale_term(n):
+            w = lq * n * n
+            y = abs(n * s)
+            env = math.exp(w + y) + math.exp(w - y)
+            return env, env
+
+        start, scale_initial = 1, 1.0
+    else:
+        def raw(j):
+            def term(n):
+                m = 2 * n + 1
+                amp = 2.0 * float(m) ** j * qq ** ((n + 0.5) ** 2)
+                x = m * s
+                osc = (math.cos(x), -math.sin(x), -math.cos(x), math.sin(x))[j % 4]
+                return amp * osc, amp
+            return term
+
+        def scale_term(n):
+            env = 2.0 * qq ** ((n + 0.5) ** 2)
+            return env, env
+
+        start, scale_initial = 0, 0.0
+    f = [sum_series(raw(j), policy, start, 1.0 if imag and j == 0 else 0.0,
+                    relative=True).value for j in range(order + 1)]
+    scale = sum_series(scale_term, policy, start, scale_initial, relative=True).value
+    return f, scale
+
+
+def _reference_log_derivative(kind, order, s, q, policy):
+    f, scale = _per_order_sums(kind, order, s, q, policy)
+    if f[0] <= 0.0 or abs(f[0]) < theta_module.POLE_THRESHOLD * scale:
+        raise PoleError(
+            f"{kind.value} value {f[0]!r} at s={s!r} is too close to zero "
+            f"(scale {scale!r}) for a log-derivative")
+    if order == 0:
+        return math.log(f[0])
+    g = [0.0] * (order + 1)
+    for n in range(1, order + 1):
+        acc = f[n]
+        for j in range(0, n - 1):
+            acc -= math.comb(n - 1, j) * g[j + 1] * f[n - 1 - j]
+        g[n] = acc / f[0]
+    return g[order]
+
+
+def _outcome(fn):
+    try:
+        return "value", fn().hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+PARITY_POINTS = [
+    (0.3, Nome.from_value(0.0), TruncationPolicy()),      # q = 0
+    (0.3, Nome.from_value(1e-300), TruncationPolicy()),  # terms underflow
+    (0.3, QPI, TruncationPolicy()),
+    (1.1, Q01, TruncationPolicy()),
+    (-0.7, QPI, TruncationPolicy()),                       # negative s
+    (-2.5, Nome.from_value(0.5), TruncationPolicy()),
+    (PI / 2, Nome.from_value(0.3), TruncationPolicy()),    # theta2 zero
+    (PI, QPI, TruncationPolicy()),                         # theta4(i s/2) zero
+    (0.7, Q01, TruncationPolicy(cap=3)),                   # starved caps
+    (0.7, Q01, TruncationPolicy(cap=4)),
+    (0.7, Q01, TruncationPolicy(cap=5)),
+    (1.1, Nome.from_value(0.5), TruncationPolicy(cap=9)),
+    (-800.0, Nome.from_value(0.5), TruncationPolicy()),    # term overflow
+]
+
+
+@pytest.mark.parametrize("pole_threshold", ["shipped", "inf"])
+@pytest.mark.parametrize("kind", [ThetaKind.THETA2, ThetaKind.THETA4_IMAG_HALF])
+def test_fused_log_derivative_matches_per_order_passes(kind, pole_threshold,
+                                                      monkeypatch):
+    # With an infinite pole threshold every convergent point raises a
+    # PoleError whose text carries f(0) and the scale, so the scale's bits
+    # are compared too.
+    if pole_threshold == "inf":
+        monkeypatch.setattr(theta_module, "POLE_THRESHOLD", math.inf)
+    seen = set()
+    for s, q, policy in PARITY_POINTS:
+        outcomes = set()
+        for order in range(13):
+            got = _outcome(lambda: log_theta_derivative(kind, order, s, q, policy).value)
+            want = _outcome(lambda: _reference_log_derivative(kind, order, s, q, policy))
+            assert got == want, (s, q, policy, order)
+            outcomes.add(want[0])
+        seen |= outcomes
+        if outcomes == {"value", NonConvergenceError.__name__}:
+            seen.add("some orders starved")
+    expected = {"value", "PoleError", "NonConvergenceError", "some orders starved"}
+    if pole_threshold == "inf":
+        expected = {"PoleError", "NonConvergenceError"}
+    assert expected <= seen
 
 
 # -- q-products -----------------------------------------------------------------
