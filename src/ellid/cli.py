@@ -12,8 +12,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .elliptic import Convention, EllipticArgument, Nome, ellint_E, ellint_K
 from .errors import ConfigError, EllidError, UnknownIdentityError
@@ -35,23 +34,28 @@ CAP_ENV_VAR = "ELLID_CAP"
 FORMATS = ("json", "csv", "text")
 
 
-@dataclass
-class RunConfig:
+class _RunConfigFields(NamedTuple):
+    tolerance: float
+    cap: int
+    out: str | None
+    format: str
+
+
+class RunConfig(_RunConfigFields):
     """Validated run settings."""
 
-    tolerance: float = 1e-14
-    cap: int = 10000
-    out: str | None = None
-    format: str = "text"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.tolerance, float) and math.isfinite(self.tolerance)
-                and self.tolerance > 0.0):
-            raise ConfigError(f"tolerance: must be a positive real, got {self.tolerance!r}")
-        if not (isinstance(self.cap, int) and self.cap >= 1):
-            raise ConfigError(f"cap: must be a positive integer, got {self.cap!r}")
-        if self.format not in FORMATS:
-            raise ConfigError(f"format: must be one of {FORMATS}, got {self.format!r}")
+    def __new__(cls, tolerance: float = 1e-14, cap: int = 10000,
+                out: str | None = None, format: str = "text") -> "RunConfig":
+        if not (isinstance(tolerance, float) and math.isfinite(tolerance)
+                and tolerance > 0.0):
+            raise ConfigError(f"tolerance: must be a positive real, got {tolerance!r}")
+        if not (isinstance(cap, int) and cap >= 1):
+            raise ConfigError(f"cap: must be a positive integer, got {cap!r}")
+        if format not in FORMATS:
+            raise ConfigError(f"format: must be one of {FORMATS}, got {format!r}")
+        return tuple.__new__(cls, (tolerance, cap, out, format))
 
     @property
     def policy(self) -> TruncationPolicy:
@@ -300,6 +304,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if missing:
             raise ConfigError(
                 f"{args.function} needs --{' --'.join(missing)}")
+        for name in required:
+            value = getattr(args, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{args.function}: --{name} must be finite, got {value!r}")
         result = fn(args, config.policy)
     except ConfigError as exc:
         sys.stderr.write(f"invalid invocation: {exc}\n")

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError, SingularArgumentError
 
@@ -29,8 +29,12 @@ class Convention(str, Enum):
     PARAMETER = "parameter"  # argument is m = k^2
 
 
-@dataclass(frozen=True)
-class EllipticArgument:
+class _EllipticArgumentFields(NamedTuple):
+    value: float
+    convention: Convention
+
+
+class EllipticArgument(_EllipticArgumentFields):
     """A modulus-or-parameter value in [0, 1) with an explicit convention tag.
 
     The open interval near 1 (above ``SINGULAR_CUTOFF``) is rejected at
@@ -38,11 +42,10 @@ class EllipticArgument:
     expressible; ellint_K still refuses it as singular.
     """
 
-    value: float
-    convention: Convention
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        v = self.value
+    def __new__(cls, value: float, convention: Convention) -> "EllipticArgument":
+        v = value
         if not math.isfinite(v):
             raise DomainError(f"elliptic argument must be finite, got {v!r}")
         if v < 0.0:
@@ -53,6 +56,7 @@ class EllipticArgument:
             raise SingularArgumentError(
                 f"elliptic argument {v!r} is inside the singular band "
                 f"({SINGULAR_CUTOFF!r}, 1.0)")
+        return tuple.__new__(cls, (value, convention))
 
     @classmethod
     def from_modulus(cls, k: float) -> "EllipticArgument":
@@ -91,20 +95,39 @@ class EllipticArgument:
         return EllipticArgument(self.complement_value(), self.convention)
 
 
-@dataclass(frozen=True)
-class Nome:
+class _NomeFields(NamedTuple):
+    q: float
+    exponent_form: str
+
+
+class Nome(_NomeFields):
     """A nome q in [0, 1) plus a record of how it was built.
 
     ``exponent_form`` is provenance only (it travels into reports); the math
-    uses ``q`` alone.  q = 0 is admitted as the empty-series degenerate case.
+    uses ``q`` alone, and so do equality and hashing.  q = 0 is admitted as
+    the empty-series degenerate case.
     """
 
-    q: float
-    exponent_form: str = field(default="", compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.q) or not 0.0 <= self.q < 1.0:
-            raise DomainError(f"nome must lie in [0, 1), got {self.q!r}")
+    def __new__(cls, q: float, exponent_form: str = "") -> "Nome":
+        if not math.isfinite(q) or not 0.0 <= q < 1.0:
+            raise DomainError(f"nome must lie in [0, 1), got {q!r}")
+        return tuple.__new__(cls, (q, exponent_form))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.q == other.q
+        return NotImplemented
+
+    # Needed beside __eq__: tuple's own __ne__ would compare exponent_form.
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return self.q != other.q
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.q,))
 
     @classmethod
     def from_value(cls, q: float) -> "Nome":

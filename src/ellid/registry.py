@@ -19,9 +19,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .elliptic import (Convention, EllipticArgument, Nome, ellint_E, ellint_K,
                        ellint_K_extended)
@@ -77,8 +76,11 @@ def _combine(value: float, *parts: SeriesResult) -> SeriesResult:
 MAX_POLY_DEGREE = 8
 
 
-@dataclass(frozen=True)
-class PolynomialSpec:
+class _PolynomialSpecFields(NamedTuple):
+    coefficients: tuple[float, ...]
+
+
+class PolynomialSpec(_PolynomialSpecFields):
     """A real polynomial f(x) = sum f_n x^n of degree <= 8.
 
     Carries the derived quantities the identity evaluators need: the even and
@@ -86,16 +88,17 @@ class PolynomialSpec:
     value of an even polynomial at a purely imaginary argument.
     """
 
-    coefficients: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.coefficients) == 0:
+    def __new__(cls, coefficients: tuple[float, ...]) -> "PolynomialSpec":
+        if len(coefficients) == 0:
             raise DomainError("polynomial needs at least one coefficient")
-        if len(self.coefficients) - 1 > MAX_POLY_DEGREE:
+        if len(coefficients) - 1 > MAX_POLY_DEGREE:
             raise DomainError(
-                f"polynomial degree {len(self.coefficients) - 1} above cap {MAX_POLY_DEGREE}")
-        if not all(math.isfinite(c) for c in self.coefficients):
+                f"polynomial degree {len(coefficients) - 1} above cap {MAX_POLY_DEGREE}")
+        if not all(math.isfinite(c) for c in coefficients):
             raise DomainError("polynomial coefficients must be finite")
+        return tuple.__new__(cls, (coefficients,))
 
     @classmethod
     def monomial(cls, degree: int, coeff: float = 1.0) -> "PolynomialSpec":
@@ -295,8 +298,7 @@ def _poly_exp_bilateral_exp_sinh(f: PolynomialSpec, a: float, s: float,
 # ---------------------------------------------------------------------------
 # registry data model
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     """One named grid parameter: default audit values plus its legal range."""
     name: str
     grid: tuple
@@ -308,16 +310,14 @@ class ParamSpec:
 Evaluator = Callable[[Mapping, TruncationPolicy], SeriesResult]
 
 
-@dataclass(frozen=True)
-class Variant:
+class Variant(NamedTuple):
     variant_id: str
     lhs: Evaluator
     rhs: Evaluator
     note: str = ""
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     identity_id: str
     anchor: str
     params: tuple[ParamSpec, ...]
@@ -370,8 +370,7 @@ class IdentityRecord:
                 f"{self.constraint_note or 'the domain constraint'}")
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class _ResidualReportFields(NamedTuple):
     identity: str
     variant: str
     params: dict
@@ -380,8 +379,26 @@ class ResidualReport:
     abs_residual: float
     rel_residual: float
     classification: Classification
-    terms: dict = field(default_factory=dict)
-    note: str = ""
+    terms: dict
+    note: str
+
+
+class ResidualReport(_ResidualReportFields):
+    """One classified (identity, variant, grid point) row.
+
+    ``terms`` defaults to a fresh empty dict for each report, never a shared
+    one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, identity: str, variant: str, params: dict, lhs: float,
+                rhs: float, abs_residual: float, rel_residual: float,
+                classification: Classification, terms: dict | None = None,
+                note: str = "") -> "ResidualReport":
+        return tuple.__new__(cls, (identity, variant, params, lhs, rhs,
+                                   abs_residual, rel_residual, classification,
+                                   {} if terms is None else terms, note))
 
 
 def _error_report(identity_id: str, variant_id: str, point: Mapping,

@@ -12,16 +12,19 @@ so nothing overflows even when a caller sweeps the index cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .elliptic import Nome
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, EllidError, NonConvergenceError
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class _TruncationPolicyFields(NamedTuple):
+    tolerance: float
+    cap: int
+    ratio_guard: float
+
+
+class TruncationPolicy(_TruncationPolicyFields):
     """Stop rule shared by all series evaluators.
 
     Summation stops once the term envelope is below ``tolerance``, the
@@ -30,24 +33,23 @@ class TruncationPolicy:
     non-convergence error.
     """
 
-    tolerance: float = 1e-14
-    cap: int = 10000
-    ratio_guard: float = 0.99
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise DomainError(f"tolerance must be positive, got {self.tolerance!r}")
-        if self.cap < 1:
-            raise DomainError(f"cap must be >= 1, got {self.cap!r}")
-        if not 0.0 < self.ratio_guard < 1.0:
-            raise DomainError(f"ratio_guard must lie in (0, 1), got {self.ratio_guard!r}")
+    def __new__(cls, tolerance: float = 1e-14, cap: int = 10000,
+                ratio_guard: float = 0.99) -> "TruncationPolicy":
+        if not (math.isfinite(tolerance) and tolerance > 0.0):
+            raise DomainError(f"tolerance must be positive, got {tolerance!r}")
+        if cap < 1:
+            raise DomainError(f"cap must be >= 1, got {cap!r}")
+        if not 0.0 < ratio_guard < 1.0:
+            raise DomainError(f"ratio_guard must lie in (0, 1), got {ratio_guard!r}")
+        return tuple.__new__(cls, (tolerance, cap, ratio_guard))
 
 
 DEFAULT_POLICY = TruncationPolicy()
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     """A value plus how it was summed: terms added and the dropped-tail bound.
 
     Closed-form values carry the defaults (no terms, no tail).
@@ -93,6 +95,11 @@ def sum_series(term_fn: Callable[[int], tuple[float, float]],
             raise NonConvergenceError(
                 f"term overflow at n={n}; the series value is not "
                 f"representable in binary64") from None
+        except EllidError:
+            raise
+        except ValueError as exc:
+            # math.cos(inf) and friends: an argument binary64 cannot evaluate.
+            raise DomainError(f"term at n={n} is undefined: {exc}") from None
         y = term - comp  # kahan_add, written out
         t = total + y
         comp = (t - total) - y
@@ -396,59 +403,67 @@ def n_cosh_over_sinh_double(a: float,
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and zeta values
 #
-# Exact table of B_0, B_2, ..., B_40; enough for every polynomial instance the
-# registry evaluates, with no recursion error to worry about.
+# Exact table of B_0, B_2, ..., B_40 as (numerator, denominator) pairs;
+# enough for every polynomial instance the registry evaluates, with no
+# recursion error to worry about.  int / int true division is correctly
+# rounded, so each float below is the nearest binary64 to the exact rational.
 
-_BERNOULLI_EVEN: tuple[Fraction, ...] = (
-    Fraction(1),
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
-    Fraction(-174611, 330),
-    Fraction(854513, 138),
-    Fraction(-236364091, 2730),
-    Fraction(8553103, 6),
-    Fraction(-23749461029, 870),
-    Fraction(8615841276005, 14322),
-    Fraction(-7709321041217, 510),
-    Fraction(2577687858367, 6),
-    Fraction(-26315271553053477373, 1919190),
-    Fraction(2929993913841559, 6),
-    Fraction(-261082718496449122051, 13530),
+_BERNOULLI_EVEN: tuple[tuple[int, int], ...] = (
+    (1, 1),
+    (1, 6),
+    (-1, 30),
+    (1, 42),
+    (-1, 30),
+    (5, 66),
+    (-691, 2730),
+    (7, 6),
+    (-3617, 510),
+    (43867, 798),
+    (-174611, 330),
+    (854513, 138),
+    (-236364091, 2730),
+    (8553103, 6),
+    (-23749461029, 870),
+    (8615841276005, 14322),
+    (-7709321041217, 510),
+    (2577687858367, 6),
+    (-26315271553053477373, 1919190),
+    (2929993913841559, 6),
+    (-261082718496449122051, 13530),
 )
+
+
+def _bernoulli_pair(n: int) -> tuple[int, int]:
+    if not 0 <= n < len(_BERNOULLI_EVEN):
+        raise DomainError(f"Bernoulli table covers B_0..B_40, got index 2n = {2 * n}")
+    return _BERNOULLI_EVEN[n]
 
 
 def bernoulli_B2n(n: int) -> float:
     """B_(2n) from the exact table, n <= 20."""
-    if not 0 <= n < len(_BERNOULLI_EVEN):
-        raise DomainError(f"Bernoulli table covers B_0..B_40, got index 2n = {2 * n}")
-    return float(_BERNOULLI_EVEN[n])
+    num, den = _bernoulli_pair(n)
+    return num / den
 
 
-def bernoulli_B2n_exact(n: int) -> Fraction:
-    if not 0 <= n < len(_BERNOULLI_EVEN):
-        raise DomainError(f"Bernoulli table covers B_0..B_40, got index 2n = {2 * n}")
-    return _BERNOULLI_EVEN[n]
+def bernoulli_B2n_exact(n: int):
+    """B_(2n) as a ``fractions.Fraction``, n <= 20."""
+    from fractions import Fraction  # only here: keeps it off the import path
+    return Fraction(*_bernoulli_pair(n))
 
 
 def zeta_neg(nu: int) -> float:
     """zeta(1 - 2 nu) = -B_(2 nu) / (2 nu) for integer nu >= 1."""
     if nu < 1:
         raise DomainError(f"zeta_neg requires nu >= 1, got {nu!r}")
-    return float(-bernoulli_B2n_exact(nu) / (2 * nu))
+    num, den = _bernoulli_pair(nu)
+    return -num / (den * 2 * nu)
 
 
 def zeta_even(k: int) -> float:
     """zeta(2k) = (-1)^(k+1) B_(2k) (2 pi)^(2k) / (2 (2k)!) for k >= 1."""
     if k < 1:
         raise DomainError(f"zeta_even requires k >= 1, got {k!r}")
-    b = bernoulli_B2n_exact(k)
+    num, den = _bernoulli_pair(k)
     sign = 1 if k % 2 == 1 else -1
-    rational = sign * b / (2 * math.factorial(2 * k))
-    return float(rational) * (2.0 * math.pi) ** (2 * k)
+    rational = sign * num / (den * 2 * math.factorial(2 * k))
+    return rational * (2.0 * math.pi) ** (2 * k)

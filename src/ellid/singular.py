@@ -16,7 +16,7 @@ which needs no complement subtraction at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .elliptic import (Convention, EllipticArgument, SINGULAR_CUTOFF, agm,
                        ellint_E, ellint_K)
@@ -26,16 +26,14 @@ SOLVE_A_MIN = 0.05
 SOLVE_A_MAX = 20.0
 
 
-@dataclass(frozen=True)
-class SingularSolve:
+class SingularSolve(NamedTuple):
     a: float
     k: EllipticArgument  # modulus convention
     iterations: int
     residual: float
 
 
-@dataclass(frozen=True)
-class DerivativeEstimate:
+class DerivativeEstimate(NamedTuple):
     value: float
     error_estimate: float
 

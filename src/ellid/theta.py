@@ -18,8 +18,8 @@ state, so the values are those of separate ``sum_series`` passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .elliptic import Nome
 from .errors import DomainError, NonConvergenceError, PoleError, UnsupportedOrderError
@@ -33,8 +33,7 @@ MAX_LOG_DERIVATIVE_ORDER = 12
 POLE_THRESHOLD = 1e-8
 
 
-@dataclass(frozen=True)
-class LogThetaDerivative:
+class LogThetaDerivative(NamedTuple):
     order: int
     at: float
     nome: Nome

@@ -156,10 +156,14 @@ def test_golden_report_matches_benchmark_reference():
     assert GOLDEN_REPORT.read_bytes() == bench_ref.read_bytes()
 
 
-def test_cli_import_loads_no_thread_pool():
+def test_cli_import_loads_no_thread_pool_dataclasses_or_fractions():
+    # Each of these costs the cold CLI start milliseconds it does not need.
     code = ("import sys, ellid.cli; "
-            "sys.exit('concurrent.futures' in sys.modules)")
-    subprocess.run([sys.executable, "-c", code], check=True, env=child_env())
+            "print(' '.join(m for m in ('concurrent.futures', 'dataclasses', "
+            "'inspect', 'fractions') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=child_env())
+    assert out.stdout.split() == []
 
 
 def test_check_all_only_filter(tmp_path, capsys):
@@ -221,6 +225,22 @@ def test_eval_domain_error_exits_2(capsys):
     rc, _, err = run(["eval", "S7", "--a", "2", "--v", "3.5"], capsys)
     assert rc == 2
     assert "DomainError" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta2", "--u", "1e308", "--q", "0.5"],
+    ["theta4", "--u", "inf", "--q", "0.5"],
+    ["theta3", "--u", "nan", "--q", "0.5"],
+    ["S2", "--c", "1", "--theta", "inf"],
+    ["S6", "--a", "1", "--v", "1e308"],
+    ["S10", "--z", "inf", "--q", "0.5"],
+])
+def test_eval_nonfinite_or_overflowing_argument_exits_2(argv):
+    proc = subprocess.run([sys.executable, "-m", "ellid.cli", "eval", *argv],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_eval_missing_required_flag(capsys):

@@ -1,0 +1,175 @@
+"""The record contract: constructors, defaults, immutability, equality,
+hashing and validation messages of every public record type."""
+
+import inspect
+import math
+
+import pytest
+
+from ellid import (Classification, ConfigError, Convention, DerivativeEstimate,
+                   DomainError, EllipticArgument, Expectation, IdentityRecord,
+                   LogThetaDerivative, Nome, PolynomialSpec, ResidualReport,
+                   SeriesResult, SingularArgumentError, SingularSolve,
+                   TruncationPolicy, Variant, DEFAULT_POLICY)
+from ellid.cli import RunConfig
+from ellid.registry import ParamSpec
+
+
+def _side(point, policy):
+    return SeriesResult(1.0)
+
+
+_PARAM = ParamSpec("a", (1.0, 2.0))
+_VARIANT = Variant("base", _side, _side)
+
+# (class, field names in constructor order, the positional arguments given,
+#  the defaults of the fields those arguments leave out)
+RECORDS = [
+    (SeriesResult, ("value", "terms_used", "tail_bound"), (1.5,),
+     {"terms_used": 0, "tail_bound": 0.0}),
+    (SingularSolve, ("a", "k", "iterations", "residual"),
+     (1.0, EllipticArgument(0.5, Convention.MODULUS), 52, 0.0), {}),
+    (DerivativeEstimate, ("value", "error_estimate"), (2.0, 1e-9), {}),
+    (LogThetaDerivative, ("order", "at", "nome", "value"),
+     (2, 0.5, Nome(0.1), 3.0), {}),
+    (ParamSpec, ("name", "grid", "lo", "hi", "choices"), ("a", (1.0, 2.0)),
+     {"lo": None, "hi": None, "choices": None}),
+    (Variant, ("variant_id", "lhs", "rhs", "note"), ("base", _side, _side),
+     {"note": ""}),
+    (IdentityRecord,
+     ("identity_id", "anchor", "params", "variants", "expected", "constraint",
+      "constraint_note"),
+     ("X1", "anchor", (_PARAM,), (_VARIANT,), Expectation.EXPECT_PASS),
+     {"constraint": None, "constraint_note": ""}),
+    (ResidualReport,
+     ("identity", "variant", "params", "lhs", "rhs", "abs_residual",
+      "rel_residual", "classification", "terms", "note"),
+     ("X1", "base", {"a": 1.0}, 1.0, 1.0, 0.0, 0.0, Classification.PASS),
+     {"terms": {}, "note": ""}),
+    (EllipticArgument, ("value", "convention"), (0.5, Convention.MODULUS), {}),
+    (Nome, ("q", "exponent_form"), (0.5,), {"exponent_form": ""}),
+    (TruncationPolicy, ("tolerance", "cap", "ratio_guard"), (),
+     {"tolerance": 1e-14, "cap": 10000, "ratio_guard": 0.99}),
+    (PolynomialSpec, ("coefficients",), ((0.0, 1.0),), {}),
+    (RunConfig, ("tolerance", "cap", "out", "format"), (),
+     {"tolerance": 1e-14, "cap": 10000, "out": None, "format": "text"}),
+]
+
+# RunConfig was never frozen or hashable; every other record is both.
+FROZEN = [r for r in RECORDS if r[0] is not RunConfig]
+
+_ids = [r[0].__name__ for r in RECORDS]
+_frozen_ids = [r[0].__name__ for r in FROZEN]
+
+
+@pytest.mark.parametrize("cls, fields, args, defaults", RECORDS, ids=_ids)
+def test_record_builds_positionally_and_by_keyword(cls, fields, args, defaults):
+    assert list(inspect.signature(cls).parameters) == list(fields)
+    by_position = cls(*args)
+    by_keyword = cls(**dict(zip(fields, args)))
+    for name, value in zip(fields, args):
+        assert getattr(by_position, name) is value
+        assert getattr(by_keyword, name) is value
+    for name, value in defaults.items():
+        assert getattr(by_position, name) == value
+        assert getattr(by_keyword, name) == value
+
+
+@pytest.mark.parametrize("cls, fields, args, defaults", FROZEN, ids=_frozen_ids)
+def test_frozen_record_rejects_assignment(cls, fields, args, defaults):
+    record = cls(*args)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+@pytest.mark.parametrize("cls, fields, args, defaults", RECORDS, ids=_ids)
+def test_equal_records_compare_equal(cls, fields, args, defaults):
+    a, b = cls(*args), cls(*args)
+    assert a == b
+    assert not a != b
+    # A ResidualReport holds dicts, so like RunConfig it has never hashed.
+    if cls not in (RunConfig, ResidualReport):
+        assert hash(a) == hash(b)
+
+
+def test_records_with_different_values_differ():
+    assert TruncationPolicy(cap=5) != DEFAULT_POLICY
+    assert SeriesResult(1.0, 3) != SeriesResult(1.0, 4)
+    assert (EllipticArgument(0.25, Convention.MODULUS)
+            != EllipticArgument(0.25, Convention.PARAMETER))
+    assert RunConfig(format="json") != RunConfig()
+
+
+def test_nome_equality_and_hash_ignore_exponent_form():
+    a, b = Nome(0.5, "a"), Nome(0.5, "b")
+    assert a == b
+    assert not a != b
+    assert hash(a) == hash(b)
+    assert Nome(0.5) != Nome(0.25)
+    assert Nome.from_value(0.5) == Nome(0.5)
+
+
+def test_residual_report_terms_default_is_not_shared():
+    args = ("X1", "base", {}, 1.0, 1.0, 0.0, 0.0, Classification.PASS)
+    first, second = ResidualReport(*args), ResidualReport(*args)
+    first.terms["lhs"] = 3
+    assert second.terms == {}
+
+
+def test_default_policy_is_shared_and_immutable():
+    with pytest.raises(AttributeError):
+        DEFAULT_POLICY.cap = 1
+    assert DEFAULT_POLICY == TruncationPolicy()
+
+
+_SINGULAR = 1.0 - 1e-13
+
+INVALID = [
+    (lambda: EllipticArgument(math.inf, Convention.MODULUS), DomainError,
+     "elliptic argument must be finite, got inf"),
+    (lambda: EllipticArgument(math.nan, Convention.PARAMETER), DomainError,
+     "elliptic argument must be finite, got nan"),
+    (lambda: EllipticArgument(-0.25, Convention.MODULUS), DomainError,
+     "elliptic argument must be >= 0, got -0.25"),
+    (lambda: EllipticArgument(1.5, Convention.PARAMETER), DomainError,
+     "elliptic argument must be <= 1, got 1.5"),
+    (lambda: EllipticArgument(_SINGULAR, Convention.MODULUS),
+     SingularArgumentError,
+     "elliptic argument 0.9999999999999 is inside the singular band "
+     "(0.999999999999, 1.0)"),
+    (lambda: Nome(1.0), DomainError, "nome must lie in [0, 1), got 1.0"),
+    (lambda: Nome(-0.5, "x"), DomainError, "nome must lie in [0, 1), got -0.5"),
+    (lambda: Nome(math.nan), DomainError, "nome must lie in [0, 1), got nan"),
+    (lambda: TruncationPolicy(tolerance=0.0), DomainError,
+     "tolerance must be positive, got 0.0"),
+    (lambda: TruncationPolicy(tolerance=math.inf), DomainError,
+     "tolerance must be positive, got inf"),
+    (lambda: TruncationPolicy(cap=0), DomainError, "cap must be >= 1, got 0"),
+    (lambda: TruncationPolicy(ratio_guard=1.0), DomainError,
+     "ratio_guard must lie in (0, 1), got 1.0"),
+    (lambda: PolynomialSpec(()), DomainError,
+     "polynomial needs at least one coefficient"),
+    (lambda: PolynomialSpec((1.0,) * 10), DomainError,
+     "polynomial degree 9 above cap 8"),
+    (lambda: PolynomialSpec((0.0, math.inf)), DomainError,
+     "polynomial coefficients must be finite"),
+    (lambda: RunConfig(tolerance=-1.0), ConfigError,
+     "tolerance: must be a positive real, got -1.0"),
+    (lambda: RunConfig(tolerance=1), ConfigError,
+     "tolerance: must be a positive real, got 1"),
+    (lambda: RunConfig(cap=0), ConfigError,
+     "cap: must be a positive integer, got 0"),
+    (lambda: RunConfig(cap=2.0), ConfigError,
+     "cap: must be a positive integer, got 2.0"),
+    (lambda: RunConfig(format="yaml"), ConfigError,
+     "format: must be one of ('json', 'csv', 'text'), got 'yaml'"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", INVALID)
+def test_invalid_record_raises_same_error(build, error, message):
+    with pytest.raises(error) as excinfo:
+        build()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message

@@ -1,6 +1,7 @@
 """Series bank: frozen values against direct summation, parity, guards."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,8 @@ from ellid import (DomainError, Nome, NonConvergenceError,
                    S5sq_sech2, S6_alt_sin_over_expm1, S6closed, S7_csch_sinh,
                    S8_exp_over_cube, S9_lambert_E2, S10_alt_sin_lambert,
                    TruncationPolicy, bernoulli_B2n, zeta_even, zeta_neg)
-from ellid.series import n_cosh_over_sinh_double, sum_series
+from ellid.series import (bernoulli_B2n_exact, n_cosh_over_sinh_double,
+                          sum_series)
 
 PI = math.pi
 
@@ -219,6 +221,19 @@ def test_non_convergence_at_cap():
         S1_cosh_over_sinh(1.0, 1.5707, TruncationPolicy(cap=500))
 
 
+def test_undefined_term_is_a_domain_error_naming_n():
+    # sin(n v) for v = 1e308 overflows to sin(inf) at n = 2.
+    with pytest.raises(DomainError, match="n=2"):
+        S6_alt_sin_over_expm1(1.0, 1e308)
+
+
+def test_ellid_error_from_a_term_passes_through():
+    def term(n):
+        raise NonConvergenceError("inner")
+    with pytest.raises(NonConvergenceError, match="inner"):
+        sum_series(term)
+
+
 def test_cap_doubling_changes_nothing_within_tail():
     base = S4_n_over_sinh(1.0, TruncationPolicy(cap=10000))
     doubled = S4_n_over_sinh(1.0, TruncationPolicy(cap=20000))
@@ -278,3 +293,33 @@ def test_zeta_even_values():
     assert abs(zeta_even(1) - PI ** 2 / 6.0) < 1e-15
     assert abs(zeta_even(2) - PI ** 4 / 90.0) < 1e-14
     assert abs(zeta_even(3) - PI ** 6 / 945.0) < 1e-13
+
+
+# -- Bernoulli table and zeta values, bit for bit ----------------------------
+
+def _bernoulli_reference(count):
+    """B_0..B_(count-1) from sum_(k<=m) C(m+1, k) B_k = 0, exactly."""
+    b = [Fraction(1)]
+    for m in range(1, count):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+def test_bernoulli_and_zeta_bits_match_exact_rationals():
+    ref = _bernoulli_reference(41)
+    for n in range(21):
+        b2n = ref[2 * n]
+        assert bernoulli_B2n_exact(n) == b2n
+        assert bernoulli_B2n(n).hex() == float(b2n).hex()
+        if n == 0:
+            with pytest.raises(DomainError):
+                zeta_neg(n)
+            with pytest.raises(DomainError):
+                zeta_even(n)
+            continue
+        assert zeta_neg(n).hex() == float(-b2n / (2 * n)).hex()
+        sign = 1 if n % 2 == 1 else -1
+        want = float(sign * b2n / (2 * math.factorial(2 * n))) * (2.0 * PI) ** (2 * n)
+        assert zeta_even(n).hex() == want.hex()
+    with pytest.raises(DomainError):
+        bernoulli_B2n(21)
