@@ -35,8 +35,9 @@ from .series import (DEFAULT_POLICY, S1_cosh_over_sinh,
                      SeriesResult, TruncationPolicy, exp_over_sinh,
                      n_cosh_over_sinh_double, sum_series, zeta_neg, zeta_even)
 from .singular import dadk_candidates, dadk_fd, solve_k
-from .theta import (ThetaKind, log_theta_derivative, q_product_P0, theta2,
-                    theta4_imag, theta4_u_derivative_imag, theta_u_derivative)
+from .theta import (ThetaKind, _log_theta_pass, log_theta_derivative,
+                    q_product_P0, theta2, theta4_imag, theta4_u_derivative_imag,
+                    theta_u_derivative)
 
 PASS_THRESHOLD = 1e-9
 FAIL_THRESHOLD = 1e-6
@@ -211,13 +212,7 @@ def poly_weighted_log_theta4_sum(f: PolynomialSpec, a: float, s: float,
     """
     q = Nome.from_pi_exponent(a)
     if form == "derivative":
-        total = 0.0
-        for n, c in enumerate(f.coefficients):
-            if c == 0.0:
-                continue
-            d = log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, n, s, q, policy)
-            total += (-1.0 if n % 2 else 1.0) * c * d.value
-        return SeriesResult(total)
+        return _poly_log_theta_sum(ThetaKind.THETA4_IMAG_HALF, f, s, q, policy)
     if form == "shift":
         total = 0.0
         terms = 0
@@ -237,13 +232,24 @@ def poly_weighted_log_theta2_sum(f: PolynomialSpec, a: float, s: float,
                                  policy: TruncationPolicy = DEFAULT_POLICY
                                  ) -> SeriesResult:
     """sum_n (-1)^n f_n d^n/ds^n log theta2(s, e^(-1/a))."""
-    q = Nome.from_exponent(1.0 / a)
+    return _poly_log_theta_sum(ThetaKind.THETA2, f, s, Nome.from_exponent(1.0 / a),
+                               policy)
+
+
+def _poly_log_theta_sum(kind: ThetaKind, f: PolynomialSpec, s: float, q: Nome,
+                        policy: TruncationPolicy) -> SeriesResult:
+    """sum_n (-1)^n f_n d^n/ds^n log theta from one pass over the series.
+
+    Values and errors are those of one ``log_theta_derivative`` call per
+    nonzero coefficient, in ascending order.
+    """
+    orders = [n for n, c in enumerate(f.coefficients) if c != 0.0]
+    if not orders:
+        return SeriesResult(0.0)
+    g = _log_theta_pass(kind, orders, s, q, policy)
     total = 0.0
-    for n, c in enumerate(f.coefficients):
-        if c == 0.0:
-            continue
-        d = log_theta_derivative(ThetaKind.THETA2, n, s, q, policy)
-        total += (-1.0 if n % 2 else 1.0) * c * d.value
+    for n in orders:
+        total += (-1.0 if n % 2 else 1.0) * f.coefficients[n] * g[n]
     return SeriesResult(total)
 
 
@@ -401,13 +407,71 @@ class ResidualReport(_ResidualReportFields):
                                    {} if terms is None else terms, note))
 
 
+def _error_note(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _error_report(identity_id: str, variant_id: str, point: Mapping,
-                  exc: Exception) -> ResidualReport:
-    """The INCONCLUSIVE row for a point whose evaluation raised ``exc``."""
+                  note: str) -> ResidualReport:
+    """The INCONCLUSIVE row for a point whose evaluation failed with ``note``."""
     return ResidualReport(
         identity_id, variant_id, dict(point), math.nan, math.nan, math.nan,
-        math.nan, Classification.INCONCLUSIVE, {"lhs": 0, "rhs": 0},
-        f"{type(exc).__name__}: {exc}")
+        math.nan, Classification.INCONCLUSIVE, {"lhs": 0, "rhs": 0}, note)
+
+
+def _side_at(side: Evaluator, point: Mapping, policy: TruncationPolicy,
+             seen: dict[int, SeriesResult | str] | None) -> SeriesResult | str:
+    """One side's value at ``point``, or the note of the error it raised.
+
+    ``seen`` maps id(evaluator) to what earlier calls at this point gave, or
+    is None when nothing is shared.  Only the note is kept: a kept exception
+    would hold its traceback, whose frames hold the memo that holds the
+    exception, a reference cycle per failed side.
+    """
+    if seen is not None and id(side) in seen:
+        return seen[id(side)]
+    try:
+        result = side(point, policy)
+    except (EllidError, ZeroDivisionError) as exc:
+        result = _error_note(exc)
+    if seen is not None:
+        seen[id(side)] = result
+    return result
+
+
+def _reports_at(record: IdentityRecord, variants: Sequence[Variant],
+                point: Mapping, policy: TruncationPolicy) -> list[ResidualReport]:
+    """The rows of ``variants`` of ``record`` at one point.
+
+    The point is validated once; a violation raises ``ConstraintError``.
+    Each distinct evaluator object (``v.lhs is w.lhs``) is called at most
+    once per side, and every variant holding it gets its value, or its
+    error note.  A row's lhs and rhs never share a call, even when they are
+    one object.  A row whose lhs fails does not call its rhs.  A single
+    variant keeps no memo.
+    """
+    record.validate_point(point)
+    shared = len(variants) > 1
+    lhs_seen = {} if shared else None
+    rhs_seen = {} if shared else None
+    identity = record.identity_id
+    reports = []
+    for v in variants:
+        lhs = _side_at(v.lhs, point, policy, lhs_seen)
+        if isinstance(lhs, str):
+            reports.append(_error_report(identity, v.variant_id, point, lhs))
+            continue
+        rhs = _side_at(v.rhs, point, policy, rhs_seen)
+        if isinstance(rhs, str):
+            reports.append(_error_report(identity, v.variant_id, point, rhs))
+            continue
+        abs_res = abs(lhs.value - rhs.value)
+        rel_res = abs_res / max(1.0, abs(lhs.value), abs(rhs.value))
+        reports.append(ResidualReport(
+            identity, v.variant_id, dict(point), lhs.value, rhs.value,
+            abs_res, rel_res, classify(rel_res),
+            {"lhs": lhs.terms_used, "rhs": rhs.terms_used}, ""))
+    return reports
 
 
 def _sort_token(v) -> tuple:
@@ -425,7 +489,10 @@ def report_sort_key(r: ResidualReport) -> tuple:
 # identity evaluators
 #
 # LHS and RHS of each entry share only the library primitives; no identity
-# feeds one side's intermediate values to the other.
+# feeds one side's intermediate values to the other.  Variants of one record
+# may hold the same evaluator object for a side; a run calls it once per point
+# and gives every such variant its result, but never hands one side's result
+# to the other side of a row (see _reports_at).
 
 @functools.lru_cache(maxsize=64)
 def _ke_at(a: float) -> tuple[float, float, float]:
@@ -1200,37 +1267,34 @@ class Registry:
 
         Unknown ids and constraint violations raise; numeric evaluation
         failures, including a division by an underflowed denominator, come
-        back as INCONCLUSIVE reports with a note.
+        back as INCONCLUSIVE reports with a note.  Both sides are called,
+        each on its own; nothing is shared with other calls.
         """
         record = self.get(identity_id)
-        variant = record.variant(variant_id)
-        record.validate_point(point)
-        try:
-            lhs = variant.lhs(point, policy)
-            rhs = variant.rhs(point, policy)
-        except (EllidError, ZeroDivisionError) as exc:
-            return _error_report(identity_id, variant_id, point, exc)
-        abs_res = abs(lhs.value - rhs.value)
-        rel_res = abs_res / max(1.0, abs(lhs.value), abs(rhs.value))
-        return ResidualReport(
-            identity_id, variant_id, dict(point), lhs.value, rhs.value,
-            abs_res, rel_res, classify(rel_res),
-            {"lhs": lhs.terms_used, "rhs": rhs.terms_used}, "")
+        return _reports_at(record, (record.variant(variant_id),), point,
+                           policy)[0]
 
     def _run(self, records: Sequence[IdentityRecord],
              policy: TruncationPolicy) -> list[ResidualReport]:
+        """Every variant of ``records`` at every grid point, sorted.
+
+        At each point the variants share their sides: each distinct lhs (and
+        rhs) evaluator is called once, and every variant holding it reuses
+        the value or the error note.  A row's lhs and rhs are never shared
+        with each other, and nothing is kept from one point to the next.
+        """
         reports = []
         for record in records:
-            points = record.grid_points()
-            for v in record.variants:
-                for point in points:
-                    try:
-                        reports.append(self.evaluate(record.identity_id,
-                                                     v.variant_id, point, policy))
-                    except EllidError as exc:
-                        # Per-point failures are embedded, never fatal to the run.
-                        reports.append(_error_report(record.identity_id,
-                                                     v.variant_id, point, exc))
+            for point in record.grid_points():
+                try:
+                    reports.extend(_reports_at(record, record.variants, point,
+                                               policy))
+                except EllidError as exc:
+                    # Per-point failures are embedded, never fatal to the run.
+                    note = _error_note(exc)
+                    reports.extend(_error_report(record.identity_id,
+                                                 v.variant_id, point, note)
+                                   for v in record.variants)
         reports.sort(key=report_sort_key)
         return reports
 

@@ -29,15 +29,19 @@ def format_number(x) -> str:
 
 
 def _json_number(x) -> str:
-    if isinstance(x, float) and not math.isfinite(x):
-        return "null"
+    if isinstance(x, float):
+        return format(x, ".17g") if math.isfinite(x) else "null"
     return format_number(x)
+
+
+# What json.dumps gives for a str, without its per-call dispatch.
+_json_str = json.encoder.encode_basestring_ascii
 
 
 def _json_params(params: dict) -> str:
     inner = ", ".join(
-        f"{json.dumps(k)}: "
-        f"{json.dumps(v) if isinstance(v, str) else _json_number(v)}"
+        f"{_json_str(k)}: "
+        f"{_json_str(v) if isinstance(v, str) else _json_number(v)}"
         for k, v in sorted(params.items()))
     return "{" + inner + "}"
 
@@ -47,20 +51,20 @@ def render_json(reports: Sequence[ResidualReport]) -> str:
     stays under our control."""
     rows = []
     for r in reports:
-        terms = ", ".join(f"{json.dumps(k)}: {int(v)}"
+        terms = ", ".join(f"{_json_str(k)}: {int(v)}"
                           for k, v in sorted(r.terms.items()))
         rows.append(
             "{"
-            f"\"identity\": {json.dumps(r.identity)}, "
-            f"\"variant\": {json.dumps(r.variant)}, "
+            f"\"identity\": {_json_str(r.identity)}, "
+            f"\"variant\": {_json_str(r.variant)}, "
             f"\"params\": {_json_params(r.params)}, "
             f"\"lhs\": {_json_number(r.lhs)}, "
             f"\"rhs\": {_json_number(r.rhs)}, "
             f"\"abs_residual\": {_json_number(r.abs_residual)}, "
             f"\"rel_residual\": {_json_number(r.rel_residual)}, "
-            f"\"classification\": {json.dumps(r.classification.value)}, "
+            f"\"classification\": {_json_str(r.classification.value)}, "
             f"\"terms\": {{{terms}}}, "
-            f"\"note\": {json.dumps(r.note)}"
+            f"\"note\": {_json_str(r.note)}"
             "}")
     if not rows:
         return "[]\n"

@@ -10,16 +10,18 @@ Series conventions (argument u real unless stated otherwise):
 where cos(2n it) = cosh(2nt) and the value is real.  The log-derivative
 engine differentiates the series termwise (finite differences are hopeless
 in binary64 at the orders the audits need) and converts raw derivatives to
-derivatives of the logarithm through the binomial recurrence.  One pass per
-call sums every raw order and the pole-test scale; each keeps its own stop
-state, so the values are those of separate ``sum_series`` passes.
+derivatives of the logarithm through the binomial recurrence.  One pass sums
+every raw order up to the highest one asked for, and the pole-test scale;
+each keeps its own stop state, so the values are those of separate
+``sum_series`` passes.  A polynomial-weighted sum of log-derivatives (the
+registry's P11a and P12 sides) takes all its orders from that one pass.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .elliptic import Nome
 from .errors import DomainError, NonConvergenceError, PoleError, UnsupportedOrderError
@@ -162,15 +164,6 @@ def log_theta_derivative(kind: ThetaKind, order: int, s: float, q: Nome,
     theta2(s, q).  Raw derivatives come from termwise differentiation;
     log-derivatives follow from solving f^(n) = sum_j C(n-1, j) g^(j+1)
     f^(n-1-j) for g^(n), which is O(n^2) and stable for the supported orders.
-
-    One pass over n feeds order+2 accumulators: the raw derivatives of
-    orders 0..order and the absolute-value envelope of the order-0 series,
-    the scale of the pole test.  Each n's exponentials (or q-power, cosine
-    and sine) are computed once.  Each accumulator keeps the Kahan state and
-    stop rule of ``sum_series(..., relative=True)`` and freezes when its own
-    rule fires, so every value has the bits a separate pass would give.  If
-    several accumulators fail, the error is that of the first in the order
-    raw 0..order, then scale.
     """
     if kind not in (ThetaKind.THETA2, ThetaKind.THETA4_IMAG_HALF):
         raise DomainError(f"log-derivative supports theta2/theta4-imag-half, got {kind!r}")
@@ -179,21 +172,48 @@ def log_theta_derivative(kind: ThetaKind, order: int, s: float, q: Nome,
     if order > MAX_LOG_DERIVATIVE_ORDER:
         raise UnsupportedOrderError(
             f"order {order} above the supported cap {MAX_LOG_DERIVATIVE_ORDER}")
+    return LogThetaDerivative(order, s, q,
+                              _log_theta_pass(kind, (order,), s, q, policy)[order])
 
+
+def _log_theta_pass(kind: ThetaKind, orders: Sequence[int], s: float, q: Nome,
+                    policy: TruncationPolicy) -> list[float]:
+    """[d^j/ds^j log theta for j = 0..orders[-1]] from one pass over n.
+
+    ``orders`` is ascending and nonempty.  The pass feeds top+2 accumulators
+    (top = orders[-1]): the raw derivatives of orders 0..top and the
+    absolute-value envelope of the order-0 series, the scale of the pole
+    test.  Each n's exponentials (or q-power, cosine and sine) are computed
+    once.  Each accumulator keeps the Kahan state and stop rule of
+    ``sum_series(..., relative=True)`` and freezes when its own rule fires,
+    so every value has the bits a separate pass would give, and so does
+    g^(j), which depends only on f^(0..j).
+
+    Errors are those of ``log_theta_derivative`` called at each of
+    ``orders`` in turn, each call summing raw orders 0..order and the scale:
+    the first call whose pass does not finish raises its pass error (a term
+    that cannot be evaluated, or the stop rule missed within the cap, naming
+    the first unfinished accumulator in the order raw 0..order, then scale),
+    unless an earlier call finished and met a pole.  The accumulators still
+    active when the pass stops tell which call that is.
+    """
+    top = orders[-1]
     imag = kind is ThetaKind.THETA4_IMAG_HALF
     qq = q.q
-    last = order + 1  # index of the scale accumulator
-    sums = [0.0] * (order + 2)
+    last = top + 1  # index of the scale accumulator
+    sums = [0.0] * (top + 2)
     if imag:
         sums[0] = sums[last] = 1.0  # theta4's constant term
+    active: list[int] = []  # accumulators whose stop rule has not fired
+    failure = None  # (type, text) of the error that stopped the pass
     if qq == 0.0:
         sums[last] = 1.0  # no series to sum; the pole test sees scale 1
     else:
         lq = math.log(qq) if imag else 0.0
         tol = policy.tolerance
-        comps = [0.0] * (order + 2)
-        prevs = [math.inf] * (order + 2)
-        active = list(range(order + 2))
+        comps = [0.0] * (top + 2)
+        prevs = [math.inf] * (top + 2)
+        active = list(range(top + 2))
         start = 1 if imag else 0
         for n in range(start, start + policy.cap):
             try:
@@ -214,9 +234,13 @@ def log_theta_derivative(kind: ThetaKind, order: int, s: float, q: Nome,
                     sn = math.sin(x)
                     osc = (c, -sn, -c, sn)  # d/ds cycles cos -> -sin -> -cos -> sin
             except OverflowError:
-                raise NonConvergenceError(
-                    f"term overflow at n={n}; the series value is not "
-                    f"representable in binary64") from None
+                failure = (NonConvergenceError,
+                           f"term overflow at n={n}; the series value is not "
+                           f"representable in binary64")
+                break
+            except ValueError as exc:  # cos or sin of an infinite angle
+                failure = (ValueError, str(exc))
+                break
             still = []
             for j in active:
                 if j == last:
@@ -247,28 +271,35 @@ def log_theta_derivative(kind: ThetaKind, order: int, s: float, q: Nome,
             active = still
             if not active:
                 break
-        else:
+
+    f0 = sums[0]
+    scale = sums[last]
+    pole = f0 <= 0.0 or abs(f0) < POLE_THRESHOLD * scale
+    if active:
+        # f(0) and the scale are in every call's pass, raw order j in the
+        # passes of orders >= j.
+        first = active[0]
+        failing = (orders[0] if active[-1] == last
+                   else next(m for m in orders if m >= first))
+        if failing == orders[0] or not pole:
+            if failure is not None:
+                raise failure[0](failure[1])
+            stuck = first if first <= failing else last
             raise NonConvergenceError(
                 f"series did not meet the stop rule within cap={policy.cap} "
-                f"(last envelope {prevs[active[0]]!r})")
-
-    f = sums[:last]
-    scale = sums[last]
-    if f[0] <= 0.0 or abs(f[0]) < POLE_THRESHOLD * scale:
+                f"(last envelope {prevs[stuck]!r})")
+    if pole:
         raise PoleError(
-            f"{kind.value} value {f[0]!r} at s={s!r} is too close to zero "
+            f"{kind.value} value {f0!r} at s={s!r} is too close to zero "
             f"(scale {scale!r}) for a log-derivative")
 
-    if order == 0:
-        return LogThetaDerivative(0, s, q, math.log(f[0]))
-
-    g = [0.0] * (order + 1)  # g[j] holds d^j/ds^j log theta, j >= 1
-    for n in range(1, order + 1):
-        acc = f[n]
+    g = [math.log(f0)] + [0.0] * top  # g[j] holds d^j/ds^j log theta
+    for n in range(1, top + 1):
+        acc = sums[n]
         for j in range(0, n - 1):
-            acc -= math.comb(n - 1, j) * g[j + 1] * f[n - 1 - j]
-        g[n] = acc / f[0]
-    return LogThetaDerivative(order, s, q, g[order])
+            acc -= math.comb(n - 1, j) * g[j + 1] * sums[n - 1 - j]
+        g[n] = acc / f0
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Registry: records, residual engine, polynomial machinery, determinism."""
 
+import gc
 import json
 import math
 from pathlib import Path
@@ -11,7 +12,7 @@ from scipy.integrate import quad
 
 from ellid import (Classification, ConstraintError, DomainError, Expectation,
                    PoleError, PolynomialSpec, RangeError, ResidualReport,
-                   S4_n_over_sinh, TruncationPolicy, UnknownIdentityError,
+                   S4_n_over_sinh, SeriesResult, TruncationPolicy, UnknownIdentityError,
                    classify, default_registry, evaluate_identity,
                    poly_even_zeta_integral, poly_even_zeta_sum,
                    poly_weighted_log_theta2_sum, poly_weighted_log_theta4_sum,
@@ -175,6 +176,111 @@ def test_run_all_solves_each_singular_modulus_once(monkeypatch):
         assert [v.hex() for v in from_int] == [v.hex() for v in from_float]
     finally:
         registry._ke_at.cache_clear()
+
+
+
+# -- sides shared across variants ----------------------------------------------
+
+class _Side:
+    """An evaluator that counts its calls and can fail at chosen x."""
+
+    def __init__(self, value, fail_at=(), exc=DomainError):
+        self.value = value
+        self.fail_at = fail_at
+        self.exc = exc
+        self.calls = []
+
+    def __call__(self, p, policy):
+        self.calls.append(p["x"])
+        if p["x"] in self.fail_at:
+            raise self.exc(f"no value at x={p['x']!r}")
+        return SeriesResult(self.value * p["x"], 7, 0.0)
+
+
+def _sharing_registry(lhs, rhs_a, rhs_b, both=None):
+    variants = [registry.Variant("base", lhs, rhs_a),
+                registry.Variant("same-rhs", lhs, rhs_a),
+                registry.Variant("other-rhs", lhs, rhs_b)]
+    if both is not None:
+        variants.append(registry.Variant("one-object", both, both))
+    record = registry.IdentityRecord(
+        "T", "test identity",
+        (registry.ParamSpec("x", (1.0, 2.0, 3.0, 9.0), lo=0.0, hi=5.0),),
+        tuple(variants), Expectation.CONTESTED)
+    return registry.Registry([record])
+
+
+def test_variants_share_each_side_once_per_point():
+    lhs, rhs_a, rhs_b, both = _Side(1.0), _Side(1.0), _Side(2.0), _Side(1.0)
+    reports = _sharing_registry(lhs, rhs_a, rhs_b, both).run_grid("T")
+    assert len(reports) == 16
+    # x = 9 is above hi: validated once, one ConstraintError row per variant
+    for side in (lhs, rhs_a, rhs_b):
+        assert sorted(side.calls) == [1.0, 2.0, 3.0]
+    # a row's two sides never share a call, even when they are one object
+    assert sorted(both.calls) == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+    by_key = {(r.variant, r.params["x"]): r for r in reports}
+    for x in (1.0, 2.0, 3.0):
+        for variant in ("base", "same-rhs", "one-object"):
+            assert by_key[variant, x].classification is Classification.PASS
+            assert by_key[variant, x].terms == {"lhs": 7, "rhs": 7}
+        assert by_key["other-rhs", x].classification is Classification.FAIL
+    for variant in ("base", "same-rhs", "other-rhs", "one-object"):
+        row = by_key[variant, 9.0]
+        assert row.classification is Classification.INCONCLUSIVE
+        assert row.note == "ConstraintError: T: x=9.0 above 5.0"
+    # every row owns its params and terms
+    assert len({id(r.params) for r in reports}) == len(reports)
+    assert len({id(r.terms) for r in reports}) == len(reports)
+
+
+@pytest.mark.parametrize("exc", [DomainError, ZeroDivisionError])
+def test_failed_shared_lhs_gives_every_variant_its_note(exc):
+    lhs, rhs_a, rhs_b = _Side(1.0, fail_at=(2.0,), exc=exc), _Side(1.0), _Side(1.0)
+    reports = _sharing_registry(lhs, rhs_a, rhs_b).run_grid("T")
+    assert sorted(lhs.calls) == [1.0, 2.0, 3.0]
+    # a failed lhs skips its rhs, as a single evaluation would
+    assert 2.0 not in rhs_a.calls and 2.0 not in rhs_b.calls
+    failed = [r for r in reports if r.params == {"x": 2.0}]
+    assert [r.variant for r in failed] == ["base", "other-rhs", "same-rhs"]
+    for r in failed:
+        assert r.classification is Classification.INCONCLUSIVE
+        assert r.note == f"{exc.__name__}: no value at x=2.0"
+        assert math.isnan(r.lhs) and r.terms == {"lhs": 0, "rhs": 0}
+    assert len({id(r.terms) for r in failed}) == 3
+
+
+def test_failed_rhs_leaves_other_variants_alone():
+    lhs, rhs_a, rhs_b = _Side(1.0), _Side(1.0, fail_at=(3.0,)), _Side(1.0)
+    reg = _sharing_registry(lhs, rhs_a, rhs_b)
+    by_key = {(r.variant, r.params["x"]): r for r in reg.run_grid("T")}
+    for variant in ("base", "same-rhs"):
+        assert by_key[variant, 3.0].note == "DomainError: no value at x=3.0"
+    assert rhs_a.calls.count(3.0) == 1
+    assert by_key["other-rhs", 3.0].classification is Classification.PASS
+    assert by_key["other-rhs", 3.0].note == ""
+    # a single evaluation gives the same row as the shared run
+    for variant in ("base", "other-rhs"):
+        assert reg.evaluate("T", variant, {"x": 3.0}) == by_key[variant, 3.0]
+
+
+def test_bare_side_exception_still_propagates():
+    lhs = _Side(1.0, fail_at=(1.0,), exc=RuntimeError)
+    with pytest.raises(RuntimeError):
+        _sharing_registry(lhs, _Side(1.0), _Side(1.0)).run_grid("T")
+
+
+def test_run_all_and_render_json_leave_no_reference_cycles():
+    # A side failure kept with its traceback would tie the traceback's frames
+    # to the memo holding it, one garbage cycle per failed side.
+    run_all()
+    gc.collect()
+    gc.disable()
+    try:
+        render_json(run_all())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _record_ids():
@@ -348,6 +454,31 @@ def test_render_json_is_valid_and_ordered():
                                       "classification", "terms", "note"]
     assert parsed[0]["identity"] == "E4"
     assert isinstance(parsed[0]["lhs"], float)
+
+
+
+_REPORT_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u2028\uffff\U0001f600\U0010ffff'),
+    st.characters()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(identity=_REPORT_TEXT, variant=_REPORT_TEXT, key=_REPORT_TEXT,
+       value=_REPORT_TEXT, note=_REPORT_TEXT)
+def test_render_json_escapes_strings_as_json_dumps(identity, variant, key, value, note):
+    r = ResidualReport(identity, variant, {key: value}, 1.5, 1.5, 0.0, 0.0,
+                       Classification.PASS, {"lhs": 3, "rhs": 4}, note)
+    text = render_json([r])
+    assert text.startswith(
+        f'[\n  {{"identity": {json.dumps(identity)}, '
+        f'"variant": {json.dumps(variant)}, '
+        f'"params": {{{json.dumps(key)}: {json.dumps(value)}}}, "lhs": 1.5, ')
+    assert text.endswith(f'"note": {json.dumps(note)}}}\n]\n')
+    assert text.isascii()
+    assert json.loads(text) == [{
+        "identity": identity, "variant": variant, "params": {key: value},
+        "lhs": 1.5, "rhs": 1.5, "abs_residual": 0.0, "rel_residual": 0.0,
+        "classification": "PASS", "terms": {"lhs": 3, "rhs": 4}, "note": note}]
 
 
 def test_render_json_nan_becomes_null():

@@ -5,10 +5,12 @@ import math
 import pytest
 
 from ellid import (DomainError, EllipticArgument, Nome, NonConvergenceError,
-                   PoleError, ThetaKind, UnsupportedOrderError, ellint_K, euler_product,
-                   log_theta_derivative, q_product_P0, solve_k, theta2,
-                   theta3, theta4, theta4_imag, theta4_u_derivative_imag,
-                   theta_u_derivative)
+                   PoleError, PolynomialSpec, ThetaKind, UnsupportedOrderError,
+                   ellint_K, euler_product, log_theta_derivative,
+                   poly_weighted_log_theta2_sum, poly_weighted_log_theta4_sum,
+                   q_product_P0, solve_k, theta2, theta3, theta4, theta4_imag,
+                   theta4_u_derivative_imag, theta_u_derivative)
+from ellid import registry as registry_module
 from ellid import theta as theta_module
 from ellid.series import TruncationPolicy, sum_series
 
@@ -350,6 +352,81 @@ def test_fused_log_derivative_matches_per_order_passes(kind, pole_threshold,
     if pole_threshold == "inf":
         expected = {"PoleError", "NonConvergenceError"}
     assert expected <= seen
+
+
+
+POLY_COEFFICIENTS = [
+    (1.0,),
+    (0.0, 0.0, 1.0),
+    (0.0, 0.0, 1.0, 1.0),
+    (1.0,) + (0.0,) * 7 + (1.0,),
+    (0.0, 2.5, 0.0, -1.0, 0.0, 0.0, 0.5),
+    (1.0,) * 9,
+]
+
+POLY_PARITY_POINTS = PARITY_POINTS + [
+    (PI, QPI, TruncationPolicy(cap=4)),                  # pole; orders >= 4 starve
+    (PI / 2, Nome.from_value(0.3), TruncationPolicy(cap=6)),  # pole; orders >= 2 starve
+    (3e307, Nome.from_value(1e-3), TruncationPolicy()),  # cos(inf) from order 7 up
+    (5e307, Nome.from_value(1e-8), TruncationPolicy()),  # pole; cos(inf) at order 8
+]
+
+
+def _per_order_poly_sum(kind, f, s, q, policy):
+    """sum (-1)^n f_n d^n/ds^n log theta, one log_theta_derivative call per
+    nonzero coefficient: the unfused reference."""
+    total = 0.0
+    for n, c in enumerate(f.coefficients):
+        if c == 0.0:
+            continue
+        d = log_theta_derivative(kind, n, s, q, policy)
+        total += (-1.0 if n % 2 else 1.0) * c * d.value
+    return total
+
+
+@pytest.mark.parametrize("pole_threshold", ["shipped", "inf"])
+@pytest.mark.parametrize("kind", [ThetaKind.THETA2, ThetaKind.THETA4_IMAG_HALF])
+def test_polynomial_log_theta_sum_matches_per_order_calls(kind, pole_threshold,
+                                                         monkeypatch):
+    if pole_threshold == "inf":
+        monkeypatch.setattr(theta_module, "POLE_THRESHOLD", math.inf)
+    seen = set()
+    for s, q, policy in POLY_PARITY_POINTS:
+        for coefficients in POLY_COEFFICIENTS:
+            f = PolynomialSpec(coefficients)
+            got = _outcome(lambda: registry_module._poly_log_theta_sum(
+                kind, f, s, q, policy).value)
+            want = _outcome(lambda: _per_order_poly_sum(kind, f, s, q, policy))
+            assert got == want, (s, q, policy, coefficients)
+            per_order = {
+                _outcome(lambda: log_theta_derivative(kind, n, s, q, policy).value)[0]
+                for n, c in enumerate(coefficients) if c != 0.0}
+            if len(per_order) > 1:
+                seen.add((want[0], "orders disagree"))
+            seen.add(want[0])
+    if pole_threshold == "shipped":
+        assert {"value", "PoleError", "NonConvergenceError",
+                ("NonConvergenceError", "orders disagree")} <= seen
+        if kind is ThetaKind.THETA2:
+            # the lowest order's pole wins over a higher order's cos(inf)
+            assert {("PoleError", "orders disagree"), "ValueError"} <= seen
+
+
+def test_public_polynomial_sums_match_per_order_calls():
+    for a, s in ((1.0, 0.0), (2.0, 0.2), (0.5, 1.3), (1.0, 2.0)):
+        for coefficients in POLY_COEFFICIENTS:
+            f = PolynomialSpec(coefficients)
+            for policy in (TruncationPolicy(), TruncationPolicy(cap=5)):
+                got = _outcome(lambda: poly_weighted_log_theta4_sum(
+                    f, a, s, "derivative", policy).value)
+                want = _outcome(lambda: _per_order_poly_sum(
+                    ThetaKind.THETA4_IMAG_HALF, f, s, Nome.from_pi_exponent(a), policy))
+                assert got == want, (a, s, coefficients, policy)
+                got = _outcome(lambda: poly_weighted_log_theta2_sum(
+                    f, a, s, policy).value)
+                want = _outcome(lambda: _per_order_poly_sum(
+                    ThetaKind.THETA2, f, s, Nome.from_exponent(1.0 / a), policy))
+                assert got == want, (a, s, coefficients, policy)
 
 
 # -- q-products -----------------------------------------------------------------
