@@ -201,6 +201,12 @@ def test_eval_solve_k(capsys):
     assert "residual" in out
 
 
+def test_eval_solve_k_catalog_value_pinned(capsys):
+    rc, out, _ = run(["eval", "solve_k", "--a", "2"], capsys)
+    assert rc == 0
+    assert out == "k = 0.17157287525380988\niterations = 52\nresidual = 0\n"
+
+
 def test_eval_series_prints_metadata(capsys):
     rc, out, _ = run(["eval", "S1", "--a", "1", "--t", "0"], capsys)
     assert rc == 0

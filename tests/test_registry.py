@@ -49,6 +49,13 @@ def test_sides_are_independent_evaluators():
             assert v.lhs is not v.rhs, (rec.identity_id, v.variant_id)
 
 
+def test_e8_scale_four_variants_share_one_lhs():
+    # one object, so _reports_at evaluates that lhs once per point
+    variants = {v.variant_id: v for v in default_registry().get("E8").variants}
+    assert variants["base"].lhs is variants["minus-tan"].lhs
+    assert variants["half-scale"].lhs is not variants["base"].lhs
+
+
 def test_classification_bands():
     assert classify(0.0) is Classification.PASS
     assert classify(1e-9) is Classification.PASS
