@@ -1,9 +1,9 @@
 """Error-controlled evaluators for the Lambert-type and hyperbolic series.
 
-Every evaluator sums in fixed ascending order with compensated (Kahan)
-accumulation, stops only when its term envelope and the geometric tail
-estimate are both below tolerance, and returns a :class:`SeriesResult`
-carrying the tail bound.  Identical inputs give bit-identical outputs.
+Every evaluator sums through ``sum_series``: fixed ascending order,
+compensated (Kahan) accumulation, and the stop rule its docstring states.
+It returns a :class:`SeriesResult` carrying the tail bound.  Identical
+inputs give bit-identical outputs.
 
 Terms are written in exp-scaled form (e.g. 1/sinh x as 2 e^-x/(1 - e^-2x))
 so nothing overflows even when a caller sweeps the index cap.
@@ -25,11 +25,9 @@ class _TruncationPolicyFields(NamedTuple):
 
 
 class TruncationPolicy(_TruncationPolicyFields):
-    """Stop rule shared by all series evaluators.
+    """Parameters of the stop rule shared by all series evaluators.
 
-    Summation stops once the term envelope is below ``tolerance``, the
-    empirical term ratio is below ``ratio_guard`` and the geometric tail
-    estimate is itself below ``tolerance``; hitting ``cap`` first is a
+    ``sum_series`` states the rule; hitting ``cap`` first is a
     non-convergence error.
     """
 
@@ -60,14 +58,6 @@ class SeriesResult(NamedTuple):
     tail_bound: float = 0.0
 
 
-def kahan_add(total: float, comp: float, term: float) -> tuple[float, float]:
-    """One compensated-summation step; returns (new_total, new_comp)."""
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
-
-
 def sum_series(term_fn: Callable[[int], tuple[float, float]],
                policy: TruncationPolicy = DEFAULT_POLICY,
                start: int = 1,
@@ -80,13 +70,24 @@ def sum_series(term_fn: Callable[[int], tuple[float, float]],
     than |term| keeps an incidental zero of an oscillating factor from
     triggering a premature stop.
 
-    ``relative`` selects the theta-function rule: the envelope threshold
-    scales with max(1, |partial sum|) and the ratio guard is not applied
-    (any decreasing envelope may stop).
+    The sum stops after term n, whose envelope is e_n, once
+
+        e_n < tol * scale,  r = e_n / e_(n-1) < guard,  e_n r / (1 - r) <= tol
+
+    with tol = ``policy.tolerance`` and 0 < e_(n-1) < inf, so never on the
+    first term, where r is unknown.  By default scale = 1 and guard =
+    ``policy.ratio_guard``.  ``relative`` selects the theta-function rule:
+    scale = max(1, |partial sum through n|) and guard = 1, so any
+    decreasing envelope may stop.  The geometric tail e_n r / (1 - r) is
+    the reported ``tail_bound``.  An envelope of exactly 0 stops at once
+    with tail 0.  The envelope test runs first: it fails for almost every
+    term, and r and the tail are computed only once it holds.  The tests
+    have no side effects, so their order changes no result.
     """
     total = initial
     comp = 0.0
     prev_env = math.inf
+    tol = policy.tolerance
     guard = 1.0 if relative else policy.ratio_guard
     for n in range(start, start + policy.cap):
         try:
@@ -100,20 +101,23 @@ def sum_series(term_fn: Callable[[int], tuple[float, float]],
         except ValueError as exc:
             # math.cos(inf) and friends: an argument binary64 cannot evaluate.
             raise DomainError(f"term at n={n} is undefined: {exc}") from None
-        y = term - comp  # kahan_add, written out
+        y = term - comp  # one Kahan step
         t = total + y
         comp = (t - total) - y
         total = t
         if env == 0.0:
             return SeriesResult(total, n - start + 1, 0.0)
-        # No stop on the first term: the geometric ratio is unknown there,
-        # so any tail estimate would be fiction.
-        if 0.0 < prev_env < math.inf:
+        # The envelope test first: it fails for almost every term.  In
+        # relative mode tol * max(1, |t|) is the larger of tol and tol * |t|
+        # (a NaN |t| gives tol either way).  No stop on the first term: the
+        # geometric ratio is unknown there, so any tail estimate would be
+        # fiction.
+        if ((env < tol or relative and env < tol * abs(t))
+                and 0.0 < prev_env < math.inf):
             ratio = env / prev_env
             if ratio < guard:
                 tail = env * ratio / (1.0 - ratio)
-                scale = max(1.0, abs(total)) if relative else 1.0
-                if env < policy.tolerance * scale and tail <= policy.tolerance:
+                if tail <= tol:
                     return SeriesResult(total, n - start + 1, tail)
         prev_env = env
     raise NonConvergenceError(

@@ -53,6 +53,12 @@ def _ratio_from_modulus(k: float) -> float:
     return agm(1.0, kprime) / agm(1.0, k)
 
 
+# The bracket [1e-15, 0.75] that solve_k bisects, and K(k')/K(k) and its log
+# at both ends: none of them depends on a.
+_BRACKET = (1e-15, 0.75)
+_BRACKET_RATIOS = tuple(_ratio_from_modulus(k) for k in _BRACKET)
+_BRACKET_LOGS = tuple(math.log(r) for r in _BRACKET_RATIOS)
+
 # Bound on the rounding error of the computed log(K(k')/K(k)) for k in the
 # bracket [1e-15, 0.75]: 64 u (u = 2^-53).  Each AGM step adds at most about
 # 1.5 u of relative error and none is amplified (the AGM is monotone and
@@ -148,16 +154,16 @@ def solve_k(a: float) -> SingularSolve:
     # Work on b = max(a, 1/a) >= 1, whose root lies in (0, 1/sqrt(2)].
     b = a if a >= 1.0 else 1.0 / a
     target = math.log(b)
-    ratio_at: dict[float, float] = {}
+    ratio_at = dict(zip(_BRACKET, _BRACKET_RATIOS))
 
     def g(k: float) -> float:
         ratio = ratio_at[k] = _ratio_from_modulus(k)
         return math.log(ratio) - target
 
-    lo, hi = 1e-15, 0.75
+    lo, hi = _BRACKET
     iterations = 0
-    glo = g(lo)
-    ghi = g(hi)
+    glo = _BRACKET_LOGS[0] - target
+    ghi = _BRACKET_LOGS[1] - target
     if not (glo > 0.0 > ghi):
         raise RangeError(f"solve_k bracket failed for a={a!r}")
     wlo, gwlo, whi, gwhi = _window(g, lo, glo, hi, ghi)

@@ -25,8 +25,7 @@ from typing import NamedTuple, Sequence
 
 from .elliptic import Nome
 from .errors import DomainError, NonConvergenceError, PoleError, UnsupportedOrderError
-from .series import (DEFAULT_POLICY, SeriesResult, TruncationPolicy, kahan_add,
-                     sum_series)
+from .series import DEFAULT_POLICY, SeriesResult, TruncationPolicy, sum_series
 
 MAX_LOG_DERIVATIVE_ORDER = 12
 
@@ -148,8 +147,10 @@ def theta4_u_derivative_imag(t: float, q: Nome,
     def term(n: int) -> tuple[float, float]:
         w = lq * n * n
         y = 2.0 * n * ta
-        sh = 0.5 * (math.exp(w + y) - math.exp(w - y))
-        env = 4.0 * n * 0.5 * (math.exp(w + y) + math.exp(w - y))
+        ep = math.exp(w + y)
+        em = math.exp(w - y)
+        sh = 0.5 * (ep - em)
+        env = 4.0 * n * 0.5 * (ep + em)
         sign = 4.0 if n % 2 else -4.0  # -4 * (-1)^n
         return sign * n * sh, env
 
@@ -260,12 +261,12 @@ def _log_theta_pass(kind: ThetaKind, orders: Sequence[int], s: float, q: Nome,
                 sums[j] = t
                 if env == 0.0:
                     continue
-                prev = prevs[j]
-                if 0.0 < prev < math.inf:
-                    ratio = env / prev
-                    if (ratio < 1.0 and env < tol * max(1.0, abs(t))
-                            and env * ratio / (1.0 - ratio) <= tol):
-                        continue
+                if env < tol or env < tol * abs(t):  # tol * max(1, |t|)
+                    prev = prevs[j]
+                    if 0.0 < prev < math.inf:
+                        ratio = env / prev
+                        if ratio < 1.0 and env * ratio / (1.0 - ratio) <= tol:
+                            continue
                 prevs[j] = env
                 still.append(j)
             active = still
@@ -315,12 +316,18 @@ def _log_product(ratio: float, policy: TruncationPolicy) -> SeriesResult:
     logsum = 0.0
     comp = 0.0
     x = ratio
+    tol = policy.tolerance
     for n in range(1, policy.cap + 1):
-        logsum, comp = kahan_add(logsum, comp, math.log1p(-x))
+        y = math.log1p(-x) - comp  # one Kahan step
+        t = logsum + y
+        comp = (t - logsum) - y
+        logsum = t
         x_next = x * ratio
-        tail = x_next / (1.0 - ratio)
-        if tail <= policy.tolerance:
-            return SeriesResult(math.exp(logsum), n, tail)
+        # 0 <= ratio < 1, so the tail is at least x_next: test that first.
+        if x_next <= tol:
+            tail = x_next / (1.0 - ratio)
+            if tail <= tol:
+                return SeriesResult(math.exp(logsum), n, tail)
         x = x_next
     raise NonConvergenceError(f"q-product did not converge within cap={policy.cap}")
 
