@@ -250,8 +250,6 @@ def _eval_solve_k(args, policy):
 
 def _eval_theta(fn):
     def call(args, policy):
-        if args.u is None or args.q is None:
-            raise ConfigError("theta functions need --u and --q")
         return fn(args.u, Nome.from_value(args.q), policy)
     call.required = ("u", "q")
     return call
@@ -259,8 +257,6 @@ def _eval_theta(fn):
 
 def _eval_product(fn):
     def call(args, policy):
-        if args.q is None:
-            raise ConfigError("products need --q")
         return fn(Nome.from_value(args.q), policy)
     call.required = ("q",)
     return call

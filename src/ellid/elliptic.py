@@ -97,55 +97,38 @@ class EllipticArgument(_EllipticArgumentFields):
 
 class _NomeFields(NamedTuple):
     q: float
-    exponent_form: str
 
 
 class Nome(_NomeFields):
-    """A nome q in [0, 1) plus a record of how it was built.
+    """A nome q in [0, 1).
 
-    ``exponent_form`` is provenance only (it travels into reports); the math
-    uses ``q`` alone, and so do equality and hashing.  q = 0 is admitted as
-    the empty-series degenerate case.
+    q = 0 is admitted as the empty-series degenerate case.
     """
 
     __slots__ = ()
 
-    def __new__(cls, q: float, exponent_form: str = "") -> "Nome":
+    def __new__(cls, q: float) -> "Nome":
         if not math.isfinite(q) or not 0.0 <= q < 1.0:
             raise DomainError(f"nome must lie in [0, 1), got {q!r}")
-        return tuple.__new__(cls, (q, exponent_form))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.q == other.q
-        return NotImplemented
-
-    # Needed beside __eq__: tuple's own __ne__ would compare exponent_form.
-    def __ne__(self, other):
-        if other.__class__ is self.__class__:
-            return self.q != other.q
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.q,))
+        return tuple.__new__(cls, (q,))
 
     @classmethod
     def from_value(cls, q: float) -> "Nome":
-        return cls(q, f"literal {q!r}")
+        return cls(q)
 
     @classmethod
     def from_pi_exponent(cls, a: float) -> "Nome":
         """q = exp(-pi*a) for a > 0."""
         if not a > 0.0:
             raise DomainError(f"pi-exponent must be positive, got {a!r}")
-        return cls(math.exp(-math.pi * a), f"exp(-pi*{a!r})")
+        return cls(math.exp(-math.pi * a))
 
     @classmethod
     def from_exponent(cls, c: float) -> "Nome":
         """q = exp(-c) for c > 0."""
         if not c > 0.0:
             raise DomainError(f"exponent must be positive, got {c!r}")
-        return cls(math.exp(-c), f"exp(-{c!r})")
+        return cls(math.exp(-c))
 
 
 def agm(x: float, y: float) -> float:

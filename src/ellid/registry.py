@@ -34,7 +34,8 @@ from .series import (DEFAULT_POLICY, S1_cosh_over_sinh,
                      S8_exp_over_cube, S9_lambert_E2, S10_alt_sin_lambert,
                      SeriesResult, TruncationPolicy, exp_over_sinh,
                      n_cosh_over_sinh_double, sum_series, zeta_neg, zeta_even)
-from .singular import dadk_candidates, dadk_fd, solve_k
+from .singular import (_dadm_classical, _dadm_stated, dadk_candidates, dadk_fd,
+                       solve_k)
 from .theta import (ThetaKind, _log_theta_pass, log_theta_derivative,
                     q_product_P0, theta2, theta4_imag, theta4_u_derivative_imag,
                     theta_u_derivative)
@@ -155,6 +156,25 @@ class PolynomialSpec(_PolynomialSpecFields):
         return acc
 
 
+def _zeta_collapsed_coefficients(F: PolynomialSpec, what: str):
+    """(k, c_2k) for each nonzero coefficient c_2k t^(2k) of the collapsed sum.
+
+    Checks F first; ``what`` names the caller in the error texts.
+    """
+    if not F.is_even:
+        raise DomainError(f"zeta-collapsed {what} requires an even polynomial")
+    if F.coefficient(0) != 0.0 or F.coefficient(2) != 0.0:
+        raise DomainError(
+            "test function must satisfy F(0) = F'(0) = F''(0) = 0")
+    g = F.g_coefficients()
+    for k in range(2, F.degree // 2 + 1):
+        g2k = g[2 * k]
+        if g2k == 0.0:
+            continue
+        sign = -1.0 if k % 2 else 1.0
+        yield k, g2k * sign * zeta_even(k) / (2.0 * math.pi) ** (2 * k)
+
+
 def poly_even_zeta_sum(F: PolynomialSpec, t: float) -> float:
     """sum over n of G(t/(2 pi i n)) collapsed to even zeta values.
 
@@ -162,19 +182,9 @@ def poly_even_zeta_sum(F: PolynomialSpec, t: float) -> float:
     sum_k g_2k (-1)^k zeta(2k) (2 pi)^(-2k) t^(2k).  Requires the test
     function to vanish to second order at 0, so the sum starts at k = 2.
     """
-    if not F.is_even:
-        raise DomainError("zeta-collapsed sum requires an even polynomial")
-    if F.coefficient(0) != 0.0 or F.coefficient(2) != 0.0:
-        raise DomainError(
-            "test function must satisfy F(0) = F'(0) = F''(0) = 0")
-    g = F.g_coefficients()
     total = 0.0
-    for k in range(2, F.degree // 2 + 1):
-        g2k = g[2 * k]
-        if g2k == 0.0:
-            continue
-        sign = -1.0 if k % 2 else 1.0
-        total += g2k * sign * zeta_even(k) / (2.0 * math.pi) ** (2 * k) * t ** (2 * k)
+    for k, c2k in _zeta_collapsed_coefficients(F, "sum"):
+        total += c2k * t ** (2 * k)
     return total
 
 
@@ -184,19 +194,8 @@ def poly_even_zeta_integral(F: PolynomialSpec) -> float:
     Exact polynomial integration: 2 sum_k c_2k (2^(2k) - 1)/(2k) with c_2k
     the collapsed-sum coefficients.
     """
-    if not F.is_even:
-        raise DomainError("zeta-collapsed integral requires an even polynomial")
-    if F.coefficient(0) != 0.0 or F.coefficient(2) != 0.0:
-        raise DomainError(
-            "test function must satisfy F(0) = F'(0) = F''(0) = 0")
-    g = F.g_coefficients()
     total = 0.0
-    for k in range(2, F.degree // 2 + 1):
-        g2k = g[2 * k]
-        if g2k == 0.0:
-            continue
-        sign = -1.0 if k % 2 else 1.0
-        c2k = g2k * sign * zeta_even(k) / (2.0 * math.pi) ** (2 * k)
+    for k, c2k in _zeta_collapsed_coefficients(F, "integral"):
         total += 2.0 * c2k * (2 ** (2 * k) - 1) / (2.0 * k)
     return total
 
@@ -241,12 +240,21 @@ def _poly_log_theta_sum(kind: ThetaKind, f: PolynomialSpec, s: float, q: Nome,
     """sum_n (-1)^n f_n d^n/ds^n log theta from one pass over the series.
 
     Values and errors are those of one ``log_theta_derivative`` call per
-    nonzero coefficient, in ascending order.
+    nonzero coefficient, in ascending order.  The pass at the top order
+    fails whenever one of those calls does.  If the lowest order's call
+    succeeds, raw orders up to it and the scale stop at the same n in every
+    pass, so the top pass's error is that of the first later call that
+    fails; a failed top pass is therefore followed by a pass at the lowest
+    order, which raises that order's own error or pole if it has one.
     """
     orders = [n for n, c in enumerate(f.coefficients) if c != 0.0]
     if not orders:
         return SeriesResult(0.0)
-    g = _log_theta_pass(kind, orders, s, q, policy)
+    try:
+        g = _log_theta_pass(kind, orders[-1], s, q, policy)
+    except EllidError:
+        _log_theta_pass(kind, orders[0], s, q, policy)
+        raise
     total = 0.0
     for n in orders:
         total += (-1.0 if n % 2 else 1.0) * f.coefficients[n] * g[n]
@@ -787,15 +795,11 @@ def _p8_rhs_with(drdm: Callable[[float, float, float], float], p, policy):
 
 
 def _p8_rhs_stated(p, policy):
-    return _p8_rhs_with(
-        lambda m, K, E: ((E - (1.0 - m) * K) / (2.0 * m * (1.0 - m))) / (E * K - K * K),
-        p, policy)
+    return _p8_rhs_with(_dadm_stated, p, policy)
 
 
 def _p8_rhs_classical(p, policy):
-    return _p8_rhs_with(
-        lambda m, K, E: -math.pi / (4.0 * m * (1.0 - m) * K * K),
-        p, policy)
+    return _p8_rhs_with(_dadm_classical, p, policy)
 
 
 # -- P9 ---------------------------------------------------------------------

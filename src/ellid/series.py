@@ -449,12 +449,6 @@ def bernoulli_B2n(n: int) -> float:
     return num / den
 
 
-def bernoulli_B2n_exact(n: int):
-    """B_(2n) as a ``fractions.Fraction``, n <= 20."""
-    from fractions import Fraction  # only here: keeps it off the import path
-    return Fraction(*_bernoulli_pair(n))
-
-
 def zeta_neg(nu: int) -> float:
     """zeta(1 - 2 nu) = -B_(2 nu) / (2 nu) for integer nu >= 1."""
     if nu < 1:

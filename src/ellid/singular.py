@@ -282,7 +282,16 @@ def dadk_candidates(arg: EllipticArgument) -> list[tuple[str, float]]:
         stated = ((E - kp2 * K) / (k * kp2)) / (E * K - K * K)
         classical = -math.pi / (2.0 * k * kp2 * K * K)
     else:
-        m = arg.value
-        stated = ((E - (1.0 - m) * K) / (2.0 * m * (1.0 - m))) / (E * K - K * K)
-        classical = -math.pi / (4.0 * m * (1.0 - m) * K * K)
+        stated = _dadm_stated(arg.value, K, E)
+        classical = _dadm_classical(arg.value, K, E)
     return [("stated-formula", stated), ("classical", classical)]
+
+
+def _dadm_stated(m: float, K: float, E: float) -> float:
+    """The stated da/dm, (dK/dm)/(E K - K^2), from m and K(m), E(m)."""
+    return ((E - (1.0 - m) * K) / (2.0 * m * (1.0 - m))) / (E * K - K * K)
+
+
+def _dadm_classical(m: float, K: float, E: float) -> float:
+    """The classical da/dm, -pi/(4 m (1-m) K^2); E is not used."""
+    return -math.pi / (4.0 * m * (1.0 - m) * K * K)

@@ -149,6 +149,16 @@ def test_check_all_matches_golden_report(capsys):
     assert out.encode() == golden
 
 
+@pytest.mark.parametrize("fmt, name", [("csv", "check_all.csv"),
+                                       ("text", "check_all.txt")])
+def test_check_all_matches_golden_csv_and_text(fmt, name, capsys):
+    # the csv and text renderings are pinned byte for byte like the json one
+    golden = (GOLDEN_REPORT.parent / name).read_bytes()
+    rc, out, _ = run(["check-all", "--format", fmt], capsys)
+    assert rc == 0
+    assert out.encode() == golden
+
+
 def test_golden_report_matches_benchmark_reference():
     # the benchmark checks check-all against its own copy; an intended byte
     # change must update both files together

@@ -47,7 +47,7 @@ RECORDS = [
      ("X1", "base", {"a": 1.0}, 1.0, 1.0, 0.0, 0.0, Classification.PASS),
      {"terms": {}, "note": ""}),
     (EllipticArgument, ("value", "convention"), (0.5, Convention.MODULUS), {}),
-    (Nome, ("q", "exponent_form"), (0.5,), {"exponent_form": ""}),
+    (Nome, ("q",), (0.5,), {}),
     (TruncationPolicy, ("tolerance", "cap", "ratio_guard"), (),
      {"tolerance": 1e-14, "cap": 10000, "ratio_guard": 0.99}),
     (PolynomialSpec, ("coefficients",), ((0.0, 1.0),), {}),
@@ -101,11 +101,8 @@ def test_records_with_different_values_differ():
     assert RunConfig(format="json") != RunConfig()
 
 
-def test_nome_equality_and_hash_ignore_exponent_form():
-    a, b = Nome(0.5, "a"), Nome(0.5, "b")
-    assert a == b
-    assert not a != b
-    assert hash(a) == hash(b)
+def test_nome_equality_and_hash_follow_q():
+    assert hash(Nome(0.5)) == hash((0.5,))
     assert Nome(0.5) != Nome(0.25)
     assert Nome.from_value(0.5) == Nome(0.5)
 
@@ -139,7 +136,7 @@ INVALID = [
      "elliptic argument 0.9999999999999 is inside the singular band "
      "(0.999999999999, 1.0)"),
     (lambda: Nome(1.0), DomainError, "nome must lie in [0, 1), got 1.0"),
-    (lambda: Nome(-0.5, "x"), DomainError, "nome must lie in [0, 1), got -0.5"),
+    (lambda: Nome(-0.5), DomainError, "nome must lie in [0, 1), got -0.5"),
     (lambda: Nome(math.nan), DomainError, "nome must lie in [0, 1), got nan"),
     (lambda: TruncationPolicy(tolerance=0.0), DomainError,
      "tolerance must be positive, got 0.0"),

@@ -13,8 +13,7 @@ from ellid import (DomainError, Nome, NonConvergenceError,
                    S5sq_sech2, S6_alt_sin_over_expm1, S6closed, S7_csch_sinh,
                    S8_exp_over_cube, S9_lambert_E2, S10_alt_sin_lambert,
                    TruncationPolicy, bernoulli_B2n, zeta_even, zeta_neg)
-from ellid.series import (bernoulli_B2n_exact, n_cosh_over_sinh_double,
-                          sum_series)
+from ellid.series import n_cosh_over_sinh_double, sum_series
 
 PI = math.pi
 
@@ -309,7 +308,6 @@ def test_bernoulli_and_zeta_bits_match_exact_rationals():
     ref = _bernoulli_reference(41)
     for n in range(21):
         b2n = ref[2 * n]
-        assert bernoulli_B2n_exact(n) == b2n
         assert bernoulli_B2n(n).hex() == float(b2n).hex()
         if n == 0:
             with pytest.raises(DomainError):

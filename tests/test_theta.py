@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from ellid import (DomainError, EllipticArgument, Nome, NonConvergenceError,
+from ellid import (DomainError, EllidError, EllipticArgument, Nome, NonConvergenceError,
                    PoleError, PolynomialSpec, ThetaKind, UnsupportedOrderError,
                    ellint_K, euler_product, log_theta_derivative,
                    poly_weighted_log_theta2_sum, poly_weighted_log_theta4_sum,
@@ -409,7 +409,7 @@ def test_polynomial_log_theta_sum_matches_per_order_calls(kind, pole_threshold,
                 ("NonConvergenceError", "orders disagree")} <= seen
         if kind is ThetaKind.THETA2:
             # the lowest order's pole wins over a higher order's cos(inf)
-            assert {("PoleError", "orders disagree"), "ValueError"} <= seen
+            assert {("PoleError", "orders disagree"), "DomainError"} <= seen
 
 
 def test_public_polynomial_sums_match_per_order_calls():
@@ -427,6 +427,28 @@ def test_public_polynomial_sums_match_per_order_calls():
                 want = _outcome(lambda: _per_order_poly_sum(
                     ThetaKind.THETA2, f, s, Nome.from_exponent(1.0 / a), policy))
                 assert got == want, (a, s, coefficients, policy)
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, 3e307])
+def test_log_theta_sums_at_unrepresentable_s_raise_ellid_errors(s):
+    # cos(inf) or exp overflow in a term must surface as sum_series's
+    # DomainError or NonConvergenceError, never as a bare ValueError.  The
+    # theta4 passes at s = +-inf sum NaN terms up to the cap, so it is short.
+    q = Nome.from_value(0.3)
+    policy = TruncationPolicy(cap=64)
+    calls = []
+    for order in range(13):
+        calls += [lambda kind=kind, order=order:
+                  log_theta_derivative(kind, order, s, q, policy)
+                  for kind in (ThetaKind.THETA2, ThetaKind.THETA4_IMAG_HALF)]
+    for degree in range(registry_module.MAX_POLY_DEGREE + 1):
+        for f in (PolynomialSpec.monomial(degree), PolynomialSpec((1.0,) * (degree + 1))):
+            calls += [lambda f=f: poly_weighted_log_theta4_sum(f, 1.0, s, "derivative",
+                                                               policy),
+                      lambda f=f: poly_weighted_log_theta2_sum(f, 1.0, s, policy)]
+    for call in calls:
+        with pytest.raises(EllidError):
+            call()
 
 
 # -- q-products -----------------------------------------------------------------
