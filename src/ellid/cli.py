@@ -2,13 +2,15 @@
 
 Exit codes: 0 success (all PASS, or the entry is Contested), 1 an
 ExpectPass entry produced a non-PASS point, 2 usage errors (unknown
-identity, malformed flags).  Reports go to --out or stdout and are
-byte-identical across runs.
+identity, malformed flags) or a report --out cannot write.  Reports go to
+--out or stdout and are byte-identical across runs.  ``ellid eval -h``
+lists each function; each takes only the flags it needs.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -17,7 +19,7 @@ from typing import NamedTuple, Sequence
 from .elliptic import Convention, EllipticArgument, Nome, ellint_E, ellint_K
 from .errors import ConfigError, EllidError, UnknownIdentityError
 from .registry import (Classification, Expectation, Registry, ResidualReport,
-                       default_registry, report_sort_key)
+                       _reports_at, default_registry, report_sort_key)
 from .reporting import (format_number, render_csv, render_json, render_list,
                         render_text)
 from .series import (S1_cosh_over_sinh, S2_alt_sin_sq_over_expm1,
@@ -25,7 +27,7 @@ from .series import (S1_cosh_over_sinh, S2_alt_sin_sq_over_expm1,
                      S4_n_over_sinh, S5_sech, S5sq_sech2,
                      S6_alt_sin_over_expm1, S6closed, S7_csch_sinh,
                      S8_exp_over_cube, S9_lambert_E2, S10_alt_sin_lambert,
-                     TruncationPolicy)
+                     SeriesResult, TruncationPolicy)
 from .singular import solve_k
 from .theta import euler_product, q_product_P0, theta2, theta3, theta4
 
@@ -102,34 +104,31 @@ def _parse_grid_overrides(specs: Sequence[str]) -> dict[str, list]:
     return overrides
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(reports: list[ResidualReport], config: RunConfig,
+          registry: Registry) -> int:
+    """Write the report to --out or stdout; the run's exit code."""
+    if config.format == "json":
+        text = render_json(reports)
+    elif config.format == "csv":
+        text = render_csv(reports)
+    else:
+        text = render_text(reports, registry)
+    if config.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-
-
-def _render(reports: list[ResidualReport], config: RunConfig,
-            registry: Registry) -> str:
-    if config.format == "json":
-        return render_json(reports)
-    if config.format == "csv":
-        return render_csv(reports)
-    return render_text(reports, registry)
-
-
-def _exit_code(reports: list[ResidualReport], registry: Registry) -> int:
-    failing = set()
-    for r in reports:
-        if (registry.get(r.identity).expected is Expectation.EXPECT_PASS
-                and r.classification is not Classification.PASS):
-            failing.add(r.identity)
-    return 1 if failing else 0
+        try:
+            with open(config.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"cannot write report to {config.out}: "
+                             f"{exc.strerror or exc}\n")
+            return 2
+    return 1 if any(registry.get(r.identity).expected is Expectation.EXPECT_PASS
+                    and r.classification is not Classification.PASS
+                    for r in reports) else 0
 
 
 def _grid_points_with_overrides(record, overrides: dict[str, list]) -> list[dict]:
-    import itertools
     names = [p.name for p in record.params]
     for name in overrides:
         if name not in names:
@@ -167,21 +166,18 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 2
     try:
         if overrides:
-            points = _grid_points_with_overrides(record, overrides)
+            # run_grid's per-point engine at the override points
             reports = []
-            for variant in record.variants:
-                for point in points:
-                    reports.append(registry.evaluate(record.identity_id,
-                                                     variant.variant_id, point,
-                                                     config.policy))
+            for point in _grid_points_with_overrides(record, overrides):
+                reports.extend(_reports_at(record, record.variants, point,
+                                           config.policy))
             reports.sort(key=report_sort_key)
         else:
             reports = registry.run_grid(record.identity_id, config.policy)
     except (ConfigError, EllidError) as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 2
-    _emit(_render(reports, config, registry), config.out)
-    return _exit_code(reports, registry)
+    return _emit(reports, config, registry)
 
 
 def cmd_check_all(args: argparse.Namespace) -> int:
@@ -197,130 +193,94 @@ def cmd_check_all(args: argparse.Namespace) -> int:
         return 2
     if args.only:
         reports = []
-        for identity_id in args.only:
+        for identity_id in dict.fromkeys(args.only):  # each id once
             reports.extend(registry.run_grid(identity_id, config.policy))
         reports.sort(key=report_sort_key)
     else:
         reports = registry.run_all(config.policy)
-    _emit(_render(reports, config, registry), config.out)
-    return _exit_code(reports, registry)
-
-
-def _series_eval(fn, *positional):
-    def call(args, policy):
-        return fn(*[getattr(args, name) for name in positional], policy)
-    call.required = positional
-    return call
-
-
-def _nome_series_eval(fn, *positional):
-    def call(args, policy):
-        vals = [getattr(args, name) for name in positional]
-        vals[-1] = Nome.from_value(vals[-1])
-        return fn(*vals, policy)
-    call.required = positional
-    return call
+    return _emit(reports, config, registry)
 
 
 def _elliptic_arg(args) -> EllipticArgument:
     if args.k is not None and args.m is not None:
         raise ConfigError("pass exactly one of --k / --m")
-    if args.k is not None:
-        return EllipticArgument(args.k, Convention.MODULUS)
-    if args.m is not None:
-        return EllipticArgument(args.m, Convention.PARAMETER)
-    raise ConfigError("pass one of --k / --m")
+    if args.k is None and args.m is None:
+        raise ConfigError("pass one of --k / --m")
+    return (EllipticArgument(args.k, Convention.MODULUS) if args.m is None
+            else EllipticArgument(args.m, Convention.PARAMETER))
 
 
-def _eval_K(args, policy):
-    return ellint_K(_elliptic_arg(args))
-
-
-def _eval_E(args, policy):
-    return ellint_E(_elliptic_arg(args))
-
-
-def _eval_solve_k(args, policy):
-    if args.a is None:
-        raise ConfigError("solve_k needs --a")
-    res = solve_k(args.a)
+def _eval_solve_k(a, policy):
+    res = solve_k(a)
     return {"k": res.k.value, "iterations": res.iterations,
             "residual": res.residual}
 
 
-def _eval_theta(fn):
-    def call(args, policy):
-        return fn(args.u, Nome.from_value(args.q), policy)
-    call.required = ("u", "q")
-    return call
-
-
-def _eval_product(fn):
-    def call(args, policy):
-        return fn(Nome.from_value(args.q), policy)
-    call.required = ("q",)
-    return call
-
-
+# name -> (function, the flags it takes in call order).  cmd_eval checks
+# that each flag is given and finite, passes a q value as a Nome and calls
+# fn(*values, policy).  K and E (flags None) take exactly one of --k / --m.
 EVAL_TABLE = {
-    "K": _eval_K,
-    "E": _eval_E,
-    "solve_k": _eval_solve_k,
-    "theta2": _eval_theta(theta2),
-    "theta3": _eval_theta(theta3),
-    "theta4": _eval_theta(theta4),
-    "P0": _eval_product(q_product_P0),
-    "euler_product": _eval_product(euler_product),
-    "S1": _series_eval(S1_cosh_over_sinh, "a", "t"),
-    "S2": _series_eval(S2_alt_sin_sq_over_expm1, "c", "theta"),
-    "S3": _series_eval(S3_alt_n_over_expm1, "c"),
-    "S3sq": _series_eval(S3sq_alt_nsq_over_expm1, "c"),
-    "S4": _series_eval(S4_n_over_sinh, "b"),
-    "S5": _series_eval(S5_sech, "a"),
-    "S5sq": _series_eval(S5sq_sech2, "x"),
-    "S6": _series_eval(S6_alt_sin_over_expm1, "a", "v"),
-    "S6closed": _series_eval(S6closed, "a", "v"),
-    "S7": _series_eval(S7_csch_sinh, "a", "v"),
-    "S8": _series_eval(S8_exp_over_cube, "b"),
-    "S9": _nome_series_eval(S9_lambert_E2, "q"),
-    "S10": _nome_series_eval(S10_alt_sin_lambert, "z", "q"),
+    "K": (ellint_K, None),
+    "E": (ellint_E, None),
+    "solve_k": (_eval_solve_k, ("a",)),
+    "theta2": (theta2, ("u", "q")),
+    "theta3": (theta3, ("u", "q")),
+    "theta4": (theta4, ("u", "q")),
+    "P0": (q_product_P0, ("q",)),
+    "euler_product": (euler_product, ("q",)),
+    "S1": (S1_cosh_over_sinh, ("a", "t")),
+    "S2": (S2_alt_sin_sq_over_expm1, ("c", "theta")),
+    "S3": (S3_alt_n_over_expm1, ("c",)),
+    "S3sq": (S3sq_alt_nsq_over_expm1, ("c",)),
+    "S4": (S4_n_over_sinh, ("b",)),
+    "S5": (S5_sech, ("a",)),
+    "S5sq": (S5sq_sech2, ("x",)),
+    "S6": (S6_alt_sin_over_expm1, ("a", "v")),
+    "S6closed": (S6closed, ("a", "v")),
+    "S7": (S7_csch_sinh, ("a", "v")),
+    "S8": (S8_exp_over_cube, ("b",)),
+    "S9": (S9_lambert_E2, ("q",)),
+    "S10": (S10_alt_sin_lambert, ("z", "q")),
 }
 
 
+def _flag_values(args: argparse.Namespace, flags: Sequence[str]) -> list:
+    missing = [name for name in flags if getattr(args, name) is None]
+    if missing:
+        raise ConfigError(f"{args.function} needs --{' --'.join(missing)}")
+    values = []
+    for name in flags:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{args.function}: --{name} must be finite, got {value!r}")
+        values.append(Nome.from_value(value) if name == "q" else value)
+    return values
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
-    fn = EVAL_TABLE.get(args.function)
-    if fn is None:
+    if args.function not in EVAL_TABLE:
         sys.stderr.write(f"unknown function {args.function!r}; one of "
                          f"{', '.join(sorted(EVAL_TABLE))}\n")
         return 2
+    fn, flags = EVAL_TABLE[args.function]
     try:
         config = _config_from_args(args)
-        required = getattr(fn, "required", ())
-        missing = [name for name in required if getattr(args, name, None) is None]
-        if missing:
-            raise ConfigError(
-                f"{args.function} needs --{' --'.join(missing)}")
-        for name in required:
-            value = getattr(args, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{args.function}: --{name} must be finite, got {value!r}")
-        result = fn(args, config.policy)
+        if flags is None:
+            result = fn(_elliptic_arg(args))
+        else:
+            result = fn(*_flag_values(args, flags), config.policy)
     except ConfigError as exc:
         sys.stderr.write(f"invalid invocation: {exc}\n")
         return 2
     except EllidError as exc:
         sys.stderr.write(f"evaluation failed: {type(exc).__name__}: {exc}\n")
         return 2
-    if isinstance(result, dict):
-        for key, value in result.items():
-            sys.stdout.write(f"{key} = {format_number(value)}\n")
-        return 0
-    if hasattr(result, "value"):
-        sys.stdout.write(f"value = {format_number(result.value)}\n")
-        sys.stdout.write(f"terms_used = {result.terms_used}\n")
-        sys.stdout.write(f"tail_bound = {format_number(result.tail_bound)}\n")
-        return 0
-    sys.stdout.write(f"value = {format_number(result)}\n")
+    if isinstance(result, float):
+        result = {"value": result}
+    elif isinstance(result, SeriesResult):
+        result = result._asdict()  # value, terms_used, tail_bound
+    for key, value in result.items():
+        sys.stdout.write(f"{key} = {format_number(value)}\n")
     return 0
 
 
@@ -332,9 +292,7 @@ def _add_common(parser: argparse.ArgumentParser, with_output: bool) -> None:
     if with_output:
         parser.add_argument("--out", default=None, help="output path (default stdout)")
         parser.add_argument("--format", choices=FORMATS, default="text")
-        # Accepted and ignored, so existing invocations keep working (the
-        # traced cli_cold run in bench/run.py passes --parallel 1): audits
-        # run serially, and the report never depended on it.
+        # Ignored (audits run serially); bench/run.py's traced cli_cold run passes it.
         parser.add_argument("--parallel", type=int, help=argparse.SUPPRESS)
 
 
@@ -362,10 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_all, with_output=True)
     p_all.set_defaults(fn=cmd_check_all)
 
-    p_eval = sub.add_parser("eval", help="evaluate one function ad hoc")
-    p_eval.add_argument("function",
-                        help=f"one of: {', '.join(sorted(EVAL_TABLE))}")
-    for flag in ("k", "m", "a", "b", "c", "t", "v", "x", "z", "u", "q", "theta", "s"):
+    p_eval = sub.add_parser(
+        "eval", help="evaluate one function ad hoc",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="functions and the flags each takes:\n" + "".join(
+            f"  {name:15}{' '.join('--' + f for f in flags) if flags else '--k | --m'}\n"
+            for name, (_, flags) in EVAL_TABLE.items()))
+    p_eval.add_argument("function", help="one of the functions listed below")
+    read = {f for _, flags in EVAL_TABLE.values() for f in flags or ()}
+    for flag in ("k", "m", *sorted(read)):
         p_eval.add_argument(f"--{flag}", type=float, default=None)
     _add_common(p_eval, with_output=False)
     p_eval.set_defaults(fn=cmd_eval)
@@ -374,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

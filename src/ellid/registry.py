@@ -129,14 +129,6 @@ class PolynomialSpec(_PolynomialSpecFields):
             acc = acc * ax + abs(c)
         return acc
 
-    def even_part(self) -> "PolynomialSpec":
-        return PolynomialSpec(tuple(
-            c if n % 2 == 0 else 0.0 for n, c in enumerate(self.coefficients)))
-
-    def odd_part(self) -> "PolynomialSpec":
-        return PolynomialSpec(tuple(
-            c if n % 2 == 1 else 0.0 for n, c in enumerate(self.coefficients)))
-
     @property
     def is_even(self) -> bool:
         return all(c == 0.0 for n, c in enumerate(self.coefficients) if n % 2 == 1)
@@ -428,22 +420,21 @@ def _error_report(identity_id: str, variant_id: str, point: Mapping,
 
 
 def _side_at(side: Evaluator, point: Mapping, policy: TruncationPolicy,
-             seen: dict[int, SeriesResult | str] | None) -> SeriesResult | str:
+             seen: dict[int, SeriesResult | str]) -> SeriesResult | str:
     """One side's value at ``point``, or the note of the error it raised.
 
-    ``seen`` maps id(evaluator) to what earlier calls at this point gave, or
-    is None when nothing is shared.  Only the note is kept: a kept exception
-    would hold its traceback, whose frames hold the memo that holds the
-    exception, a reference cycle per failed side.
+    ``seen`` maps id(evaluator) to what earlier calls at this point gave.
+    Only the note is kept: a kept exception would hold its traceback, whose
+    frames hold the memo that holds the exception, a reference cycle per
+    failed side.
     """
-    if seen is not None and id(side) in seen:
+    if id(side) in seen:
         return seen[id(side)]
     try:
         result = side(point, policy)
     except (EllidError, ZeroDivisionError) as exc:
         result = _error_note(exc)
-    if seen is not None:
-        seen[id(side)] = result
+    seen[id(side)] = result
     return result
 
 
@@ -455,13 +446,10 @@ def _reports_at(record: IdentityRecord, variants: Sequence[Variant],
     Each distinct evaluator object (``v.lhs is w.lhs``) is called at most
     once per side, and every variant holding it gets its value, or its
     error note.  A row's lhs and rhs never share a call, even when they are
-    one object.  A row whose lhs fails does not call its rhs.  A single
-    variant keeps no memo.
+    one object.  A row whose lhs fails does not call its rhs.
     """
     record.validate_point(point)
-    shared = len(variants) > 1
-    lhs_seen = {} if shared else None
-    rhs_seen = {} if shared else None
+    lhs_seen, rhs_seen = {}, {}
     identity = record.identity_id
     reports = []
     for v in variants:
@@ -1274,8 +1262,9 @@ class Registry:
 
         Unknown ids and constraint violations raise; numeric evaluation
         failures, including a division by an underflowed denominator, come
-        back as INCONCLUSIVE reports with a note.  Both sides are called,
-        each on its own; nothing is shared with other calls.
+        back as INCONCLUSIVE reports with a note.  It is the path a run
+        takes at one point, for one variant; nothing is shared with other
+        calls.
         """
         record = self.get(identity_id)
         return _reports_at(record, (record.variant(variant_id),), point,

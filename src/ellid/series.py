@@ -92,15 +92,10 @@ def sum_series(term_fn: Callable[[int], tuple[float, float]],
     for n in range(start, start + policy.cap):
         try:
             term, env = term_fn(n)
-        except OverflowError:
-            raise NonConvergenceError(
-                f"term overflow at n={n}; the series value is not "
-                f"representable in binary64") from None
         except EllidError:
             raise
-        except ValueError as exc:
-            # math.cos(inf) and friends: an argument binary64 cannot evaluate.
-            raise DomainError(f"term at n={n} is undefined: {exc}") from None
+        except (OverflowError, ValueError) as exc:
+            raise _summation_error(n, exc) from None
         y = term - comp  # one Kahan step
         t = total + y
         comp = (t - total) - y
@@ -120,9 +115,27 @@ def sum_series(term_fn: Callable[[int], tuple[float, float]],
                 if tail <= tol:
                     return SeriesResult(total, n - start + 1, tail)
         prev_env = env
-    raise NonConvergenceError(
-        f"series did not meet the stop rule within cap={policy.cap} "
-        f"(last envelope {prev_env!r})")
+    raise _summation_error(policy.cap, last_envelope=prev_env)
+
+
+def _summation_error(n: int, exc: Exception | None = None,
+                    last_envelope: float = math.nan) -> EllidError:
+    """The error a summation raises, worded alike by every summing loop.
+
+    With ``exc``, evaluating term ``n`` raised it: an ``OverflowError``
+    means the value is not representable, a ``ValueError`` (math.cos(inf)
+    and friends) an argument binary64 cannot evaluate.  Without, the stop
+    rule did not fire within the cap ``n``.
+    """
+    if exc is None:
+        return NonConvergenceError(
+            f"series did not meet the stop rule within cap={n} "
+            f"(last envelope {last_envelope!r})")
+    if isinstance(exc, OverflowError):
+        return NonConvergenceError(
+            f"term overflow at n={n}; the series value is not "
+            f"representable in binary64")
+    return DomainError(f"term at n={n} is undefined: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +192,13 @@ def _sign_of(v: float) -> float:
 # the series bank
 
 def S1_cosh_over_sinh(a: float, t: float,
-                      policy: TruncationPolicy = DEFAULT_POLICY,
-                      half_scaling: bool = False) -> SeriesResult:
+                      policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum_{n>=1} cosh(2tn)/(n sinh(pi a n)); even in t.
 
-    With ``half_scaling`` the numerator is cosh(tn) instead, the scaling the
-    derivative identities (P11a) key off.  Term decay is e^((2|t| - pi a) n),
-    so 2|t| < pi*a is required (|t| < pi*a in the half scaling).
+    Term decay is e^((2|t| - pi a) n), so 2|t| < pi*a is required.
     """
     _require(a > 0.0, f"S1 requires a > 0, got {a!r}")
-    ta = abs(t) if half_scaling else 2.0 * abs(t)
+    ta = 2.0 * abs(t)
     _require(ta < math.pi * a,
              f"S1 divergence: angle scale {ta!r} must stay below pi*a = {math.pi * a!r}")
 

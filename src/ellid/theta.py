@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 from .elliptic import Nome
 from .errors import DomainError, NonConvergenceError, PoleError, UnsupportedOrderError
-from .series import DEFAULT_POLICY, SeriesResult, TruncationPolicy, sum_series
+from .series import (DEFAULT_POLICY, SeriesResult, TruncationPolicy,
+                     _summation_error, sum_series)
 
 MAX_LOG_DERIVATIVE_ORDER = 12
 
@@ -228,12 +229,8 @@ def _log_theta_pass(kind: ThetaKind, top: int, s: float, q: Nome,
                     c = math.cos(x)
                     sn = math.sin(x)
                     osc = (c, -sn, -c, sn)  # d/ds cycles cos -> -sin -> -cos -> sin
-            except OverflowError:
-                raise NonConvergenceError(
-                    f"term overflow at n={n}; the series value is not "
-                    f"representable in binary64") from None
-            except ValueError as exc:  # cos or sin of an infinite angle
-                raise DomainError(f"term at n={n} is undefined: {exc}") from None
+            except (OverflowError, ValueError) as exc:  # e.g. cos of an infinite angle
+                raise _summation_error(n, exc) from None
             still = []
             for j in active:
                 if j == last:
@@ -265,9 +262,7 @@ def _log_theta_pass(kind: ThetaKind, top: int, s: float, q: Nome,
             if not active:
                 break
         if active:
-            raise NonConvergenceError(
-                f"series did not meet the stop rule within cap={policy.cap} "
-                f"(last envelope {prevs[active[0]]!r})")
+            raise _summation_error(policy.cap, last_envelope=prevs[active[0]])
 
     f0 = sums[0]
     scale = sums[last]

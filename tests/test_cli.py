@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import ellid
-from ellid import ConfigError, run_all
-from ellid.cli import RunConfig, main
+from ellid import ConfigError, default_registry, run_all
+from ellid.cli import EVAL_TABLE, RunConfig, build_parser, main
 from ellid.reporting import render_json
 
 # The directory ellid was imported from, so child interpreters load the same
@@ -100,6 +100,26 @@ def test_check_grid_override_constraint_violation(capsys):
     assert "2|t|" in err or "constraint" in err.lower()
 
 
+@pytest.mark.parametrize("identity", default_registry().ids())
+def test_check_default_grid_override_matches_plain_check(identity, capsys):
+    # --grid at the default grid gives the same bytes as the run without it
+    record = default_registry().get(identity)
+    grid = [f"{p.name}={','.join(map(str, p.grid))}" for p in record.params]
+    rc, plain, _ = run(["check", identity, "--format", "json"], capsys)
+    argv = ["check", identity, "--format", "json"]
+    for item in grid:
+        argv += ["--grid", item]
+    assert run(argv, capsys) == (rc, plain, "")
+
+
+def test_check_unwritable_out_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "report.json")
+    rc, out, err = run(["check", "E4", "--out", path], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and path in err
+
+
 def test_check_p8_underflowed_denominator_is_inconclusive(capsys):
     # at r = 16, E K - K^2 underflows to 0 in the stated dr/dm: the point
     # must become an INCONCLUSIVE row, not a traceback
@@ -185,6 +205,13 @@ def test_check_all_only_filter(tmp_path, capsys):
     assert len(lines) == 1 + 3 + 3
 
 
+def test_check_all_repeated_only_lists_each_id_once(capsys):
+    rc, out, _ = run(["check-all", "--only", "E4", "--only", "E4",
+                      "--format", "csv"], capsys)
+    assert rc == 0
+    assert len(out.splitlines()) == 1 + 3
+
+
 def test_check_all_unknown_only(capsys):
     rc, _, err = run(["check-all", "--only", "XX"], capsys)
     assert rc == 2
@@ -257,6 +284,15 @@ def test_eval_nonfinite_or_overflowing_argument_exits_2(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_eval_flags_are_those_some_function_reads():
+    # a flag no function reads would be accepted and silently ignored
+    args = vars(build_parser().parse_args(["eval", "K"]))
+    flags = set(args) - {"command", "function", "fn", "tol", "cap"}
+    read = {f for _, fl in EVAL_TABLE.values() for f in fl or ()}
+    assert flags == read | {"k", "m"}
+    assert "s" not in flags
 
 
 def test_eval_missing_required_flag(capsys):

@@ -37,12 +37,6 @@ def test_S1_values():
     assert abs(got3.value - 0.1062077124426943) < 1e-15
 
 
-def test_S1_half_scaling():
-    want = direct(lambda n: math.cosh(0.3 * n) / (n * math.sinh(PI * n)), 60)
-    got = S1_cosh_over_sinh(1.0, 0.3, half_scaling=True)
-    assert abs(got.value - want) < 1e-15
-
-
 def test_S3_values():
     got = S3_alt_n_over_expm1(2.0 * PI)
     want = direct(lambda n: (-1) ** n * n / math.expm1(2.0 * PI * n), 30)
