@@ -14,10 +14,10 @@ import itertools
 import math
 import os
 import sys
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .elliptic import Convention, EllipticArgument, Nome, ellint_E, ellint_K
-from .errors import ConfigError, EllidError, UnknownIdentityError
+from .errors import ConfigError, DomainError, EllidError, UnknownIdentityError
 from .registry import (Classification, Expectation, Registry, ResidualReport,
                        _reports_at, default_registry, report_sort_key)
 from .reporting import (format_number, render_csv, render_json, render_list,
@@ -36,91 +36,61 @@ CAP_ENV_VAR = "ELLID_CAP"
 FORMATS = ("json", "csv", "text")
 
 
-class _RunConfigFields(NamedTuple):
-    tolerance: float
-    cap: int
-    out: str | None
-    format: str
-
-
-class RunConfig(_RunConfigFields):
-    """Validated run settings."""
-
-    __slots__ = ()
-
-    def __new__(cls, tolerance: float = 1e-14, cap: int = 10000,
-                out: str | None = None, format: str = "text") -> "RunConfig":
-        if not (isinstance(tolerance, float) and math.isfinite(tolerance)
-                and tolerance > 0.0):
-            raise ConfigError(f"tolerance: must be a positive real, got {tolerance!r}")
-        if not (isinstance(cap, int) and cap >= 1):
-            raise ConfigError(f"cap: must be a positive integer, got {cap!r}")
-        if format not in FORMATS:
-            raise ConfigError(f"format: must be one of {FORMATS}, got {format!r}")
-        return tuple.__new__(cls, (tolerance, cap, out, format))
-
-    @property
-    def policy(self) -> TruncationPolicy:
-        return TruncationPolicy(tolerance=self.tolerance, cap=self.cap)
-
-
-def _cap_default() -> int:
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is None:
-        return 10000
+def _policy(args: argparse.Namespace) -> TruncationPolicy:
+    """The series policy from --tol and --cap, else $ELLID_CAP, else 10000."""
+    cap = args.cap
+    if cap is None:
+        env = os.environ.get(CAP_ENV_VAR, "10000")
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ConfigError(f"cap: {CAP_ENV_VAR}={env!r} is not an integer") from None
     try:
-        cap = int(env)
-    except ValueError:
-        raise ConfigError(f"cap: {CAP_ENV_VAR}={env!r} is not an integer") from None
-    if cap < 1:
-        raise ConfigError(f"cap: {CAP_ENV_VAR}={env!r} must be >= 1")
-    return cap
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cap = args.cap if args.cap is not None else _cap_default()
-    return RunConfig(tolerance=args.tol, cap=cap,
-                     out=getattr(args, "out", None),
-                     format=getattr(args, "format", "text"))
+        return TruncationPolicy(args.tol, cap)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_grid_overrides(specs: Sequence[str]) -> dict[str, list]:
-    """--grid name=v1,v2 overrides; values parsed as floats, else strings."""
-    overrides: dict[str, list] = {}
-    for item in specs or ():
+    """--grid name=v1,v2 overrides; values parsed as floats, else strings.
+
+    A repeated name gets the values of all its items in first-seen order,
+    each value once.
+    """
+    overrides: dict[str, dict] = {}
+    for item in specs:
         if "=" not in item:
             raise ConfigError(f"grid: expected name=v1,v2,..., got {item!r}")
         name, _, raw = item.partition("=")
-        values: list = []
+        values = overrides.setdefault(name.strip(), {})
         for tok in raw.split(","):
             tok = tok.strip()
             if not tok:
                 raise ConfigError(f"grid: empty value in {item!r}")
             try:
-                values.append(float(tok))
+                values[float(tok)] = None
             except ValueError:
-                values.append(tok)
-        overrides[name.strip()] = values
-    return overrides
+                values[tok] = None
+    return {name: list(values) for name, values in overrides.items()}
 
 
-def _emit(reports: list[ResidualReport], config: RunConfig,
-          registry: Registry) -> int:
-    """Write the report to --out or stdout; the run's exit code."""
-    if config.format == "json":
+def _emit(reports: list[ResidualReport], registry: Registry, format: str,
+          out: str | None) -> int:
+    """Write the report to ``out``, else stdout; the run's exit code."""
+    if format == "json":
         text = render_json(reports)
-    elif config.format == "csv":
+    elif format == "csv":
         text = render_csv(reports)
     else:
         text = render_text(reports, registry)
-    if config.out is None:
+    if out is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(config.out, "w", newline="") as fh:
+            with open(out, "w", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            sys.stderr.write(f"cannot write report to {config.out}: "
+            sys.stderr.write(f"cannot write report to {out}: "
                              f"{exc.strerror or exc}\n")
             return 2
     return 1 if any(registry.get(r.identity).expected is Expectation.EXPECT_PASS
@@ -154,7 +124,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     registry = default_registry()
     try:
-        config = _config_from_args(args)
+        policy = _policy(args)
         overrides = _parse_grid_overrides(args.grid)
         record = registry.get(args.identity)
     except UnknownIdentityError:
@@ -170,44 +140,35 @@ def cmd_check(args: argparse.Namespace) -> int:
             reports = []
             for point in _grid_points_with_overrides(record, overrides):
                 reports.extend(_reports_at(record, record.variants, point,
-                                           config.policy))
+                                           policy))
             reports.sort(key=report_sort_key)
         else:
-            reports = registry.run_grid(record.identity_id, config.policy)
+            reports = registry.run_grid(record.identity_id, policy)
     except (ConfigError, EllidError) as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 2
-    return _emit(reports, config, registry)
+    return _emit(reports, registry, args.format, args.out)
 
 
 def cmd_check_all(args: argparse.Namespace) -> int:
     registry = default_registry()
     try:
-        config = _config_from_args(args)
-        unknown = set(args.only) - set(registry.ids())
-        if unknown:
-            sys.stderr.write(f"unknown identity id(s): {', '.join(sorted(unknown))}\n")
-            return 2
+        policy = _policy(args)
     except ConfigError as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
+        return 2
+    unknown = set(args.only) - set(registry.ids())
+    if unknown:
+        sys.stderr.write(f"unknown identity id(s): {', '.join(sorted(unknown))}\n")
         return 2
     if args.only:
         reports = []
         for identity_id in dict.fromkeys(args.only):  # each id once
-            reports.extend(registry.run_grid(identity_id, config.policy))
+            reports.extend(registry.run_grid(identity_id, policy))
         reports.sort(key=report_sort_key)
     else:
-        reports = registry.run_all(config.policy)
-    return _emit(reports, config, registry)
-
-
-def _elliptic_arg(args) -> EllipticArgument:
-    if args.k is not None and args.m is not None:
-        raise ConfigError("pass exactly one of --k / --m")
-    if args.k is None and args.m is None:
-        raise ConfigError("pass one of --k / --m")
-    return (EllipticArgument(args.k, Convention.MODULUS) if args.m is None
-            else EllipticArgument(args.m, Convention.PARAMETER))
+        reports = registry.run_all(policy)
+    return _emit(reports, registry, args.format, args.out)
 
 
 def _eval_solve_k(a, policy):
@@ -217,8 +178,9 @@ def _eval_solve_k(a, policy):
 
 
 # name -> (function, the flags it takes in call order).  cmd_eval checks
-# that each flag is given and finite, passes a q value as a Nome and calls
-# fn(*values, policy).  K and E (flags None) take exactly one of --k / --m.
+# that each flag is given and finite and that no other is, passes a q value
+# as a Nome and calls fn(*values, policy).  K and E (flags None) take
+# exactly one of --k / --m.
 EVAL_TABLE = {
     "K": (ellint_K, None),
     "E": (ellint_E, None),
@@ -244,7 +206,27 @@ EVAL_TABLE = {
 }
 
 
-def _flag_values(args: argparse.Namespace, flags: Sequence[str]) -> list:
+# Every value flag of the eval parser: --k, --m and those some function takes.
+_EVAL_FLAGS = ("k", "m", *sorted({f for _, flags in EVAL_TABLE.values()
+                                  for f in flags or ()}))
+
+
+def _flag_values(args: argparse.Namespace, flags: Sequence[str] | None) -> list:
+    """The checked values of ``flags``; for None, the --k / --m argument.
+
+    Any other eval flag given is refused.
+    """
+    unread = [f for f in _EVAL_FLAGS if f not in (flags or ("k", "m"))
+              and getattr(args, f) is not None]
+    if unread:
+        raise ConfigError(f"{args.function} does not read --{' --'.join(unread)}")
+    if flags is None:
+        if args.k is not None and args.m is not None:
+            raise ConfigError("pass exactly one of --k / --m")
+        if args.k is None and args.m is None:
+            raise ConfigError("pass one of --k / --m")
+        return [EllipticArgument(args.k, Convention.MODULUS) if args.m is None
+                else EllipticArgument(args.m, Convention.PARAMETER)]
     missing = [name for name in flags if getattr(args, name) is None]
     if missing:
         raise ConfigError(f"{args.function} needs --{' --'.join(missing)}")
@@ -264,11 +246,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return 2
     fn, flags = EVAL_TABLE[args.function]
     try:
-        config = _config_from_args(args)
-        if flags is None:
-            result = fn(_elliptic_arg(args))
-        else:
-            result = fn(*_flag_values(args, flags), config.policy)
+        policy = _policy(args)
+        values = _flag_values(args, flags)
+        result = fn(*values) if flags is None else fn(*values, policy)
     except ConfigError as exc:
         sys.stderr.write(f"invalid invocation: {exc}\n")
         return 2
@@ -327,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
             f"  {name:15}{' '.join('--' + f for f in flags) if flags else '--k | --m'}\n"
             for name, (_, flags) in EVAL_TABLE.items()))
     p_eval.add_argument("function", help="one of the functions listed below")
-    read = {f for _, flags in EVAL_TABLE.values() for f in flags or ()}
-    for flag in ("k", "m", *sorted(read)):
+    for flag in _EVAL_FLAGS:
         p_eval.add_argument(f"--{flag}", type=float, default=None)
     _add_common(p_eval, with_output=False)
     p_eval.set_defaults(fn=cmd_eval)

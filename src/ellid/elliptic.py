@@ -212,14 +212,15 @@ def dK(arg: EllipticArgument) -> float:
     if not 0.0 < arg.value < 1.0 or arg.value > SINGULAR_CUTOFF:
         raise DomainError(
             f"dK requires 0 < value < 1, got {arg.convention.value} {arg.value!r}")
-    K = ellint_K(arg)
-    E = ellint_E(arg)
-    if arg.convention is Convention.MODULUS:
-        k = arg.value
-        kp2 = (1.0 - k) * (1.0 + k)
-        return (E - kp2 * K) / (k * kp2)
-    m = arg.value
-    return (E - (1.0 - m) * K) / (2.0 * m * (1.0 - m))
+    return _dK_from(arg.value, arg.convention, ellint_K(arg), ellint_E(arg))
+
+
+def _dK_from(value: float, convention: Convention, K: float, E: float) -> float:
+    """dK/dk or dK/dm, per ``convention``, at ``value`` from K and E there."""
+    if convention is Convention.MODULUS:
+        kp2 = (1.0 - value) * (1.0 + value)
+        return (E - kp2 * K) / (value * kp2)
+    return (E - (1.0 - value) * K) / (2.0 * value * (1.0 - value))
 
 
 def legendre_defect(arg: EllipticArgument) -> float:

@@ -85,9 +85,10 @@ class _PolynomialSpecFields(NamedTuple):
 class PolynomialSpec(_PolynomialSpecFields):
     """A real polynomial f(x) = sum f_n x^n of degree <= 8.
 
-    Carries the derived quantities the identity evaluators need: the even and
-    odd parts, the factorial-scaled coefficients g_n = n! f_n, and the real
-    value of an even polynomial at a purely imaginary argument.
+    Carries the derived quantities the identity evaluators need: whether
+    it is even, the factorial-scaled coefficients g_n = n! f_n, the envelope
+    sum |f_n| |x|^n, and the real value of an even polynomial at a purely
+    imaginary argument.
     """
 
     __slots__ = ()
@@ -103,10 +104,11 @@ class PolynomialSpec(_PolynomialSpecFields):
         return tuple.__new__(cls, (coefficients,))
 
     @classmethod
-    def monomial(cls, degree: int, coeff: float = 1.0) -> "PolynomialSpec":
+    def monomial(cls, degree: int) -> "PolynomialSpec":
+        """x^degree."""
         if degree < 0:
             raise DomainError(f"monomial degree must be >= 0, got {degree}")
-        return cls((0.0,) * degree + (coeff,))
+        return cls((0.0,) * degree + (1.0,))
 
     @property
     def degree(self) -> int:
@@ -376,7 +378,9 @@ class IdentityRecord(NamedTuple):
                 f"{self.constraint_note or 'the domain constraint'}")
 
 
-class _ResidualReportFields(NamedTuple):
+class ResidualReport(NamedTuple):
+    """One classified (identity, variant, grid point) row."""
+
     identity: str
     variant: str
     params: dict
@@ -387,24 +391,6 @@ class _ResidualReportFields(NamedTuple):
     classification: Classification
     terms: dict
     note: str
-
-
-class ResidualReport(_ResidualReportFields):
-    """One classified (identity, variant, grid point) row.
-
-    ``terms`` defaults to a fresh empty dict for each report, never a shared
-    one.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, identity: str, variant: str, params: dict, lhs: float,
-                rhs: float, abs_residual: float, rel_residual: float,
-                classification: Classification, terms: dict | None = None,
-                note: str = "") -> "ResidualReport":
-        return tuple.__new__(cls, (identity, variant, params, lhs, rhs,
-                                   abs_residual, rel_residual, classification,
-                                   {} if terms is None else terms, note))
 
 
 def _error_note(exc: Exception) -> str:

@@ -105,8 +105,7 @@ def adjudicate(reports: Sequence[ResidualReport]) -> dict[str, dict[str, bool]]:
     return seen
 
 
-def render_text(reports: Sequence[ResidualReport],
-                registry: Registry | None = None) -> str:
+def render_text(reports: Sequence[ResidualReport], registry: Registry) -> str:
     lines = []
     header = (f"{'identity':<8} {'variant':<18} {'params':<34} "
               f"{'rel_residual':>13} {'class':<12} note")
@@ -119,24 +118,22 @@ def render_text(reports: Sequence[ResidualReport],
         rel = "" if not math.isfinite(r.rel_residual) else f"{r.rel_residual:.3e}"
         lines.append(f"{r.identity:<8} {r.variant:<18} {params:<34} "
                      f"{rel:>13} {r.classification.value:<12} {r.note}".rstrip())
-    if registry is not None:
-        verdicts = adjudicate(reports)
-        for identity in sorted(verdicts):
-            record = registry.get(identity)
-            if record.expected is not Expectation.CONTESTED:
-                continue
-            passing = sorted(v for v, ok in verdicts[identity].items() if ok)
-            failing = sorted(v for v, ok in verdicts[identity].items() if not ok)
-            if passing and failing:
-                lines.append(
-                    f"{identity} adjudication: variant(s) {', '.join(passing)} "
-                    f"pass; {', '.join(failing)} do not")
-            elif passing:
-                lines.append(
-                    f"{identity} adjudication: all variants pass "
-                    f"({', '.join(passing)})")
-            else:
-                lines.append(f"{identity} adjudication: no variant passes")
+    verdicts = adjudicate(reports)
+    for identity in sorted(verdicts):
+        if registry.get(identity).expected is not Expectation.CONTESTED:
+            continue
+        passing = sorted(v for v, ok in verdicts[identity].items() if ok)
+        failing = sorted(v for v, ok in verdicts[identity].items() if not ok)
+        if passing and failing:
+            lines.append(
+                f"{identity} adjudication: variant(s) {', '.join(passing)} "
+                f"pass; {', '.join(failing)} do not")
+        elif passing:
+            lines.append(
+                f"{identity} adjudication: all variants pass "
+                f"({', '.join(passing)})")
+        else:
+            lines.append(f"{identity} adjudication: no variant passes")
     return "\n".join(lines) + "\n"
 
 

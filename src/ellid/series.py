@@ -21,7 +21,6 @@ from .errors import DomainError, EllidError, NonConvergenceError
 class _TruncationPolicyFields(NamedTuple):
     tolerance: float
     cap: int
-    ratio_guard: float
 
 
 class TruncationPolicy(_TruncationPolicyFields):
@@ -33,18 +32,18 @@ class TruncationPolicy(_TruncationPolicyFields):
 
     __slots__ = ()
 
-    def __new__(cls, tolerance: float = 1e-14, cap: int = 10000,
-                ratio_guard: float = 0.99) -> "TruncationPolicy":
+    def __new__(cls, tolerance: float = 1e-14,
+                cap: int = 10000) -> "TruncationPolicy":
         if not (math.isfinite(tolerance) and tolerance > 0.0):
             raise DomainError(f"tolerance must be positive, got {tolerance!r}")
         if cap < 1:
             raise DomainError(f"cap must be >= 1, got {cap!r}")
-        if not 0.0 < ratio_guard < 1.0:
-            raise DomainError(f"ratio_guard must lie in (0, 1), got {ratio_guard!r}")
-        return tuple.__new__(cls, (tolerance, cap, ratio_guard))
+        return tuple.__new__(cls, (tolerance, cap))
 
 
 DEFAULT_POLICY = TruncationPolicy()
+
+_RATIO_GUARD = 0.99  # sum_series's ratio guard in the absolute rule
 
 
 class SeriesResult(NamedTuple):
@@ -76,9 +75,9 @@ def sum_series(term_fn: Callable[[int], tuple[float, float]],
 
     with tol = ``policy.tolerance`` and 0 < e_(n-1) < inf, so never on the
     first term, where r is unknown.  By default scale = 1 and guard =
-    ``policy.ratio_guard``.  ``relative`` selects the theta-function rule:
-    scale = max(1, |partial sum through n|) and guard = 1, so any
-    decreasing envelope may stop.  The geometric tail e_n r / (1 - r) is
+    0.99.  ``relative`` selects the theta-function rule: scale =
+    max(1, |partial sum through n|) and guard = 1, so any decreasing
+    envelope may stop.  The geometric tail e_n r / (1 - r) is
     the reported ``tail_bound``.  An envelope of exactly 0 stops at once
     with tail 0.  The envelope test runs first: it fails for almost every
     term, and r and the tail are computed only once it holds.  The tests
@@ -88,7 +87,7 @@ def sum_series(term_fn: Callable[[int], tuple[float, float]],
     comp = 0.0
     prev_env = math.inf
     tol = policy.tolerance
-    guard = 1.0 if relative else policy.ratio_guard
+    guard = 1.0 if relative else _RATIO_GUARD
     for n in range(start, start + policy.cap):
         try:
             term, env = term_fn(n)

@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .elliptic import (Convention, EllipticArgument, SINGULAR_CUTOFF, agm,
-                       ellint_E, ellint_K)
+from .elliptic import (Convention, EllipticArgument, SINGULAR_CUTOFF, _dK_from,
+                       agm, ellint_E, ellint_K)
 from .errors import DomainError, RangeError
 
 SOLVE_A_MIN = 0.05
@@ -276,20 +276,19 @@ def dadk_candidates(arg: EllipticArgument) -> list[tuple[str, float]]:
         raise DomainError(f"dadk_candidates supports arguments in [0.05, 0.95], got {arg.value!r}")
     K = ellint_K(arg)
     E = ellint_E(arg)
+    stated = _dK_from(arg.value, arg.convention, K, E) / (E * K - K * K)
     if arg.convention is Convention.MODULUS:
         k = arg.value
         kp2 = (1.0 - k) * (1.0 + k)
-        stated = ((E - kp2 * K) / (k * kp2)) / (E * K - K * K)
         classical = -math.pi / (2.0 * k * kp2 * K * K)
     else:
-        stated = _dadm_stated(arg.value, K, E)
         classical = _dadm_classical(arg.value, K, E)
     return [("stated-formula", stated), ("classical", classical)]
 
 
 def _dadm_stated(m: float, K: float, E: float) -> float:
     """The stated da/dm, (dK/dm)/(E K - K^2), from m and K(m), E(m)."""
-    return ((E - (1.0 - m) * K) / (2.0 * m * (1.0 - m))) / (E * K - K * K)
+    return _dK_from(m, Convention.PARAMETER, K, E) / (E * K - K * K)
 
 
 def _dadm_classical(m: float, K: float, E: float) -> float:

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import ellid
-from ellid import ConfigError, default_registry, run_all
-from ellid.cli import EVAL_TABLE, RunConfig, build_parser, main
+from ellid import default_registry, run_all
+from ellid.cli import EVAL_TABLE, build_parser, main
 from ellid.reporting import render_json
 
 # The directory ellid was imported from, so child interpreters load the same
@@ -86,6 +86,23 @@ def test_check_grid_override(capsys):
     assert rc == 0
     rows = [l for l in out.splitlines() if l.startswith("E4")]
     assert len(rows) == 1
+
+
+def test_check_repeated_grid_name_merges_values(capsys):
+    rc, out, _ = run(["check", "E4", "--grid", "a=0.5", "--grid", "a=1",
+                      "--format", "csv"], capsys)
+    assert rc == 0
+    assert run(["check", "E4", "--grid", "a=0.5,1", "--format", "csv"],
+               capsys) == (rc, out, "")
+    assert len(out.splitlines()) == 1 + 2
+
+
+def test_check_repeated_grid_value_gives_one_row(capsys):
+    rc, out, _ = run(["check", "E4", "--grid", "a=1,1.0", "--format", "csv"],
+                     capsys)
+    assert rc == 0
+    assert run(["check", "E4", "--grid", "a=1", "--format", "csv"],
+               capsys) == (rc, out, "")
 
 
 def test_check_grid_override_bad_name(capsys):
@@ -295,6 +312,27 @@ def test_eval_flags_are_those_some_function_reads():
     assert "s" not in flags
 
 
+@pytest.mark.parametrize("argv, unread", [
+    (["S1", "--a", "1", "--t", "0", "--theta", "3"], "--theta"),
+    (["K", "--k", "0.5", "--a", "3"], "--a"),
+    (["theta4", "--u", "0", "--q", "0.1", "--k", "0.5", "--x", "1"], "--k --x"),
+])
+def test_eval_refuses_a_flag_its_function_does_not_read(argv, unread, capsys):
+    rc, out, err = run(["eval", *argv], capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"invalid invocation: {argv[0]} does not read {unread}\n"
+
+
+def test_eval_takes_tol_and_cap_for_every_function(capsys):
+    for name, (_, flags) in EVAL_TABLE.items():
+        argv = ["eval", name, "--tol", "1e-12", "--cap", "500"]
+        for flag in flags or ("k",):
+            argv += [f"--{flag}", "0.25"]
+        rc, out, err = run(argv, capsys)
+        assert (rc, err) == (0, ""), name
+        assert out.startswith(("value = ", "k = ")), name
+
+
 def test_eval_missing_required_flag(capsys):
     rc, _, err = run(["eval", "S1", "--a", "1"], capsys)
     assert rc == 2
@@ -322,13 +360,23 @@ def test_bad_env_cap(capsys, monkeypatch):
     assert "ELLID_CAP" in err
 
 
-def test_run_config_validation_names_field():
-    with pytest.raises(ConfigError, match="tolerance"):
-        RunConfig(tolerance=-1.0)
-    with pytest.raises(ConfigError, match="cap"):
-        RunConfig(cap=0)
-    with pytest.raises(ConfigError, match="format"):
-        RunConfig(format="yaml")
+@pytest.mark.parametrize("command", [
+    ["check", "E4"], ["check-all", "--only", "E4"], ["eval", "S5", "--a", "1"],
+])
+@pytest.mark.parametrize("flags, env, message", [
+    (["--tol", "-1"], None, "tolerance must be positive, got -1.0"),
+    (["--tol", "nan"], None, "tolerance must be positive, got nan"),
+    (["--cap", "0"], None, "cap must be >= 1, got 0"),
+    ([], "0", "cap must be >= 1, got 0"),
+])
+def test_bad_tolerance_or_cap_exits_2(command, flags, env, message, capsys,
+                                      monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("ELLID_CAP", env)
+    rc, out, err = run(command + flags, capsys)
+    assert (rc, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.endswith(f": {message}\n")
 
 
 def test_malformed_flags_exit_2(capsys):

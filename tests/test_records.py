@@ -6,12 +6,11 @@ import math
 
 import pytest
 
-from ellid import (Classification, ConfigError, Convention, DerivativeEstimate,
+from ellid import (Classification, Convention, DerivativeEstimate,
                    DomainError, EllipticArgument, Expectation, IdentityRecord,
                    LogThetaDerivative, Nome, PolynomialSpec, ResidualReport,
                    SeriesResult, SingularArgumentError, SingularSolve,
                    TruncationPolicy, Variant, DEFAULT_POLICY)
-from ellid.cli import RunConfig
 from ellid.registry import ParamSpec
 
 
@@ -44,22 +43,16 @@ RECORDS = [
     (ResidualReport,
      ("identity", "variant", "params", "lhs", "rhs", "abs_residual",
       "rel_residual", "classification", "terms", "note"),
-     ("X1", "base", {"a": 1.0}, 1.0, 1.0, 0.0, 0.0, Classification.PASS),
-     {"terms": {}, "note": ""}),
+     ("X1", "base", {"a": 1.0}, 1.0, 1.0, 0.0, 0.0, Classification.PASS,
+      {"lhs": 0, "rhs": 0}, ""), {}),
     (EllipticArgument, ("value", "convention"), (0.5, Convention.MODULUS), {}),
     (Nome, ("q",), (0.5,), {}),
-    (TruncationPolicy, ("tolerance", "cap", "ratio_guard"), (),
-     {"tolerance": 1e-14, "cap": 10000, "ratio_guard": 0.99}),
+    (TruncationPolicy, ("tolerance", "cap"), (),
+     {"tolerance": 1e-14, "cap": 10000}),
     (PolynomialSpec, ("coefficients",), ((0.0, 1.0),), {}),
-    (RunConfig, ("tolerance", "cap", "out", "format"), (),
-     {"tolerance": 1e-14, "cap": 10000, "out": None, "format": "text"}),
 ]
 
-# RunConfig was never frozen or hashable; every other record is both.
-FROZEN = [r for r in RECORDS if r[0] is not RunConfig]
-
 _ids = [r[0].__name__ for r in RECORDS]
-_frozen_ids = [r[0].__name__ for r in FROZEN]
 
 
 @pytest.mark.parametrize("cls, fields, args, defaults", RECORDS, ids=_ids)
@@ -75,7 +68,7 @@ def test_record_builds_positionally_and_by_keyword(cls, fields, args, defaults):
         assert getattr(by_keyword, name) == value
 
 
-@pytest.mark.parametrize("cls, fields, args, defaults", FROZEN, ids=_frozen_ids)
+@pytest.mark.parametrize("cls, fields, args, defaults", RECORDS, ids=_ids)
 def test_frozen_record_rejects_assignment(cls, fields, args, defaults):
     record = cls(*args)
     for name in fields:
@@ -88,8 +81,8 @@ def test_equal_records_compare_equal(cls, fields, args, defaults):
     a, b = cls(*args), cls(*args)
     assert a == b
     assert not a != b
-    # A ResidualReport holds dicts, so like RunConfig it has never hashed.
-    if cls not in (RunConfig, ResidualReport):
+    # A ResidualReport holds dicts, so it has never hashed.
+    if cls is not ResidualReport:
         assert hash(a) == hash(b)
 
 
@@ -98,20 +91,12 @@ def test_records_with_different_values_differ():
     assert SeriesResult(1.0, 3) != SeriesResult(1.0, 4)
     assert (EllipticArgument(0.25, Convention.MODULUS)
             != EllipticArgument(0.25, Convention.PARAMETER))
-    assert RunConfig(format="json") != RunConfig()
 
 
 def test_nome_equality_and_hash_follow_q():
     assert hash(Nome(0.5)) == hash((0.5,))
     assert Nome(0.5) != Nome(0.25)
     assert Nome.from_value(0.5) == Nome(0.5)
-
-
-def test_residual_report_terms_default_is_not_shared():
-    args = ("X1", "base", {}, 1.0, 1.0, 0.0, 0.0, Classification.PASS)
-    first, second = ResidualReport(*args), ResidualReport(*args)
-    first.terms["lhs"] = 3
-    assert second.terms == {}
 
 
 def test_default_policy_is_shared_and_immutable():
@@ -143,24 +128,12 @@ INVALID = [
     (lambda: TruncationPolicy(tolerance=math.inf), DomainError,
      "tolerance must be positive, got inf"),
     (lambda: TruncationPolicy(cap=0), DomainError, "cap must be >= 1, got 0"),
-    (lambda: TruncationPolicy(ratio_guard=1.0), DomainError,
-     "ratio_guard must lie in (0, 1), got 1.0"),
     (lambda: PolynomialSpec(()), DomainError,
      "polynomial needs at least one coefficient"),
     (lambda: PolynomialSpec((1.0,) * 10), DomainError,
      "polynomial degree 9 above cap 8"),
     (lambda: PolynomialSpec((0.0, math.inf)), DomainError,
      "polynomial coefficients must be finite"),
-    (lambda: RunConfig(tolerance=-1.0), ConfigError,
-     "tolerance: must be a positive real, got -1.0"),
-    (lambda: RunConfig(tolerance=1), ConfigError,
-     "tolerance: must be a positive real, got 1"),
-    (lambda: RunConfig(cap=0), ConfigError,
-     "cap: must be a positive integer, got 0"),
-    (lambda: RunConfig(cap=2.0), ConfigError,
-     "cap: must be a positive integer, got 2.0"),
-    (lambda: RunConfig(format="yaml"), ConfigError,
-     "format: must be one of ('json', 'csv', 'text'), got 'yaml'"),
 ]
 
 

@@ -251,8 +251,6 @@ def test_policy_validation():
         TruncationPolicy(tolerance=0.0)
     with pytest.raises(DomainError):
         TruncationPolicy(cap=0)
-    with pytest.raises(DomainError):
-        TruncationPolicy(ratio_guard=1.5)
 
 
 def test_sum_series_zero_envelope_short_circuits():

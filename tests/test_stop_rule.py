@@ -18,6 +18,7 @@ from ellid.series import SeriesResult, TruncationPolicy, sum_series
 from ellid.theta import _log_product
 
 TOLERANCES = (1e-14, 1e-8, 1e-3, 0.25, 1.0, 10.0)
+GUARD = 0.99  # the ratio guard of the absolute rule
 CAP = 9  # the longest sequence drawn; caps run 1..CAP
 
 
@@ -32,7 +33,7 @@ def _reference_sum_series(term_fn, policy, start=1, initial=0.0, relative=False)
     total = initial
     comp = 0.0
     prev_env = math.inf
-    guard = 1.0 if relative else policy.ratio_guard
+    guard = 1.0 if relative else GUARD
     for n in range(start, start + policy.cap):
         try:
             term, env = term_fn(n)
@@ -112,7 +113,7 @@ def _series(draw):
     initial = draw(st.sampled_from([0.0, 1.0, -3.0, 6.0, 1e6, math.nan, math.inf]))
     own_terms = draw(st.booleans())
     e0 = draw(st.sampled_from([1e-16, 1e-4, 0.25, 1.0, 30.0]))
-    r = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 0.995, 1.0, 4.0]))
+    r = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 0.99, 0.995, 1.0, 4.0]))
     terms, envs = [], []
     partial = initial
     for i in range(CAP):
@@ -139,11 +140,10 @@ def _series(draw):
        failure=_FAILURE,
        failure_at=st.integers(0, CAP - 1),
        cap=st.integers(1, CAP),
-       guard=st.sampled_from([0.5, 0.99]),
        start=st.sampled_from([0, 1, 5]),
        relative=st.booleans())
-def test_sum_series_matches_reference(series, failure, failure_at, cap, guard,
-                                      start, relative):
+def test_sum_series_matches_reference(series, failure, failure_at, cap, start,
+                                      relative):
     tolerance, initial, terms, envs = series
 
     def term_fn(n):
@@ -152,38 +152,38 @@ def test_sum_series_matches_reference(series, failure, failure_at, cap, guard,
             raise failure
         return terms[i], envs[i]
 
-    policy = TruncationPolicy(tolerance, cap, guard)
+    policy = TruncationPolicy(tolerance, cap)
     assert (_outcome(sum_series, term_fn, policy, start, initial, relative)
             == _outcome(_reference_sum_series, term_fn, policy, start, initial, relative))
 
 
 # Runs that land exactly on an edge of the rule, where < and <= differ:
-# (tolerance, guard, relative, initial, terms, envelopes, cap).
+# (tolerance, relative, initial, terms, envelopes, cap).
 _EDGES = {
     # envelope == tol, ratio 1/4, tail 1/12: no stop
-    "envelope-at-tol": (0.25, 0.99, False, 0.0, [0.0] * 3, [1.0, 0.25, 0.0625], 3),
+    "envelope-at-tol": (0.25, False, 0.0, [0.0] * 3, [1.0, 0.25, 0.0625], 3),
     # envelope == tol * |partial| = 1, ratio 1/16: no stop
-    "envelope-at-relative-threshold": (0.25, 0.99, True, 3.0, [1.0, 0.0, 0.0],
+    "envelope-at-relative-threshold": (0.25, True, 3.0, [1.0, 0.0, 0.0],
                                        [16.0, 1.0, 0.01], 3),
     # tail == tol (envelope 1/2 < 1, ratio 1/2): stop at n = 2
-    "tail-at-tol": (0.25, 0.99, True, 4.0, [0.0] * 3, [1.0, 0.5, 0.25], 3),
-    # ratio == guard: no stop
-    "ratio-at-guard": (0.25, 0.5, False, 0.0, [0.0] * 3, [0.02, 0.01, 0.01], 3),
+    "tail-at-tol": (0.25, True, 4.0, [0.0] * 3, [1.0, 0.5, 0.25], 3),
+    # ratio == guard == 0.99: no stop (ratio <= guard would stop, tail 98.01)
+    "ratio-at-guard": (100.0, False, 0.0, [0.0] * 3, [1.0, 0.99, 0.99], 3),
     # envelope below tol, ratio 1, then growing: no stop, cap error
-    "flat-then-growing": (0.25, 0.99, False, 0.0, [0.0] * 3, [0.1, 0.1, 0.2], 3),
+    "flat-then-growing": (0.25, False, 0.0, [0.0] * 3, [0.1, 0.1, 0.2], 3),
     # a NaN partial sum: relative scale 1
-    "nan-partial": (0.25, 0.99, True, math.nan, [0.0] * 3, [1.0, 0.1, 0.01], 3),
+    "nan-partial": (0.25, True, math.nan, [0.0] * 3, [1.0, 0.1, 0.01], 3),
 }
 
 
 @pytest.mark.parametrize("edge", sorted(_EDGES))
 def test_sum_series_edges_match_reference(edge):
-    tolerance, guard, relative, initial, terms, envs, cap = _EDGES[edge]
+    tolerance, relative, initial, terms, envs, cap = _EDGES[edge]
 
     def term_fn(n):
         return terms[n - 1], envs[n - 1]
 
-    policy = TruncationPolicy(tolerance, cap, guard)
+    policy = TruncationPolicy(tolerance, cap)
     assert (_outcome(sum_series, term_fn, policy, 1, initial, relative)
             == _outcome(_reference_sum_series, term_fn, policy, 1, initial, relative))
 
