@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -22,31 +21,22 @@ from .registry import (Classification, Expectation, Registry, ResidualReport,
                        _reports_at, default_registry, report_sort_key)
 from .reporting import (format_number, render_csv, render_json, render_list,
                         render_text)
-from .series import (S1_cosh_over_sinh, S2_alt_sin_sq_over_expm1,
-                     S3_alt_n_over_expm1, S3sq_alt_nsq_over_expm1,
-                     S4_n_over_sinh, S5_sech, S5sq_sech2,
-                     S6_alt_sin_over_expm1, S6closed, S7_csch_sinh,
+from .series import (DEFAULT_POLICY, S1_cosh_over_sinh,
+                     S2_alt_sin_sq_over_expm1, S3_alt_n_over_expm1,
+                     S3sq_alt_nsq_over_expm1, S4_n_over_sinh, S5_sech,
+                     S5sq_sech2, S6_alt_sin_over_expm1, S6closed, S7_csch_sinh,
                      S8_exp_over_cube, S9_lambert_E2, S10_alt_sin_lambert,
                      SeriesResult, TruncationPolicy)
 from .singular import solve_k
 from .theta import euler_product, q_product_P0, theta2, theta3, theta4
 
-CAP_ENV_VAR = "ELLID_CAP"
-
 FORMATS = ("json", "csv", "text")
 
 
 def _policy(args: argparse.Namespace) -> TruncationPolicy:
-    """The series policy from --tol and --cap, else $ELLID_CAP, else 10000."""
-    cap = args.cap
-    if cap is None:
-        env = os.environ.get(CAP_ENV_VAR, "10000")
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"cap: {CAP_ENV_VAR}={env!r} is not an integer") from None
+    """The series policy from --tol and --cap."""
     try:
-        return TruncationPolicy(args.tol, cap)
+        return TruncationPolicy(args.tol, args.cap)
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -107,16 +97,20 @@ def _grid_points_with_overrides(record, overrides: dict[str, list]) -> list[dict
     return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
 
 
+def _refuse_unknown(registry: Registry, ids: Sequence[str]) -> bool:
+    """Print the ids of ``ids`` that ``registry`` lacks; True if there are any."""
+    unknown = set(ids) - set(registry.ids())
+    if unknown:
+        sys.stderr.write(f"unknown identity id(s): {', '.join(sorted(unknown))}\n")
+    return bool(unknown)
+
+
 def cmd_list(args: argparse.Namespace) -> int:
     registry = default_registry()
-    records = registry.records()
-    if args.ids:
-        wanted = set(args.ids)
-        unknown = wanted - set(registry.ids())
-        if unknown:
-            sys.stderr.write(f"unknown identity id(s): {', '.join(sorted(unknown))}\n")
-            return 2
-        records = [r for r in records if r.identity_id in wanted]
+    if _refuse_unknown(registry, args.ids):
+        return 2
+    records = [r for r in registry.records()
+               if not args.ids or r.identity_id in args.ids]
     sys.stdout.write(render_list(records))
     return 0
 
@@ -135,15 +129,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return 2
     try:
-        if overrides:
-            # run_grid's per-point engine at the override points
-            reports = []
-            for point in _grid_points_with_overrides(record, overrides):
-                reports.extend(_reports_at(record, record.variants, point,
-                                           policy))
-            reports.sort(key=report_sort_key)
-        else:
-            reports = registry.run_grid(record.identity_id, policy)
+        # run_grid's per-point engine, at the default or the override points
+        reports = []
+        for point in _grid_points_with_overrides(record, overrides):
+            reports.extend(_reports_at(record, record.variants, point, policy))
+        reports.sort(key=report_sort_key)
     except (ConfigError, EllidError) as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 2
@@ -157,9 +147,7 @@ def cmd_check_all(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return 2
-    unknown = set(args.only) - set(registry.ids())
-    if unknown:
-        sys.stderr.write(f"unknown identity id(s): {', '.join(sorted(unknown))}\n")
+    if _refuse_unknown(registry, args.only):
         return 2
     if args.only:
         reports = []
@@ -265,10 +253,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, with_output: bool) -> None:
-    parser.add_argument("--tol", type=float, default=1e-14,
-                        help="series tolerance (default 1e-14)")
-    parser.add_argument("--cap", type=int, default=None,
-                        help=f"series term cap (default 10000; env {CAP_ENV_VAR})")
+    parser.add_argument("--tol", type=float, default=DEFAULT_POLICY.tolerance,
+                        help="series tolerance (default %(default)s)")
+    parser.add_argument("--cap", type=int, default=DEFAULT_POLICY.cap,
+                        help="series term cap (default %(default)s)")
     if with_output:
         parser.add_argument("--out", default=None, help="output path (default stdout)")
         parser.add_argument("--format", choices=FORMATS, default="text")

@@ -80,19 +80,16 @@ class EllipticArgument(_EllipticArgumentFields):
             return self.value
         return self.value * self.value
 
-    def complement_value(self) -> float:
-        """Complementary value in this argument's own convention.
+    def complement(self) -> "EllipticArgument":
+        """The complementary argument in this argument's own convention.
 
         Modulus: k' = sqrt(1 - k^2), formed as sqrt((1-k)(1+k)) to keep
         accuracy near k = 1.  Parameter: 1 - m.
         """
+        v = self.value
         if self.convention is Convention.MODULUS:
-            k = self.value
-            return math.sqrt((1.0 - k) * (1.0 + k))
-        return 1.0 - self.value
-
-    def complement(self) -> "EllipticArgument":
-        return EllipticArgument(self.complement_value(), self.convention)
+            return EllipticArgument(math.sqrt((1.0 - v) * (1.0 + v)), self.convention)
+        return EllipticArgument(1.0 - v, self.convention)
 
 
 class _NomeFields(NamedTuple):

@@ -32,7 +32,7 @@ from .series import (DEFAULT_POLICY, S1_cosh_over_sinh,
                      S4_n_over_sinh, S5_sech, S5sq_sech2,
                      S6_alt_sin_over_expm1, S6closed, S7_csch_sinh,
                      S8_exp_over_cube, S9_lambert_E2, S10_alt_sin_lambert,
-                     SeriesResult, TruncationPolicy, exp_over_sinh,
+                     SeriesResult, TruncationPolicy, _inv_expm1, exp_over_sinh,
                      n_cosh_over_sinh_double, sum_series, zeta_neg, zeta_even)
 from .singular import (_dadm_classical, _dadm_stated, dadk_candidates, dadk_fd,
                        solve_k)
@@ -195,30 +195,11 @@ def poly_even_zeta_integral(F: PolynomialSpec) -> float:
 
 
 def poly_weighted_log_theta4_sum(f: PolynomialSpec, a: float, s: float,
-                                 form: str = "derivative",
                                  policy: TruncationPolicy = DEFAULT_POLICY
                                  ) -> SeriesResult:
-    """The polynomial-weighted left sides built on log theta4(i s/2, e^(-pi a)).
-
-    form="derivative": sum_n (-1)^n f_n d^n/ds^n log theta4(i s/2, q)
-    form="shift":      sum_n f_n log theta4(i (s+n)/2, q)
-    """
-    q = Nome.from_pi_exponent(a)
-    if form == "derivative":
-        return _poly_log_theta_sum(ThetaKind.THETA4_IMAG_HALF, f, s, q, policy)
-    if form == "shift":
-        total = 0.0
-        terms = 0
-        tail = 0.0
-        for n, c in enumerate(f.coefficients):
-            if c == 0.0:
-                continue
-            th = theta4_imag((s + n) / 2.0, q, policy)
-            total += c * math.log(th.value)
-            terms += th.terms_used
-            tail += th.tail_bound
-        return SeriesResult(total, terms, tail)
-    raise DomainError(f"unknown form {form!r}; use 'derivative' or 'shift'")
+    """sum_n (-1)^n f_n d^n/ds^n log theta4(i s/2, e^(-pi a))."""
+    return _poly_log_theta_sum(ThetaKind.THETA4_IMAG_HALF, f, s,
+                               Nome.from_pi_exponent(a), policy)
 
 
 def poly_weighted_log_theta2_sum(f: PolynomialSpec, a: float, s: float,
@@ -738,8 +719,7 @@ def _p6b_rhs_for(half: float):
 # -- P7 ---------------------------------------------------------------------
 
 def _p7_arg(p) -> EllipticArgument:
-    conv = Convention.MODULUS if p["convention"] == "modulus" else Convention.PARAMETER
-    return EllipticArgument(p["value"], conv)
+    return EllipticArgument(p["value"], Convention(p["convention"]))
 
 
 def _p7_lhs_stated(p, policy):
@@ -761,19 +741,14 @@ def _p8_lhs(p, policy):
     return _combine(24.0 * r.value, r)
 
 
-def _p8_rhs_with(drdm: Callable[[float, float, float], float], p, policy):
-    k, K, E = _ke_at(p["r"])
-    m = k * k
-    d = drdm(m, K, E)
-    return SeriesResult(1.0 + (6.0 * E + (m - 5.0) * K) / (math.pi * m * (1.0 - m) * K * d))
-
-
-def _p8_rhs_stated(p, policy):
-    return _p8_rhs_with(_dadm_stated, p, policy)
-
-
-def _p8_rhs_classical(p, policy):
-    return _p8_rhs_with(_dadm_classical, p, policy)
+def _p8_rhs_for(drdm: Callable[[float, float, float], float]):
+    def rhs(p, policy):
+        k, K, E = _ke_at(p["r"])
+        m = k * k
+        d = drdm(m, K, E)
+        return SeriesResult(1.0 + (6.0 * E + (m - 5.0) * K)
+                            / (math.pi * m * (1.0 - m) * K * d))
+    return rhs
 
 
 # -- P9 ---------------------------------------------------------------------
@@ -808,8 +783,7 @@ def _alt_poly_over_expm1(F: PolynomialSpec, a: float,
     """sum (-1)^n F(n) / (n (e^(an) - 1))."""
 
     def term(n: int) -> tuple[float, float]:
-        x = a * n
-        inv = 1.0 / math.expm1(x) if x <= 700.0 else math.exp(-x)
+        inv = _inv_expm1(a * n)
         env = F.eval_abs(n) * inv / n
         sign = -1.0 if n % 2 else 1.0
         return sign * F.eval(n) * inv / n, env
@@ -851,7 +825,7 @@ def _p10_lhs_for(head: Callable[[PolynomialSpec], float]):
 
 def _p11a_lhs(p, policy):
     f = PolynomialSpec.monomial(int(p["fdeg"]))
-    return poly_weighted_log_theta4_sum(f, p["a"], p["s"], "derivative", policy)
+    return poly_weighted_log_theta4_sum(f, p["a"], p["s"], policy)
 
 
 def _p11a_rhs(p, policy):
@@ -865,22 +839,31 @@ def _p11a_rhs(p, policy):
     return _combine(bil.value, bil)
 
 
-_P11B_POLYS = {
-    "base": PolynomialSpec((0.0, 0.0, 1.0)),            # x^2
-    "mixed-parity": PolynomialSpec((0.0, 1.0, 1.0)),    # x + x^2
-}
+def _log_theta4_shift_sum(f: PolynomialSpec, a: float, s: float,
+                          policy: TruncationPolicy) -> SeriesResult:
+    """sum_n f_n log theta4(i (s+n)/2, e^(-pi a))."""
+    q = Nome.from_pi_exponent(a)
+    total = 0.0
+    terms = 0
+    tail = 0.0
+    for n, c in enumerate(f.coefficients):
+        if c == 0.0:
+            continue
+        th = theta4_imag((s + n) / 2.0, q, policy)
+        total += c * math.log(th.value)
+        terms += th.terms_used
+        tail += th.tail_bound
+    return SeriesResult(total, terms, tail)
 
 
-def _p11b_lhs_for(key: str):
+def _p11b_lhs_for(f: PolynomialSpec):
     def lhs(p, policy):
-        return poly_weighted_log_theta4_sum(_P11B_POLYS[key], p["a"], p["s"],
-                                            "shift", policy)
+        return _log_theta4_shift_sum(f, p["a"], p["s"], policy)
     return lhs
 
 
-def _p11b_rhs_for(key: str):
+def _p11b_rhs_for(f: PolynomialSpec):
     def rhs(p, policy):
-        f = _P11B_POLYS[key]
         a, s = p["a"], p["s"]
         bil = _poly_exp_bilateral_exp_sinh(f, a, s, policy)
         prod = q_product_P0(Nome.from_pi_exponent(a), policy)
@@ -967,6 +950,7 @@ def build_registry() -> "Registry":
     # One object for both E8 variants that scale by 4, so a run evaluates
     # that lhs once per point (see _reports_at).
     e8_lhs = _e8_lhs_for(4.0)
+    p11b_x2, p11b_x_x2 = PolynomialSpec((0.0, 0.0, 1.0)), PolynomialSpec((0.0, 1.0, 1.0))
     records = [
         IdentityRecord(
             "P1",
@@ -1141,9 +1125,9 @@ def build_registry() -> "Registry":
             "24 sum n q^n/(1-q^n) = 1 + (6E + (m-5)K)/(pi m (1-m) K dr/dm) "
             "with q = e^(-pi r), m the parameter at ratio r",
             (ParamSpec("r", (1.0, 2.0), lo=0.11, hi=20.0),),
-            (Variant("base", _p8_lhs, _p8_rhs_stated,
+            (Variant("base", _p8_lhs, _p8_rhs_for(_dadm_stated),
                      note="dr/dm from the stated derivative formula"),
-             Variant("classical-drdk", _p8_lhs, _p8_rhs_classical,
+             Variant("classical-drdk", _p8_lhs, _p8_rhs_for(_dadm_classical),
                      note="dr/dm from the textbook period-ratio derivative")),
             Expectation.CONTESTED),
         IdentityRecord(
@@ -1190,11 +1174,10 @@ def build_registry() -> "Registry":
             "f(1) log P0 - sum_(n != 0) f(e^(-n)) e^(-ns)/(2n sinh(pi a n))",
             (ParamSpec("a", (1.0, 2.0), lo=0.11, hi=20.0),
              ParamSpec("s", (0.0, 0.5), lo=0.0, hi=0.6)),
-            (Variant("base", _p11b_lhs_for("base"), _p11b_rhs_for("base"),
+            (Variant("base", _p11b_lhs_for(p11b_x2), _p11b_rhs_for(p11b_x2),
                      note="f(x) = x^2"),
-             Variant("mixed-parity", _p11b_lhs_for("mixed-parity"),
-                     _p11b_rhs_for("mixed-parity"),
-                     note="f(x) = x + x^2")),
+             Variant("mixed-parity", _p11b_lhs_for(p11b_x_x2),
+                     _p11b_rhs_for(p11b_x_x2), note="f(x) = x + x^2")),
             Expectation.CONTESTED,
             constraint=lambda p: 2.0 + abs(p["s"]) < pi * p["a"],
             constraint_note="deg f + |s| < pi*a"),

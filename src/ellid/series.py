@@ -393,7 +393,7 @@ def S10_alt_sin_lambert(z: float, q: Nome,
 
     def term(n: int) -> tuple[float, float]:
         p = qq ** (2 * n)
-        env = p / (1.0 - p) if p < 1.0 else math.inf
+        env = p / (1.0 - p)  # p < 1: Nome keeps q < 1
         sign = -1.0 if n % 2 else 1.0
         return sign * math.sin(2.0 * n * az) * env, env
 

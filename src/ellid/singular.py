@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .elliptic import (Convention, EllipticArgument, SINGULAR_CUTOFF, _dK_from,
                        agm, ellint_E, ellint_K)
-from .errors import DomainError, RangeError
+from .errors import DomainError, NonConvergenceError, RangeError
 
 SOLVE_A_MIN = 0.05
 SOLVE_A_MAX = 20.0
@@ -213,7 +213,13 @@ def solve_k(a: float) -> SingularSolve:
         if gk == 0.0:
             break
 
-    ratio = ratio_at[k_b]
+    ratio = ratio_at.get(k_b)
+    if ratio is None:
+        # Only a g whose rounding error exceeds _G_ERROR misplaces the
+        # window so that the loop ends on a midpoint it never evaluated.
+        raise NonConvergenceError(
+            f"solve_k for a={a!r} ended on an unevaluated k={k_b!r}; the "
+            f"computed g is off by more than _G_ERROR = {_G_ERROR!r}")
     if a >= 1.0:
         k = k_b
         residual = abs(ratio - a)

@@ -91,8 +91,6 @@ def theta2(z: float, q: Nome,
            policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """theta2 at real argument z."""
     qq = q.q
-    if qq == 0.0:
-        return SeriesResult(0.0, 1, 0.0)
 
     def term(n: int) -> tuple[float, float]:
         env = 2.0 * qq ** ((n + 0.5) ** 2)
@@ -125,9 +123,6 @@ def theta_u_derivative(kind: ThetaKind, z: float, q: Nome,
 
         return sum_series(term, policy, 1, 0.0, relative=True).value
     if kind is ThetaKind.THETA2:
-        if qq == 0.0:
-            return 0.0
-
         def term(n: int) -> tuple[float, float]:
             env = 2.0 * (2 * n + 1) * qq ** ((n + 0.5) ** 2)
             return -env * math.sin((2 * n + 1) * z), env

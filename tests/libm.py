@@ -1,0 +1,51 @@
+"""A perturbed libm for tests: ellid's transcendental results moved by a few ulps.
+
+``perturbed_libm`` swaps the ``math`` of every loaded ``ellid`` module for a
+namespace whose chosen functions return their true result moved by a seeded
+random number of ulps in [-ulps, ulps], each step a ``math.nextafter``.  A
+libm that differs from the one the golden bytes were made with differs this
+way, so a result that survives it does not rest on libm's last bit.
+"""
+
+import contextlib
+import math
+import random
+import sys
+import types
+
+TRANSCENDENTAL = ("exp", "log", "sin", "cos", "tan", "expm1", "log1p", "sqrt")
+
+
+def _moved(fn, rng: random.Random, ulps: int):
+    def wrapped(*args):
+        y = fn(*args)
+        steps = rng.randint(-ulps, ulps)
+        toward = math.copysign(math.inf, steps)
+        for _ in range(abs(steps)):
+            y = math.nextafter(y, toward)
+        return y
+    return wrapped
+
+
+@contextlib.contextmanager
+def perturbed_libm(seed: int, ulps: int = 1, names=TRANSCENDENTAL,
+                   modules=None):
+    """Run the body with ``names`` of ``math`` moved in ``modules``.
+
+    ``modules`` defaults to every loaded ``ellid`` module that imports
+    ``math``; each gets back the real module on exit.
+    """
+    if modules is None:
+        modules = [m for name, m in sorted(sys.modules.items())
+                   if name.startswith("ellid.") and getattr(m, "math", None) is math]
+    rng = random.Random(seed)
+    fake = types.SimpleNamespace(**vars(math))
+    for name in names:
+        setattr(fake, name, _moved(getattr(math, name), rng, ulps))
+    for module in modules:
+        module.math = fake
+    try:
+        yield
+    finally:
+        for module in modules:
+            module.math = math

@@ -1,0 +1,143 @@
+"""50-digit reference values of both sides of the records built on K and E.
+
+Each side is evaluated from its printed formula with mpmath alone: direct
+summation of the series, ``jtheta`` and its derivatives for the theta
+functions, ``ellipk`` and ``ellipe`` for the integrals, and ``diff`` for
+dK/dm.  The singular modulus comes from the theta inversion
+m = (theta2(0, q) / theta3(0, q))^4 at q = e^(-pi a); the inversion is not
+a side, so it may use theta functions that a right side is checked against.
+Nothing here calls ellid, so the true residual of a row says whether the
+class binary64 gave it is the one its identity deserves.
+"""
+
+import mpmath
+from mpmath import mpf
+
+DIGITS = 50
+
+
+def _series(term):
+    """sum term(n) for n >= 1, to well below DIGITS digits of an O(1) value."""
+    total = mpf(0)
+    small = mpf(10) ** -(DIGITS + 10)
+    for n in range(1, 100000):
+        t = term(n)
+        total += t
+        if abs(t) < small and n > 3:
+            return total
+    raise ArithmeticError("oracle series did not converge")
+
+
+def _kem(a):
+    """(K, E, m) at the singular modulus for the period ratio K'/K = a."""
+    q = mpmath.exp(-mpmath.pi * a)
+    m = (mpmath.jtheta(2, 0, q) / mpmath.jtheta(3, 0, q)) ** 4
+    return mpmath.ellipk(m), mpmath.ellipe(m), m
+
+
+def _log_theta4_imag_half(order, s, q):
+    """d^order/ds^order log theta4(i s/2, q) for order 1 or 2."""
+    z = 0.5j * s
+    f = mpmath.jtheta(4, z, q)
+    f1 = 0.5j * mpmath.jtheta(4, z, q, 1)
+    if order == 1:
+        return mpmath.re(f1 / f)
+    f2 = -0.25 * mpmath.jtheta(4, z, q, 2)
+    return mpmath.re(f2 / f - (f1 / f) ** 2)
+
+
+def _alt_n_over_expm1(c, power):
+    return _series(lambda n: (-1) ** n * mpf(n) ** power / mpmath.expm1(c * n))
+
+
+def _p3(variant, p):
+    a = mpf(p["a"])
+    lhs = 2 * mpmath.pi ** 2 * _log_theta4_imag_half(
+        2, mpmath.pi * a, mpmath.exp(-2 * mpmath.pi * a))
+    K, E, _ = _kem(a)
+    return lhs, K * E - K * K
+
+
+def _e4(variant, p):
+    a = mpf(p["a"])
+    lhs = _alt_n_over_expm1(2 * mpmath.pi / a, 1)
+    K, E, _ = _kem(a)
+    return lhs, (mpf(1) / 8 - a / (4 * mpmath.pi)
+                 + a * a * K * (E - K) / (2 * mpmath.pi ** 2))
+
+
+def _e5b(variant, p):
+    b = mpf(p["b"])
+    lhs = _series(lambda n: n / mpmath.sinh(mpmath.pi * b * n))
+    K, E, _ = _kem(b)
+    return lhs, K * (K - E) / mpmath.pi ** 2
+
+
+def _p5(variant, p):
+    b = mpf(p["b"])
+    c = 2 * mpmath.pi / b
+    cube = _series(lambda n: mpmath.exp(c * n) / (1 + mpmath.exp(c * n)) ** 3)
+    lhs = -2 * cube + _alt_n_over_expm1(c, 2)
+    if variant == "n-times-n-plus-1":
+        lhs += _alt_n_over_expm1(c, 1)
+    K, E, _ = _kem(b)
+    return lhs, (mpf(1) / 8 - b / (4 * mpmath.pi)
+                 + b * b * (E * K - K * K) / (2 * mpmath.pi ** 2))
+
+
+def _p6(variant, p):
+    a = mpf(p["a"])
+    q = mpmath.exp(-mpmath.pi / (2 * a))
+    z = mpmath.pi / 4
+    K, _, _ = _kem(a)
+    return (mpmath.jtheta(2, z, q, 1),
+            -(2 * a / mpmath.pi) * mpmath.jtheta(2, z, q) * K)
+
+
+def _sech_sum(x):
+    return _series(lambda n: mpmath.sech(n * mpmath.pi * x))
+
+
+def _p6b(variant, p):
+    a = mpf(p["a"])
+    K, _, _ = _kem(a)
+    half = mpf(1) / 2 if variant == "base" else -mpf(1) / 2
+    return _sech_sum(a), K / mpmath.pi + half
+
+
+def _p7b(variant, p):
+    x = mpf(p["x"])
+    lhs = 2 * mpmath.pi * _log_theta4_imag_half(
+        1, mpmath.pi * x, mpmath.exp(-2 * mpmath.pi * x))
+    K, _, _ = _kem(x)
+    if variant == "middle-sum":
+        return lhs, -mpmath.pi * _sech_sum(x)
+    if variant == "plus-half-closed":
+        return lhs, -mpmath.pi * (mpf(1) / 2 + K / mpmath.pi)
+    return lhs, mpmath.pi / 2 - K
+
+
+def _p8(variant, p):
+    r = mpf(p["r"])
+    q = mpmath.exp(-mpmath.pi * r)
+    lhs = 24 * _series(lambda n: n * q ** n / (1 - q ** n))
+    K, E, m = _kem(r)
+    if variant == "base":  # the stated da/dm, (dK/dm)/(E K - K^2)
+        drdm = mpmath.diff(mpmath.ellipk, m) / (E * K - K * K)
+    else:  # the classical period-ratio derivative
+        drdm = -mpmath.pi / (4 * m * (1 - m) * K * K)
+    return lhs, 1 + (6 * E + (m - 5) * K) / (mpmath.pi * m * (1 - m) * K * drdm)
+
+
+_SIDES = {"P3": _p3, "E4": _e4, "E5b": _e5b, "P5": _p5, "P6": _p6,
+          "P6b": _p6b, "P7b": _p7b, "P8": _p8}
+
+# The records whose right sides use K and E at the singular modulus.
+RECORDS = tuple(_SIDES)
+
+
+def residual(identity: str, variant: str, params: dict) -> float:
+    """|lhs - rhs| / max(1, |lhs|, |rhs|) of the row, from 50-digit sides."""
+    with mpmath.workdps(DIGITS):
+        lhs, rhs = _SIDES[identity](variant, params)
+        return float(abs(lhs - rhs) / max(1, abs(lhs), abs(rhs)))

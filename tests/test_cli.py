@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, formats, overrides, determinism."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ellid
-from ellid import default_registry, run_all
+from ellid import default_registry, run_all, run_grid
 from ellid.cli import EVAL_TABLE, build_parser, main
 from ellid.reporting import render_json
 
@@ -129,6 +130,24 @@ def test_check_default_grid_override_matches_plain_check(identity, capsys):
     assert run(argv, capsys) == (rc, plain, "")
 
 
+@pytest.mark.parametrize("identity", default_registry().ids())
+def test_check_gives_the_rows_of_run_grid(identity, capsys):
+    # check takes the --grid path at the default grid; the rows are run_grid's
+    _, out, err = run(["check", identity, "--format", "json"], capsys)
+    assert (out, err) == (render_json(run_grid(identity)), "")
+
+
+def test_every_default_grid_point_is_valid():
+    # so the default grid, run as explicit points, neither exits 2 nor drops one
+    for record in default_registry().records():
+        names = [p.name for p in record.params]
+        points = [dict(zip(names, combo))
+                  for combo in itertools.product(*(p.grid for p in record.params))]
+        for point in points:
+            record.validate_point(point)  # the constraint included
+        assert points == record.grid_points()
+
+
 def test_check_unwritable_out_exits_2(tmp_path, capsys):
     path = str(tmp_path / "missing" / "report.json")
     rc, out, err = run(["check", "E4", "--out", path], capsys)
@@ -232,6 +251,13 @@ def test_check_all_repeated_only_lists_each_id_once(capsys):
 def test_check_all_unknown_only(capsys):
     rc, _, err = run(["check-all", "--only", "XX"], capsys)
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [["list", "ZZ", "P1", "XX"],
+                                  ["check-all", "--only", "ZZ", "--only", "P1",
+                                   "--only", "XX"]])
+def test_unknown_ids_are_refused_alike(argv, capsys):
+    assert run(argv, capsys) == (2, "", "unknown identity id(s): XX, ZZ\n")
 
 
 # -- eval ----------------------------------------------------------------------
@@ -341,38 +367,20 @@ def test_eval_missing_required_flag(capsys):
 
 # -- configuration ----------------------------------------------------------------
 
-def test_env_cap_applies(capsys, monkeypatch):
+def test_environment_does_not_set_the_cap(capsys, monkeypatch):
+    # the report is a function of the command line alone
     monkeypatch.setenv("ELLID_CAP", "2")
-    rc, _, _ = run(["check", "P1"], capsys)
-    assert rc == 1  # starved cap from the environment
-
-
-def test_flag_beats_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("ELLID_CAP", "2")
-    rc, _, _ = run(["check", "P1", "--cap", "10000"], capsys)
-    assert rc == 0
-
-
-def test_bad_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("ELLID_CAP", "banana")
-    rc, _, err = run(["check", "P1"], capsys)
-    assert rc == 2
-    assert "ELLID_CAP" in err
-
+    assert run(["check", "P1"], capsys)[0] == 0
 
 @pytest.mark.parametrize("command", [
     ["check", "E4"], ["check-all", "--only", "E4"], ["eval", "S5", "--a", "1"],
 ])
-@pytest.mark.parametrize("flags, env, message", [
-    (["--tol", "-1"], None, "tolerance must be positive, got -1.0"),
-    (["--tol", "nan"], None, "tolerance must be positive, got nan"),
-    (["--cap", "0"], None, "cap must be >= 1, got 0"),
-    ([], "0", "cap must be >= 1, got 0"),
+@pytest.mark.parametrize("flags, message", [
+    (["--tol", "-1"], "tolerance must be positive, got -1.0"),
+    (["--tol", "nan"], "tolerance must be positive, got nan"),
+    (["--cap", "0"], "cap must be >= 1, got 0"),
 ])
-def test_bad_tolerance_or_cap_exits_2(command, flags, env, message, capsys,
-                                      monkeypatch):
-    if env is not None:
-        monkeypatch.setenv("ELLID_CAP", env)
+def test_bad_tolerance_or_cap_exits_2(command, flags, message, capsys):
     rc, out, err = run(command + flags, capsys)
     assert (rc, out) == (2, "")
     assert err.count("\n") == 1

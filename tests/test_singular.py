@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from ellid import (Convention, DomainError, EllipticArgument, RangeError,
-                   a_of_k, agm, dadk_candidates, dadk_fd, dK, ellint_K,
-                   singular, solve_k)
+from ellid import (Convention, DomainError, EllipticArgument, NonConvergenceError,
+                   RangeError, a_of_k, agm, dadk_candidates, dadk_fd, dK,
+                   elliptic, ellint_K, singular, solve_k)
 from ellid.elliptic import SINGULAR_CUTOFF
+from libm import perturbed_libm
 from ellid.singular import (SOLVE_A_MAX, SOLVE_A_MIN, SingularSolve,
                             _ratio_from_modulus)
 
@@ -205,6 +206,22 @@ def test_solve_k_evaluates_g_near_the_root_only(monkeypatch):
                 pass
     # the plain bisection spends about 130 AGMs per solve on these draws
     assert calls[0] <= 60 * solves
+
+
+def test_solve_k_refuses_a_g_beyond_its_error_bound():
+    # A sqrt off by up to 256 ulps breaks the bound _G_ERROR that the window
+    # replay trusts; the bisection can then end on a midpoint it never
+    # evaluated, which must be a NonConvergenceError, never a bare KeyError.
+    refused = 0
+    for seed in range(9):
+        for a in (0.5, 1.0, 2.0, 3.7, 10.0):
+            with perturbed_libm(seed, 256, ("sqrt",), (singular, elliptic)):
+                try:
+                    solve_k(a)
+                except NonConvergenceError as exc:
+                    assert "_G_ERROR" in str(exc)
+                    refused += 1
+    assert refused > 0
 
 
 def test_g_rounding_error_within_bound():

@@ -94,6 +94,24 @@ def test_theta2_values():
     assert abs(got.value - 0.9135791381561168) < 1e-15
 
 
+@pytest.mark.parametrize("z", [0.0, -0.0, 0.3, -2.0, 1e300, -1e300, 3.0])
+def test_theta2_at_zero_nome_is_the_first_term(z):
+    # the first envelope is 0, so the series stops there with +0.0
+    q = Nome.from_value(0.0)
+    got = theta2(z, q)
+    assert got == (0.0, 1, 0.0) and math.copysign(1.0, got.value) == 1.0
+    d = theta_u_derivative(ThetaKind.THETA2, z, q)
+    assert d == 0.0 and math.copysign(1.0, d) == 1.0
+
+
+def test_theta2_at_zero_nome_and_nonfinite_z_acts_as_at_any_nome():
+    for q in (Nome.from_value(0.0), Nome.from_value(0.3)):
+        for z in (math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                theta2(z, q)
+        assert math.isnan(theta2(math.nan, q).value)
+
+
 def test_theta3_values():
     assert theta3(1.3, Nome.from_value(0.0)).value == 1.0
     got = theta3(0.0, QPI)
@@ -418,7 +436,7 @@ def test_public_polynomial_sums_match_per_order_calls():
             f = PolynomialSpec(coefficients)
             for policy in (TruncationPolicy(), TruncationPolicy(cap=5)):
                 got = _outcome(lambda: poly_weighted_log_theta4_sum(
-                    f, a, s, "derivative", policy).value)
+                    f, a, s, policy).value)
                 want = _outcome(lambda: _per_order_poly_sum(
                     ThetaKind.THETA4_IMAG_HALF, f, s, Nome.from_pi_exponent(a), policy))
                 assert got == want, (a, s, coefficients, policy)
@@ -443,8 +461,7 @@ def test_log_theta_sums_at_unrepresentable_s_raise_ellid_errors(s):
                   for kind in (ThetaKind.THETA2, ThetaKind.THETA4_IMAG_HALF)]
     for degree in range(registry_module.MAX_POLY_DEGREE + 1):
         for f in (PolynomialSpec.monomial(degree), PolynomialSpec((1.0,) * (degree + 1))):
-            calls += [lambda f=f: poly_weighted_log_theta4_sum(f, 1.0, s, "derivative",
-                                                               policy),
+            calls += [lambda f=f: poly_weighted_log_theta4_sum(f, 1.0, s, policy),
                       lambda f=f: poly_weighted_log_theta2_sum(f, 1.0, s, policy)]
     for call in calls:
         with pytest.raises(EllidError):
