@@ -29,9 +29,8 @@ from .series import (DEFAULT_POLICY, SeriesResult, TruncationPolicy,
                      S10_alt_sin_lambert, bernoulli_B2n, zeta_even, zeta_neg)
 from .singular import (DerivativeEstimate, SingularSolve, a_of_k,
                        dadk_candidates, dadk_fd, solve_k)
-from .theta import (LogThetaDerivative, ThetaKind, euler_product,
-                    log_theta_derivative, q_product_P0, theta2, theta3,
-                    theta4, theta4_imag, theta4_u_derivative_imag,
-                    theta_u_derivative)
+from .theta import (ThetaKind, euler_product, log_theta_derivative,
+                    q_product_P0, theta2, theta3, theta4, theta4_imag,
+                    theta4_u_derivative_imag, theta_u_derivative)
 
 __version__ = "0.1.0"

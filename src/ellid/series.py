@@ -325,6 +325,7 @@ def S6closed(a: float, v: float,
              policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """-(1/2) sum sin(v) / (cos(v) + cosh(an)), the closed form paired with S6."""
     _require(a > 0.0, f"S6closed requires a > 0, got {a!r}")
+    _require(math.isfinite(v), f"S6closed requires a finite v, got {v!r}")
     sign_v = _sign_of(v)
     av = abs(v)
     sv = math.sin(av)

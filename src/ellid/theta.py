@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
 
 from .elliptic import Nome
 from .errors import DomainError, NonConvergenceError, PoleError, UnsupportedOrderError
@@ -36,11 +35,15 @@ MAX_LOG_DERIVATIVE_ORDER = 12
 POLE_THRESHOLD = 1e-8
 
 
-class LogThetaDerivative(NamedTuple):
-    order: int
-    at: float
-    nome: Nome
-    value: float
+def _finite_imag_argument(t: float) -> None:
+    """Refuse a non-finite imaginary argument before summing.
+
+    Its hyperbolic terms are inf or NaN, so no stop rule could fire and the
+    sum would run to the cap; the error is the one the cap would give.
+    """
+    if not math.isfinite(t):
+        raise NonConvergenceError(
+            f"series cannot converge at the non-finite imaginary argument {t!r}")
 
 
 class ThetaKind(str, Enum):
@@ -75,6 +78,7 @@ def theta4_imag(t: float, q: Nome,
     ta = abs(t)
     if qq == 0.0:
         return SeriesResult(1.0, 1, 0.0)
+    _finite_imag_argument(t)
     lq = math.log(qq)
 
     def term(n: int) -> tuple[float, float]:
@@ -137,6 +141,7 @@ def theta4_u_derivative_imag(t: float, q: Nome,
     qq = q.q
     if qq == 0.0:
         return 0.0
+    _finite_imag_argument(t)
     sign_t = -1.0 if t < 0.0 else 1.0
     ta = abs(t)
     lq = math.log(qq)
@@ -155,7 +160,7 @@ def theta4_u_derivative_imag(t: float, q: Nome,
 
 
 def log_theta_derivative(kind: ThetaKind, order: int, s: float, q: Nome,
-                         policy: TruncationPolicy = DEFAULT_POLICY) -> LogThetaDerivative:
+                         policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """d^order/ds^order of log theta for the tagged series build.
 
     The builds are theta4(i s/2, q) = 1 + 2 sum (-1)^n q^(n^2) cosh(ns) and
@@ -170,8 +175,7 @@ def log_theta_derivative(kind: ThetaKind, order: int, s: float, q: Nome,
     if order > MAX_LOG_DERIVATIVE_ORDER:
         raise UnsupportedOrderError(
             f"order {order} above the supported cap {MAX_LOG_DERIVATIVE_ORDER}")
-    return LogThetaDerivative(order, s, q,
-                              _log_theta_pass(kind, order, s, q, policy)[order])
+    return _log_theta_pass(kind, order, s, q, policy)[order]
 
 
 def _log_theta_pass(kind: ThetaKind, top: int, s: float, q: Nome,
@@ -190,6 +194,8 @@ def _log_theta_pass(kind: ThetaKind, top: int, s: float, q: Nome,
     once, and a pass that misses the stop rule within the cap raises
     ``NonConvergenceError`` naming its first unfinished accumulator, in the
     order raw 0..top, then scale.  Only a finished pass meets the pole test.
+    The theta4 build refuses a non-finite s before the pass, as
+    ``theta4_imag`` does.
     """
     imag = kind is ThetaKind.THETA4_IMAG_HALF
     qq = q.q
@@ -200,6 +206,8 @@ def _log_theta_pass(kind: ThetaKind, top: int, s: float, q: Nome,
     if qq == 0.0:
         sums[last] = 1.0  # no series to sum; the pole test sees scale 1
     else:
+        if imag:
+            _finite_imag_argument(s)
         lq = math.log(qq) if imag else 0.0
         tol = policy.tolerance
         comps = [0.0] * (top + 2)

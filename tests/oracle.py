@@ -1,9 +1,9 @@
-"""50-digit reference values of both sides of the records built on K and E.
+"""50-digit reference values of both sides of the audited records.
 
 Each side is evaluated from its printed formula with mpmath alone: direct
 summation of the series, ``jtheta`` and its derivatives for the theta
-functions, ``ellipk`` and ``ellipe`` for the integrals, and ``diff`` for
-dK/dm.  The singular modulus comes from the theta inversion
+functions, ``qp`` for the q-product, ``ellipk`` and ``ellipe`` for the
+integrals, and ``diff`` for dK/dm.  The singular modulus comes from the theta inversion
 m = (theta2(0, q) / theta3(0, q))^4 at q = e^(-pi a); the inversion is not
 a side, so it may use theta functions that a right side is checked against.
 Nothing here calls ellid, so the true residual of a row says whether the
@@ -48,6 +48,96 @@ def _log_theta4_imag_half(order, s, q):
 
 def _alt_n_over_expm1(c, power):
     return _series(lambda n: (-1) ** n * mpf(n) ** power / mpmath.expm1(c * n))
+
+
+def _theta4_imag(t, q):
+    """theta4(i t, q), which is real."""
+    return mpmath.re(mpmath.jtheta(4, 1j * t, q))
+
+
+def _log_dtheta2(z, q):
+    """(d/dz theta2(z, q)) / theta2(z, q)."""
+    return mpmath.jtheta(2, z, q, 1) / mpmath.jtheta(2, z, q)
+
+
+def _csch_sinh(a, v):
+    """sum csch(2 n pi^2 / a) sinh(2 pi n v / a)."""
+    return _series(lambda n: mpmath.sinh(2 * mpmath.pi * n * v / a)
+                   / mpmath.sinh(2 * n * mpmath.pi ** 2 / a))
+
+
+def _alt_sin_over_expm1(a, v):
+    return _series(lambda n: (-1) ** n * mpmath.sin(n * v) / mpmath.expm1(a * n))
+
+
+def _p1(variant, p):
+    a, t = mpf(p["a"]), mpf(p["t"])
+    q = mpmath.exp(-mpmath.pi * a)
+    lhs = _series(lambda n: mpmath.cosh(2 * t * n) / (n * mpmath.sinh(mpmath.pi * a * n)))
+    return lhs, mpmath.log(mpmath.qp(q * q, q * q)) - mpmath.log(_theta4_imag(t, q))
+
+
+def _p2(variant, p):
+    a, th = mpf(p["a"]), mpf(p["theta"])
+    c = 2 * mpmath.pi * a
+    sq = mpmath.sinh if variant == "sinh-squared" else mpmath.sin
+    lhs = 4 * _series(lambda n: (-1) ** n * sq(th * n) ** 2 / (n * mpmath.expm1(c * n)))
+    if variant == "theta2-direct":
+        q = mpmath.exp(-mpmath.pi * a)
+        return lhs, (mpmath.log(mpmath.jtheta(2, th, q) / mpmath.jtheta(2, 0, q))
+                     - mpmath.log(mpmath.cos(th)))
+    q = mpmath.exp(-mpmath.pi / a)
+    return lhs, (mpmath.log(_theta4_imag(th / a, q) / mpmath.jtheta(4, 0, q))
+                 - mpmath.log(mpmath.cos(th)) - th * th / (a * mpmath.pi))
+
+
+def _p2b(variant, p):
+    z = mpf(p["z"])
+    q = mpmath.exp(-mpmath.pi * z if variant == "nome-exp-pi-z" else -z)
+    # (d theta4/du)(iz, q) / i and theta4(iz, q)
+    return mpmath.re(mpmath.jtheta(4, 1j * z, q, 1) / 1j), -2 * _theta4_imag(z, q)
+
+
+def _e5(variant, p):
+    a = mpf(p["a"])
+    hyp = _series(lambda n: n * mpmath.cosh(a * n * mpmath.pi)
+                  / mpmath.sinh(2 * a * n * mpmath.pi))
+    return (-mpf(1) / 4 + a / (2 * mpmath.pi)
+            + 2 * _alt_n_over_expm1(2 * mpmath.pi / a, 1) + 2 * a * a * hyp), mpf(0)
+
+
+def _e5c(variant, p):
+    x = mpf(p["x"])
+    return (_series(lambda n: mpmath.sech(mpmath.pi * n * x) ** 2),
+            -4 * _alt_n_over_expm1(2 * mpmath.pi * x, 1))
+
+
+def _e7(variant, p):
+    a, v = mpf(p["a"]), mpf(p["v"])
+    paired = 1 / a if variant == "inverted-a" else a
+    return (a / 2 * mpmath.tan(v / 2),
+            v + 2 * a * _alt_sin_over_expm1(a, v) + 2 * mpmath.pi * _csch_sinh(paired, v))
+
+
+def _e7b(variant, p):
+    a, v = mpf(p["a"]), mpf(p["v"])
+    closed = _series(lambda n: mpmath.sin(v) / (mpmath.cos(v) + mpmath.cosh(a * n)))
+    return _alt_sin_over_expm1(a, v), -closed / 2
+
+
+def _e8(variant, p):
+    z, q = mpf(p["z"]), mpf(p["q"])
+    scale = 2 if variant == "half-scale" else 4
+    tan_sign = -1 if variant == "minus-tan" else 1
+    lhs = scale * _series(lambda n: (-1) ** n * mpmath.sin(2 * n * z)
+                          * q ** (2 * n) / (1 - q ** (2 * n)))
+    return lhs, tan_sign * mpmath.tan(z) + _log_dtheta2(z, q)
+
+
+def _p4b(variant, p):
+    a, z = mpf(p["a"]), mpf(p["z"])
+    return (2 * mpmath.pi * _csch_sinh(2 / a, 2 * z),
+            -2 * z - _log_dtheta2(z, mpmath.exp(-1 / a)) / a)
 
 
 def _p3(variant, p):
@@ -129,10 +219,11 @@ def _p8(variant, p):
     return lhs, 1 + (6 * E + (m - 5) * K) / (mpmath.pi * m * (1 - m) * K * drdm)
 
 
-_SIDES = {"P3": _p3, "E4": _e4, "E5b": _e5b, "P5": _p5, "P6": _p6,
-          "P6b": _p6b, "P7b": _p7b, "P8": _p8}
+_SIDES = {"P1": _p1, "P2": _p2, "P2b": _p2b, "P3": _p3, "E4": _e4, "E5": _e5,
+          "E5b": _e5b, "E5c": _e5c, "E7": _e7, "E7b": _e7b, "E8": _e8,
+          "P4b": _p4b, "P5": _p5, "P6": _p6, "P6b": _p6b, "P7b": _p7b, "P8": _p8}
 
-# The records whose right sides use K and E at the singular modulus.
+# The records the oracle has both sides of.
 RECORDS = tuple(_SIDES)
 
 

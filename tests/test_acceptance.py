@@ -133,9 +133,9 @@ def test_criterion_08_p11a_derivative_identities():
         q = Nome.from_pi_exponent(1.0)
         s, h = 0.25, 1e-4
         for order in (0, 1, 2, 3):
-            fd = (log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, order, s + h, q).value
-                  - log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, order, s - h, q).value) / (2 * h)
-            got = log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, order + 1, s, q).value
+            fd = (log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, order, s + h, q)
+                  - log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, order, s - h, q)) / (2 * h)
+            got = log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, order + 1, s, q)
             assert abs(got - fd) <= 1e-6 * max(abs(got), 1e-6)
 
 

@@ -1,4 +1,4 @@
-"""Golden rows of the K-and-E records against 50-digit oracle residuals."""
+"""Golden rows of the oracle's records against 50-digit oracle residuals."""
 
 import json
 from pathlib import Path
@@ -14,7 +14,7 @@ GOLDEN_ROWS = [r for r in json.loads(
 
 
 def test_oracle_covers_every_golden_row_of_its_records():
-    assert len(GOLDEN_ROWS) == 37
+    assert len(GOLDEN_ROWS) == 108
     assert {r["identity"] for r in GOLDEN_ROWS} == set(oracle.RECORDS)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from ellid import (Classification, Convention, DerivativeEstimate,
                    DomainError, EllipticArgument, Expectation, IdentityRecord,
-                   LogThetaDerivative, Nome, PolynomialSpec, ResidualReport,
+                   Nome, PolynomialSpec, ResidualReport,
                    SeriesResult, SingularArgumentError, SingularSolve,
                    TruncationPolicy, Variant, DEFAULT_POLICY)
 from ellid.registry import ParamSpec
@@ -29,8 +29,6 @@ RECORDS = [
     (SingularSolve, ("a", "k", "iterations", "residual"),
      (1.0, EllipticArgument(0.5, Convention.MODULUS), 52, 0.0), {}),
     (DerivativeEstimate, ("value", "error_estimate"), (2.0, 1e-9), {}),
-    (LogThetaDerivative, ("order", "at", "nome", "value"),
-     (2, 0.5, Nome(0.1), 3.0), {}),
     (ParamSpec, ("name", "grid", "lo", "hi", "choices"), ("a", (1.0, 2.0)),
      {"lo": None, "hi": None, "choices": None}),
     (Variant, ("variant_id", "lhs", "rhs", "note"), ("base", _side, _side),

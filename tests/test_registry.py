@@ -1,6 +1,7 @@
 """Registry: records, residual engine, polynomial machinery, determinism."""
 
 import gc
+import inspect
 import json
 import math
 from pathlib import Path
@@ -56,6 +57,41 @@ def test_e8_scale_four_variants_share_one_lhs():
     variants = {v.variant_id: v for v in default_registry().get("E8").variants}
     assert variants["base"].lhs is variants["minus-tan"].lhs
     assert variants["half-scale"].lhs is not variants["base"].lhs
+    # and the two with tan sign +1 hold one rhs
+    assert variants["base"].rhs is variants["half-scale"].rhs
+    assert variants["minus-tan"].rhs is not variants["base"].rhs
+
+
+def test_every_side_takes_its_record_parameters_in_order():
+    # A run calls side(*values, policy) with the values in ParamSpec order, so
+    # a side whose parameters came in another order would take wrong values.
+    for rec in default_registry().records():
+        names = [p.name for p in rec.params] + ["policy"]
+        for v in rec.variants:
+            for side in (v.lhs, v.rhs):
+                params = list(inspect.signature(side).parameters.values())
+                if [p.kind for p in params] == [inspect.Parameter.VAR_POSITIONAL]:
+                    continue
+                assert [p.name for p in params] == names, (rec.identity_id, v.variant_id)
+
+
+def test_validate_point_returns_values_in_param_order():
+    rec = default_registry().get("P11a")
+    values = rec.validate_point({"s": 0.2, "a": 2.0, "fdeg": 3})
+    assert values == (3, 2.0, 0.2)
+    assert type(values[0]) is int
+
+
+def test_evaluate_is_blind_to_the_key_order_of_a_point():
+    reg = default_registry()
+    for rec in reg.records():
+        for point in rec.grid_points():
+            reordered = dict(reversed(list(point.items())))
+            for v in rec.variants:
+                want = reg.evaluate(rec.identity_id, v.variant_id, point)
+                got = reg.evaluate(rec.identity_id, v.variant_id, reordered)
+                assert render_json([got]) == render_json([want])
+                assert got.params == point
 
 
 def test_classification_bands():
@@ -219,11 +255,11 @@ class _Side:
         self.exc = exc
         self.calls = []
 
-    def __call__(self, p, policy):
-        self.calls.append(p["x"])
-        if p["x"] in self.fail_at:
-            raise self.exc(f"no value at x={p['x']!r}")
-        return SeriesResult(self.value * p["x"], 7, 0.0)
+    def __call__(self, x, policy):
+        self.calls.append(x)
+        if x in self.fail_at:
+            raise self.exc(f"no value at x={x!r}")
+        return SeriesResult(self.value * x, 7, 0.0)
 
 
 def _sharing_registry(lhs, rhs_a, rhs_b, both=None):

@@ -313,3 +313,11 @@ def test_bernoulli_and_zeta_bits_match_exact_rationals():
         assert zeta_even(n).hex() == want.hex()
     with pytest.raises(DomainError):
         bernoulli_B2n(21)
+
+
+@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
+def test_s6closed_refuses_a_nonfinite_v(v):
+    # sin(+-inf) raised a bare ValueError, and a NaN v summed to the cap
+    with pytest.raises(DomainError) as excinfo:
+        S6closed(1.0, v)
+    assert str(excinfo.value) == f"S6closed requires a finite v, got {v!r}"

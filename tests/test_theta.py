@@ -193,16 +193,16 @@ def test_theta4_u_derivative_imag_value():
 
 def test_log_derivative_order_zero_is_log():
     d = log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, 0, 0.2, QPI)
-    assert d.value == math.log(theta4_imag(0.1, QPI).value)
+    assert d == math.log(theta4_imag(0.1, QPI).value)
     d2 = log_theta_derivative(ThetaKind.THETA2, 0, 0.3, Nome.from_exponent(1.0))
-    assert d2.value == math.log(theta2(0.3, Nome.from_exponent(1.0)).value)
+    assert d2 == math.log(theta2(0.3, Nome.from_exponent(1.0)).value)
 
 
 def test_log_derivative_odd_order_vanishes_at_zero():
     d = log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, 1, 0.0, QPI)
-    assert d.value == 0.0
+    assert d == 0.0
     d3 = log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, 3, 0.0, QPI)
-    assert d3.value == 0.0
+    assert d3 == 0.0
 
 
 def test_log_derivative_frozen_chain():
@@ -211,7 +211,7 @@ def test_log_derivative_frozen_chain():
             -0.024603589435170566, -0.12645534678090744)
     for order, w in enumerate(want):
         got = log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, order, 0.2, QPI)
-        assert abs(got.value - w) < 1e-14
+        assert abs(got - w) < 1e-14
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
@@ -221,7 +221,7 @@ def test_log_derivative_order_consistency(order):
     s, h = 0.3, 1e-4
 
     def D(n, at):
-        return log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, n, at, q).value
+        return log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, n, at, q)
 
     fd = (D(order, s + h) - D(order, s - h)) / (2 * h)
     got = D(order + 1, s)
@@ -232,9 +232,9 @@ def test_log_derivative_theta2_order_consistency():
     q = Nome.from_exponent(0.5)
     s, h = 0.4, 1e-4
     for order in (0, 1, 2, 3):
-        fd = (log_theta_derivative(ThetaKind.THETA2, order, s + h, q).value
-              - log_theta_derivative(ThetaKind.THETA2, order, s - h, q).value) / (2 * h)
-        got = log_theta_derivative(ThetaKind.THETA2, order + 1, s, q).value
+        fd = (log_theta_derivative(ThetaKind.THETA2, order, s + h, q)
+              - log_theta_derivative(ThetaKind.THETA2, order, s - h, q)) / (2 * h)
+        got = log_theta_derivative(ThetaKind.THETA2, order + 1, s, q)
         assert abs(got - fd) <= 1e-6 * max(abs(got), 1e-6)
 
 
@@ -359,7 +359,7 @@ def test_fused_log_derivative_matches_per_order_passes(kind, pole_threshold,
     for s, q, policy in PARITY_POINTS:
         outcomes = set()
         for order in range(13):
-            got = _outcome(lambda: log_theta_derivative(kind, order, s, q, policy).value)
+            got = _outcome(lambda: log_theta_derivative(kind, order, s, q, policy))
             want = _outcome(lambda: _reference_log_derivative(kind, order, s, q, policy))
             assert got == want, (s, q, policy, order)
             outcomes.add(want[0])
@@ -398,7 +398,7 @@ def _per_order_poly_sum(kind, f, s, q, policy):
         if c == 0.0:
             continue
         d = log_theta_derivative(kind, n, s, q, policy)
-        total += (-1.0 if n % 2 else 1.0) * c * d.value
+        total += (-1.0 if n % 2 else 1.0) * c * d
     return total
 
 
@@ -417,7 +417,7 @@ def test_polynomial_log_theta_sum_matches_per_order_calls(kind, pole_threshold,
             want = _outcome(lambda: _per_order_poly_sum(kind, f, s, q, policy))
             assert got == want, (s, q, policy, coefficients)
             per_order = {
-                _outcome(lambda: log_theta_derivative(kind, n, s, q, policy).value)[0]
+                _outcome(lambda: log_theta_derivative(kind, n, s, q, policy))[0]
                 for n, c in enumerate(coefficients) if c != 0.0}
             if len(per_order) > 1:
                 seen.add((want[0], "orders disagree"))
@@ -450,8 +450,7 @@ def test_public_polynomial_sums_match_per_order_calls():
 @pytest.mark.parametrize("s", [math.inf, -math.inf, 3e307])
 def test_log_theta_sums_at_unrepresentable_s_raise_ellid_errors(s):
     # cos(inf) or exp overflow in a term must surface as sum_series's
-    # DomainError or NonConvergenceError, never as a bare ValueError.  The
-    # theta4 passes at s = +-inf sum NaN terms up to the cap, so it is short.
+    # DomainError or NonConvergenceError, never as a bare ValueError.
     q = Nome.from_value(0.3)
     policy = TruncationPolicy(cap=64)
     calls = []
@@ -503,3 +502,27 @@ def test_log_P0_minus_log_theta4_matches_series():
     lhs = (math.log(q_product_P0(QPI).value)
            - math.log(theta4(0.0, QPI).value))
     assert abs(lhs - S1_cosh_over_sinh(1.0, 0.0).value) <= 1e-11
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_nonfinite_imaginary_argument_is_refused_before_summing(t):
+    # Its terms are inf or NaN, so no stop rule could fire: the sums used to
+    # run to the cap (tens of ms) before the same NonConvergenceError.
+    q = Nome.from_value(0.3)
+    calls = [lambda: theta4_imag(t, q), lambda: theta4_u_derivative_imag(t, q)]
+    calls += [lambda order=order: log_theta_derivative(
+        ThetaKind.THETA4_IMAG_HALF, order, t, q) for order in range(13)]
+    calls += [lambda: poly_weighted_log_theta4_sum(PolynomialSpec((1.0,) * 9), 1.0, t)]
+    for call in calls:
+        with pytest.raises(NonConvergenceError) as excinfo:
+            call()
+        assert str(excinfo.value) == (
+            f"series cannot converge at the non-finite imaginary argument {t!r}")
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_nonfinite_imaginary_argument_at_zero_nome_keeps_its_value(t):
+    q = Nome(0.0)
+    assert theta4_imag(t, q) == (1.0, 1, 0.0)
+    assert theta4_u_derivative_imag(t, q) == 0.0
+    assert log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, 3, t, q) == 0.0
