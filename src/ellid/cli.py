@@ -10,7 +10,6 @@ lists each function; each takes only the flags it needs.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 from typing import Sequence
@@ -18,7 +17,7 @@ from typing import Sequence
 from .elliptic import Convention, EllipticArgument, Nome, ellint_E, ellint_K
 from .errors import ConfigError, DomainError, EllidError, UnknownIdentityError
 from .registry import (Classification, Expectation, Registry, ResidualReport,
-                       _reports_at, default_registry, report_sort_key)
+                       default_registry)
 from .reporting import (format_number, render_csv, render_json, render_list,
                         render_text)
 from .series import (DEFAULT_POLICY, S1_cosh_over_sinh,
@@ -88,15 +87,6 @@ def _emit(reports: list[ResidualReport], registry: Registry, format: str,
                     for r in reports) else 0
 
 
-def _grid_points_with_overrides(record, overrides: dict[str, list]) -> list[dict]:
-    names = [p.name for p in record.params]
-    for name in overrides:
-        if name not in names:
-            raise ConfigError(f"grid: {record.identity_id} has no parameter {name!r}")
-    axes = [overrides.get(p.name, list(p.grid)) for p in record.params]
-    return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
-
-
 def _refuse_unknown(registry: Registry, ids: Sequence[str]) -> bool:
     """Print the ids of ``ids`` that ``registry`` lacks; True if there are any."""
     unknown = set(ids) - set(registry.ids())
@@ -119,22 +109,17 @@ def cmd_check(args: argparse.Namespace) -> int:
     registry = default_registry()
     try:
         policy = _policy(args)
-        overrides = _parse_grid_overrides(args.grid)
-        record = registry.get(args.identity)
-    except UnknownIdentityError:
-        sys.stderr.write(f"unknown identity {args.identity!r}; "
-                         f"try 'ellid list'\n")
-        return 2
+        grid = _parse_grid_overrides(args.grid)
     except ConfigError as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return 2
     try:
-        # run_grid's per-point engine, at the default or the override points
-        reports = []
-        for point in _grid_points_with_overrides(record, overrides):
-            reports.extend(_reports_at(record, record.variants, point, policy))
-        reports.sort(key=report_sort_key)
-    except (ConfigError, EllidError) as exc:
+        reports = registry.run([args.identity], policy, grid)
+    except UnknownIdentityError:
+        sys.stderr.write(f"unknown identity {args.identity!r}; "
+                         f"try 'ellid list'\n")
+        return 2
+    except EllidError as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 2
     return _emit(reports, registry, args.format, args.out)
@@ -149,14 +134,8 @@ def cmd_check_all(args: argparse.Namespace) -> int:
         return 2
     if _refuse_unknown(registry, args.only):
         return 2
-    if args.only:
-        reports = []
-        for identity_id in dict.fromkeys(args.only):  # each id once
-            reports.extend(registry.run_grid(identity_id, policy))
-        reports.sort(key=report_sort_key)
-    else:
-        reports = registry.run_all(policy)
-    return _emit(reports, registry, args.format, args.out)
+    return _emit(registry.run(args.only or None, policy), registry, args.format,
+                 args.out)
 
 
 def _eval_solve_k(a, policy):

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .elliptic import (Convention, EllipticArgument, Nome, ellint_E, ellint_K,
                        ellint_K_extended)
-from .errors import (ConstraintError, DomainError, EllidError,
+from .errors import (ConfigError, ConstraintError, DomainError, EllidError,
                      UnknownIdentityError)
 from .series import (DEFAULT_POLICY, S1_cosh_over_sinh,
                      S2_alt_sin_sq_over_expm1, S2h_alt_sinh_sq_over_expm1,
@@ -324,14 +324,19 @@ class IdentityRecord(NamedTuple):
         raise UnknownIdentityError(
             f"identity {self.identity_id!r} has no variant {variant_id!r}")
 
-    def grid_points(self) -> list[dict]:
+    def grid_points(self, grid: Mapping[str, Sequence] = {}) -> list[dict]:
+        """Every point of the product of the parameter grids.
+
+        ``grid`` maps a parameter name to the values that replace its own
+        grid; a name this record lacks raises ``ConfigError``.  Points are
+        not validated here: a run validates each one as it evaluates it.
+        """
         names = [p.name for p in self.params]
-        points = []
-        for combo in itertools.product(*(p.grid for p in self.params)):
-            point = dict(zip(names, combo))
-            if self.constraint is None or self.constraint(point):
-                points.append(point)
-        return points
+        for name in grid:
+            if name not in names:
+                raise ConfigError(f"grid: {self.identity_id} has no parameter {name!r}")
+        axes = [grid.get(p.name, p.grid) for p in self.params]
+        return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
 
     def validate_point(self, point: Mapping) -> tuple:
         """The point's values in ``ParamSpec`` order; a violation raises."""
@@ -380,10 +385,6 @@ class ResidualReport(NamedTuple):
     note: str
 
 
-def _error_note(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 def _error_report(identity_id: str, variant_id: str, point: Mapping,
                   note: str) -> ResidualReport:
     """The INCONCLUSIVE row for a point whose evaluation failed with ``note``."""
@@ -406,7 +407,7 @@ def _side_at(side: Evaluator, values: tuple, policy: TruncationPolicy,
     try:
         result = side(*values, policy)
     except (EllidError, ZeroDivisionError) as exc:
-        result = _error_note(exc)
+        result = f"{type(exc).__name__}: {exc}"
     seen[id(side)] = result
     return result
 
@@ -794,13 +795,8 @@ def _p11a_lhs(fdeg, a, s, policy):
 
 
 def _p11a_rhs(fdeg, a, s, policy):
-    f = PolynomialSpec.monomial(int(fdeg))
-    bil = _poly_bilateral_exp_sinh(f, a, s, policy)
-    f0 = f.coefficient(0)
-    if f0 != 0.0:
-        prod = q_product_P0(Nome.from_pi_exponent(a), policy)
-        return _combine(f0 * math.log(prod.value) + bil.value, prod, bil)
-    return _combine(bil.value, bil)
+    # The f(0) log P0 term is 0: f = x^fdeg with fdeg >= 2 has f(0) = 0.
+    return _poly_bilateral_exp_sinh(PolynomialSpec.monomial(int(fdeg)), a, s, policy)
 
 
 def _log_theta4_shift_sum(f: PolynomialSpec, a: float, s: float,
@@ -992,9 +988,7 @@ def build_registry() -> "Registry":
              Variant("inverted-a", _e7_lhs, _e7_rhs_for(inverted=True),
                      note="hyperbolic sum with a replaced by 1/a, the other "
                           "plausible pairing")),
-            Expectation.CONTESTED,
-            constraint=lambda p: abs(p["v"]) < pi,
-            constraint_note="|v| < pi"),
+            Expectation.CONTESTED),
         IdentityRecord(
             "E7b",
             "sum (-1)^n sin(nv)/(e^(an)-1) = "
@@ -1030,9 +1024,7 @@ def build_registry() -> "Registry":
             (ParamSpec("a", (1.0, 2.0), lo=0.05, hi=20.0),
              ParamSpec("z", (0.2, 0.5), lo=0.0, hi=1.5)),
             (Variant("base", _p4b_lhs, _p4b_rhs),),
-            Expectation.CONTESTED,
-            constraint=lambda p: abs(p["z"]) < 0.5 * pi,
-            constraint_note="|z| < pi/2"),
+            Expectation.CONTESTED),
         IdentityRecord(
             "P5",
             "-2 sum e^(2 n pi/b)/(1+e^(2 n pi/b))^3 + sum (-1)^n n^2/(e^(2 n pi/b)-1) "
@@ -1153,9 +1145,7 @@ def build_registry() -> "Registry":
                      note="right side rebuilt by transforming theta2 to the "
                           "theta4 chain: 2a f_1 s - 2a f_2 "
                           "- sum f(2 pi a n) e^(-2 pi a s n)/(2n sinh(pi^2 a n))")),
-            Expectation.CONTESTED,
-            constraint=lambda p: abs(p["s"]) < 0.5 * pi,
-            constraint_note="|s| < pi/2"),
+            Expectation.CONTESTED),
     ]
     return Registry(records)
 
@@ -1199,36 +1189,31 @@ class Registry:
         return _reports_at(record, (record.variant(variant_id),), point,
                            policy)[0]
 
-    def _run(self, records: Sequence[IdentityRecord],
-             policy: TruncationPolicy) -> list[ResidualReport]:
-        """Every variant of ``records`` at every grid point, sorted.
+    def run(self, ids: Sequence[str] | None = None,
+            policy: TruncationPolicy = DEFAULT_POLICY,
+            grid: Mapping[str, Sequence] = {}) -> list[ResidualReport]:
+        """Every variant of each record in ``ids`` (all records if None, each
+        id once) at every point of ``grid_points(grid)``, sorted.
 
-        At each point the variants share their sides: each distinct lhs (and
-        rhs) evaluator is called once, and every variant holding it reuses
-        the value or the error note.  A row's lhs and rhs are never shared
-        with each other, and nothing is kept from one point to the next.
+        Unknown ids, unknown ``grid`` names and invalid points raise.  At each
+        point the variants share their sides (see ``_reports_at``); nothing is
+        kept from one point to the next.
         """
+        records = (self.records() if ids is None
+                   else [self.get(i) for i in dict.fromkeys(ids)])
         reports = []
         for record in records:
-            for point in record.grid_points():
-                try:
-                    reports.extend(_reports_at(record, record.variants, point,
-                                               policy))
-                except EllidError as exc:
-                    # Per-point failures are embedded, never fatal to the run.
-                    note = _error_note(exc)
-                    reports.extend(_error_report(record.identity_id,
-                                                 v.variant_id, point, note)
-                                   for v in record.variants)
+            for point in record.grid_points(grid):
+                reports.extend(_reports_at(record, record.variants, point, policy))
         reports.sort(key=report_sort_key)
         return reports
 
     def run_grid(self, identity_id: str,
                  policy: TruncationPolicy = DEFAULT_POLICY) -> list[ResidualReport]:
-        return self._run([self.get(identity_id)], policy)
+        return self.run([identity_id], policy)
 
     def run_all(self, policy: TruncationPolicy = DEFAULT_POLICY) -> list[ResidualReport]:
-        return self._run(self.records(), policy)
+        return self.run(None, policy)
 
 
 _DEFAULT_REGISTRY: Registry | None = None

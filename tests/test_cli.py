@@ -118,6 +118,21 @@ def test_check_grid_override_constraint_violation(capsys):
     assert "2|t|" in err or "constraint" in err.lower()
 
 
+@pytest.mark.parametrize("identity, grid, err", [
+    ("E4", "zz=1", "check failed: grid: E4 has no parameter 'zz'\n"),
+    ("P1", "t=3.0", "check failed: P1: point {'a': 0.8, 't': 3.0} violates 2|t| < pi*a\n"),
+])
+def test_check_grid_errors_are_exact(identity, grid, err, capsys):
+    assert run(["check", identity, "--grid", grid], capsys) == (2, "", err)
+
+
+def test_check_all_only_runs_each_id_once_sorted(capsys):
+    argv = ["check-all", "--only", "P6b", "--only", "E4", "--only", "P6b",
+            "--format", "json"]
+    want = render_json(run_grid("E4") + run_grid("P6b"))
+    assert run(argv, capsys) == (0, want, "")
+
+
 @pytest.mark.parametrize("identity", default_registry().ids())
 def test_check_default_grid_override_matches_plain_check(identity, capsys):
     # --grid at the default grid gives the same bytes as the run without it

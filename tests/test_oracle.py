@@ -14,7 +14,7 @@ GOLDEN_ROWS = [r for r in json.loads(
 
 
 def test_oracle_covers_every_golden_row_of_its_records():
-    assert len(GOLDEN_ROWS) == 108
+    assert len(GOLDEN_ROWS) == 172
     assert {r["identity"] for r in GOLDEN_ROWS} == set(oracle.RECORDS)
 
 

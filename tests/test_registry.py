@@ -2,6 +2,7 @@
 
 import gc
 import inspect
+import itertools
 import json
 import math
 from pathlib import Path
@@ -139,6 +140,19 @@ def test_constraint_violations_raise():
         evaluate_identity("P7", "base", {"value": 0.5, "convention": "weird"})
 
 
+def test_every_constraint_cuts_its_declared_box():
+    # a constraint that holds at every corner of the ParamSpec box adds
+    # nothing to the ranges, which validate_point checks first
+    for record in default_registry().records():
+        if record.constraint is None:
+            continue
+        names = [p.name for p in record.params]
+        axes = [p.choices if p.choices is not None else (p.lo, p.hi)
+                for p in record.params]
+        corners = [dict(zip(names, c)) for c in itertools.product(*axes)]
+        assert not all(map(record.constraint, corners)), record.identity_id
+
+
 def test_non_convergence_is_inconclusive_never_pass():
     r = evaluate_identity("P1", "base", {"a": 1.0, "t": 0.3},
                           TruncationPolicy(cap=2))
@@ -262,7 +276,7 @@ class _Side:
         return SeriesResult(self.value * x, 7, 0.0)
 
 
-def _sharing_registry(lhs, rhs_a, rhs_b, both=None):
+def _sharing_registry(lhs, rhs_a, rhs_b, both=None, grid=(1.0, 2.0, 3.0)):
     variants = [registry.Variant("base", lhs, rhs_a),
                 registry.Variant("same-rhs", lhs, rhs_a),
                 registry.Variant("other-rhs", lhs, rhs_b)]
@@ -270,7 +284,7 @@ def _sharing_registry(lhs, rhs_a, rhs_b, both=None):
         variants.append(registry.Variant("one-object", both, both))
     record = registry.IdentityRecord(
         "T", "test identity",
-        (registry.ParamSpec("x", (1.0, 2.0, 3.0, 9.0), lo=0.0, hi=5.0),),
+        (registry.ParamSpec("x", grid, lo=0.0, hi=5.0),),
         tuple(variants), Expectation.CONTESTED)
     return registry.Registry([record])
 
@@ -278,8 +292,7 @@ def _sharing_registry(lhs, rhs_a, rhs_b, both=None):
 def test_variants_share_each_side_once_per_point():
     lhs, rhs_a, rhs_b, both = _Side(1.0), _Side(1.0), _Side(2.0), _Side(1.0)
     reports = _sharing_registry(lhs, rhs_a, rhs_b, both).run_grid("T")
-    assert len(reports) == 16
-    # x = 9 is above hi: validated once, one ConstraintError row per variant
+    assert len(reports) == 12
     for side in (lhs, rhs_a, rhs_b):
         assert sorted(side.calls) == [1.0, 2.0, 3.0]
     # a row's two sides never share a call, even when they are one object
@@ -290,10 +303,6 @@ def test_variants_share_each_side_once_per_point():
             assert by_key[variant, x].classification is Classification.PASS
             assert by_key[variant, x].terms == {"lhs": 7, "rhs": 7}
         assert by_key["other-rhs", x].classification is Classification.FAIL
-    for variant in ("base", "same-rhs", "other-rhs", "one-object"):
-        row = by_key[variant, 9.0]
-        assert row.classification is Classification.INCONCLUSIVE
-        assert row.note == "ConstraintError: T: x=9.0 above 5.0"
     # every row owns its params and terms
     assert len({id(r.params) for r in reports}) == len(reports)
     assert len({id(r.terms) for r in reports}) == len(reports)
@@ -310,8 +319,23 @@ def test_check_grid_shares_each_side_once_per_point(monkeypatch, capsys):
     assert sorted(both.calls) == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 12
-    assert rows == json.loads(render_json(
-        [r for r in reg.run_grid("T") if r.params["x"] != 9.0]))
+    assert rows == json.loads(render_json(reg.run_grid("T")))
+
+
+def test_a_records_own_invalid_grid_point_raises():
+    # x = 9 is above hi: the run stops there, and no side is called at it
+    lhs, rhs_a, rhs_b = _Side(1.0), _Side(1.0), _Side(2.0)
+    reg = _sharing_registry(lhs, rhs_a, rhs_b, grid=(1.0, 9.0))
+    with pytest.raises(ConstraintError, match=r"^T: x=9\.0 above 5\.0$"):
+        reg.run_grid("T")
+    for side in (lhs, rhs_a, rhs_b):
+        assert side.calls == [1.0]
+
+
+def test_run_gives_each_id_once():
+    reg = default_registry()
+    assert reg.run(["E4", "E4"]) == reg.run_grid("E4")
+    assert reg.run(["P6b", "E4", "P6b"]) == reg.run_grid("E4") + reg.run_grid("P6b")
 
 
 @pytest.mark.parametrize("exc", [DomainError, ZeroDivisionError])
