@@ -2,15 +2,16 @@
 
 Exit codes: 0 success (all PASS, or the entry is Contested), 1 an
 ExpectPass entry produced a non-PASS point, 2 usage errors (unknown
-identity, malformed flags) or a report --out cannot write.  Reports go to
---out or stdout and are byte-identical across runs.  ``ellid eval -h``
-lists each function; each takes only the flags it needs.
+identity, malformed flags) or a report --out or stdout cannot take.
+Reports go to --out or stdout and are byte-identical across runs.
+``ellid eval -h`` lists each function; each takes only the flags it needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -72,16 +73,22 @@ def _emit(reports: list[ResidualReport], registry: Registry, format: str,
         text = render_csv(reports)
     else:
         text = render_text(reports, registry)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(out, "w", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
-            sys.stderr.write(f"cannot write report to {out}: "
-                             f"{exc.strerror or exc}\n")
-            return 2
+    except OSError as exc:
+        if out is None:
+            # e.g. the pipe's reader has gone: send what is still buffered,
+            # and the interpreter's final flush, to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(f"cannot write report to "
+                         f"{'stdout' if out is None else out}: "
+                         f"{exc.strerror or exc}\n")
+        return 2
     return 1 if any(registry.get(r.identity).expected is Expectation.EXPECT_PASS
                     and r.classification is not Classification.PASS
                     for r in reports) else 0

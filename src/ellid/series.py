@@ -93,7 +93,7 @@ def sum_series(term_fn: Callable[[int], tuple[float, float]],
             term, env = term_fn(n)
         except EllidError:
             raise
-        except (OverflowError, ValueError) as exc:
+        except (OverflowError, ValueError, ZeroDivisionError) as exc:
             raise _summation_error(n, exc) from None
         y = term - comp  # one Kahan step
         t = total + y
@@ -123,8 +123,9 @@ def _summation_error(n: int, exc: Exception | None = None,
 
     With ``exc``, evaluating term ``n`` raised it: an ``OverflowError``
     means the value is not representable, a ``ValueError`` (math.cos(inf)
-    and friends) an argument binary64 cannot evaluate.  Without, the stop
-    rule did not fire within the cap ``n``.
+    and friends) or a ``ZeroDivisionError`` (a denominator such as
+    1 - e^(-2x) that rounds to 0) an argument binary64 cannot evaluate.
+    Without, the stop rule did not fire within the cap ``n``.
     """
     if exc is None:
         return NonConvergenceError(
@@ -178,11 +179,6 @@ def exp_over_sinh(y: float, x: float) -> float:
     return 2.0 * math.exp(y - x) / (1.0 - ex)
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DomainError(msg)
-
-
 def _sign_of(v: float) -> float:
     return -1.0 if v < 0.0 else 1.0
 
@@ -196,10 +192,12 @@ def S1_cosh_over_sinh(a: float, t: float,
 
     Term decay is e^((2|t| - pi a) n), so 2|t| < pi*a is required.
     """
-    _require(a > 0.0, f"S1 requires a > 0, got {a!r}")
+    if not a > 0.0:
+        raise DomainError(f"S1 requires a > 0, got {a!r}")
     ta = 2.0 * abs(t)
-    _require(ta < math.pi * a,
-             f"S1 divergence: angle scale {ta!r} must stay below pi*a = {math.pi * a!r}")
+    if not ta < math.pi * a:
+        raise DomainError(
+            f"S1 divergence: angle scale {ta!r} must stay below pi*a = {math.pi * a!r}")
 
     def term(n: int) -> tuple[float, float]:
         v = _cosh_over_sinh(ta * n, math.pi * a * n) / n
@@ -211,7 +209,8 @@ def S1_cosh_over_sinh(a: float, t: float,
 def S2_alt_sin_sq_over_expm1(c: float, theta: float,
                              policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum (-1)^n sin(theta n)^2 / (n (e^(cn) - 1)); even in theta."""
-    _require(c > 0.0, f"S2 requires c > 0, got {c!r}")
+    if not c > 0.0:
+        raise DomainError(f"S2 requires c > 0, got {c!r}")
     th = abs(theta)
 
     def term(n: int) -> tuple[float, float]:
@@ -226,10 +225,12 @@ def S2_alt_sin_sq_over_expm1(c: float, theta: float,
 def S2h_alt_sinh_sq_over_expm1(c: float, theta: float,
                                policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum (-1)^n sinh(theta n)^2 / (n (e^(cn) - 1)); needs 2|theta| < c."""
-    _require(c > 0.0, f"S2h requires c > 0, got {c!r}")
+    if not c > 0.0:
+        raise DomainError(f"S2h requires c > 0, got {c!r}")
     th = abs(theta)
-    _require(2.0 * th < c,
-             f"S2h divergence: 2|theta| = {2.0 * th!r} must stay below c = {c!r}")
+    if not 2.0 * th < c:
+        raise DomainError(
+            f"S2h divergence: 2|theta| = {2.0 * th!r} must stay below c = {c!r}")
 
     def term(n: int) -> tuple[float, float]:
         # sinh^2(y)/(e^x - 1) = e^(2y-x) (1 - e^(-2y))^2 / (4 (1 - e^(-x)))
@@ -246,7 +247,8 @@ def S2h_alt_sinh_sq_over_expm1(c: float, theta: float,
 def S3_alt_n_over_expm1(c: float,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum (-1)^n n / (e^(cn) - 1)."""
-    _require(c > 0.0, f"S3 requires c > 0, got {c!r}")
+    if not c > 0.0:
+        raise DomainError(f"S3 requires c > 0, got {c!r}")
 
     def term(n: int) -> tuple[float, float]:
         env = n * _inv_expm1(c * n)
@@ -259,7 +261,8 @@ def S3_alt_n_over_expm1(c: float,
 def S3sq_alt_nsq_over_expm1(c: float,
                             policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum (-1)^n n^2 / (e^(cn) - 1)."""
-    _require(c > 0.0, f"S3sq requires c > 0, got {c!r}")
+    if not c > 0.0:
+        raise DomainError(f"S3sq requires c > 0, got {c!r}")
 
     def term(n: int) -> tuple[float, float]:
         env = n * n * _inv_expm1(c * n)
@@ -272,7 +275,8 @@ def S3sq_alt_nsq_over_expm1(c: float,
 def S4_n_over_sinh(b: float,
                    policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum n / sinh(pi b n)."""
-    _require(b > 0.0, f"S4 requires b > 0, got {b!r}")
+    if not b > 0.0:
+        raise DomainError(f"S4 requires b > 0, got {b!r}")
 
     def term(n: int) -> tuple[float, float]:
         v = n * _csch(math.pi * b * n)
@@ -284,7 +288,8 @@ def S4_n_over_sinh(b: float,
 def S5_sech(a: float,
             policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum 1 / cosh(n pi a)."""
-    _require(a > 0.0, f"S5 requires a > 0, got {a!r}")
+    if not a > 0.0:
+        raise DomainError(f"S5 requires a > 0, got {a!r}")
 
     def term(n: int) -> tuple[float, float]:
         v = _sech(n * math.pi * a)
@@ -296,7 +301,8 @@ def S5_sech(a: float,
 def S5sq_sech2(x: float,
                policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum 1 / cosh(pi n x)^2."""
-    _require(x > 0.0, f"S5sq requires x > 0, got {x!r}")
+    if not x > 0.0:
+        raise DomainError(f"S5sq requires x > 0, got {x!r}")
 
     def term(n: int) -> tuple[float, float]:
         s = _sech(math.pi * n * x)
@@ -308,7 +314,8 @@ def S5sq_sech2(x: float,
 def S6_alt_sin_over_expm1(a: float, v: float,
                           policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum (-1)^n sin(nv) / (e^(an) - 1); odd in v, bit-exactly."""
-    _require(a > 0.0, f"S6 requires a > 0, got {a!r}")
+    if not a > 0.0:
+        raise DomainError(f"S6 requires a > 0, got {a!r}")
     sign_v = _sign_of(v)
     av = abs(v)
 
@@ -324,8 +331,10 @@ def S6_alt_sin_over_expm1(a: float, v: float,
 def S6closed(a: float, v: float,
              policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """-(1/2) sum sin(v) / (cos(v) + cosh(an)), the closed form paired with S6."""
-    _require(a > 0.0, f"S6closed requires a > 0, got {a!r}")
-    _require(math.isfinite(v), f"S6closed requires a finite v, got {v!r}")
+    if not a > 0.0:
+        raise DomainError(f"S6closed requires a > 0, got {a!r}")
+    if not math.isfinite(v):
+        raise DomainError(f"S6closed requires a finite v, got {v!r}")
     sign_v = _sign_of(v)
     av = abs(v)
     sv = math.sin(av)
@@ -344,9 +353,11 @@ def S6closed(a: float, v: float,
 def S7_csch_sinh(a: float, v: float,
                  policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum csch(2 n pi^2 / a) sinh(2 pi n v / a); odd in v, needs |v| < pi."""
-    _require(a > 0.0, f"S7 requires a > 0, got {a!r}")
+    if not a > 0.0:
+        raise DomainError(f"S7 requires a > 0, got {a!r}")
     av = abs(v)
-    _require(av < math.pi, f"S7 divergence: |v| = {av!r} must stay below pi")
+    if not av < math.pi:
+        raise DomainError(f"S7 divergence: |v| = {av!r} must stay below pi")
     sign_v = _sign_of(v)
 
     def term(n: int) -> tuple[float, float]:
@@ -361,7 +372,8 @@ def S7_csch_sinh(a: float, v: float,
 def S8_exp_over_cube(b: float,
                      policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum e^(2n pi/b) / (1 + e^(2n pi/b))^3, written as e^-2x/(1+e^-x)^3."""
-    _require(b > 0.0, f"S8 requires b > 0, got {b!r}")
+    if not b > 0.0:
+        raise DomainError(f"S8 requires b > 0, got {b!r}")
 
     def term(n: int) -> tuple[float, float]:
         x = 2.0 * n * math.pi / b
@@ -405,7 +417,8 @@ def S10_alt_sin_lambert(z: float, q: Nome,
 def n_cosh_over_sinh_double(a: float,
                             policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum n cosh(a n pi) / sinh(2 a n pi), as it appears in the E5 chain."""
-    _require(a > 0.0, f"series requires a > 0, got {a!r}")
+    if not a > 0.0:
+        raise DomainError(f"series requires a > 0, got {a!r}")
 
     def term(n: int) -> tuple[float, float]:
         v = n * _cosh_over_sinh(a * n * math.pi, 2.0 * a * n * math.pi)

@@ -232,7 +232,7 @@ def _log_theta_pass(kind: ThetaKind, top: int, s: float, q: Nome,
                     c = math.cos(x)
                     sn = math.sin(x)
                     osc = (c, -sn, -c, sn)  # d/ds cycles cos -> -sin -> -cos -> sin
-            except (OverflowError, ValueError) as exc:  # e.g. cos of an infinite angle
+            except (OverflowError, ValueError, ZeroDivisionError) as exc:  # e.g. cos(inf)
                 raise _summation_error(n, exc) from None
             still = []
             for j in active:

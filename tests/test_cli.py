@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,20 @@ def test_check_unwritable_out_exits_2(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert err.count("\n") == 1 and path in err
+
+
+@pytest.mark.parametrize("argv", [["check-all"], ["check", "E4", "--format", "json"]])
+def test_stdout_whose_reader_has_gone_exits_2(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ellid.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=child_env())
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "cannot write report to stdout: Broken pipe\n"
 
 
 def test_check_p8_underflowed_denominator_is_inconclusive(capsys):

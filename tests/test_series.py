@@ -220,6 +220,14 @@ def test_undefined_term_is_a_domain_error_naming_n():
         S6_alt_sin_over_expm1(1.0, 1e308)
 
 
+@pytest.mark.parametrize("a", [1e308, math.inf])
+def test_a_term_dividing_by_zero_is_a_domain_error_naming_n(a):
+    # 2 n pi^2 / a underflows, so 1 - e^(-2x) in the csch rounds to 0
+    with pytest.raises(DomainError) as excinfo:
+        S7_csch_sinh(a, 0.5)
+    assert str(excinfo.value) == "term at n=1 is undefined: float division by zero"
+
+
 def test_ellid_error_from_a_term_passes_through():
     def term(n):
         raise NonConvergenceError("inner")
@@ -313,6 +321,39 @@ def test_bernoulli_and_zeta_bits_match_exact_rationals():
         assert zeta_even(n).hex() == want.hex()
     with pytest.raises(DomainError):
         bernoulli_B2n(21)
+
+
+# One failing argument per argument check, with its exact message.
+ARGUMENT_CHECKS = [
+    (S1_cosh_over_sinh, (-1.5, 0.1), "S1 requires a > 0, got -1.5"),
+    (S1_cosh_over_sinh, (0.1, -0.3),
+     "S1 divergence: angle scale 0.6 must stay below pi*a = 0.3141592653589793"),
+    (S2_alt_sin_sq_over_expm1, (0.0, 1.0), "S2 requires c > 0, got 0.0"),
+    (S2h_alt_sinh_sq_over_expm1, (-2.0, 0.1), "S2h requires c > 0, got -2.0"),
+    (S2h_alt_sinh_sq_over_expm1, (1.0, -0.5),
+     "S2h divergence: 2|theta| = 1.0 must stay below c = 1.0"),
+    (S3_alt_n_over_expm1, (0.0,), "S3 requires c > 0, got 0.0"),
+    (S3sq_alt_nsq_over_expm1, (-0.0,), "S3sq requires c > 0, got -0.0"),
+    (S4_n_over_sinh, (-1.0,), "S4 requires b > 0, got -1.0"),
+    (S5_sech, (math.nan,), "S5 requires a > 0, got nan"),
+    (S5sq_sech2, (0.0,), "S5sq requires x > 0, got 0.0"),
+    (S6_alt_sin_over_expm1, (-math.inf, 1.0), "S6 requires a > 0, got -inf"),
+    (S6closed, (0.0, 1.0), "S6closed requires a > 0, got 0.0"),
+    (S6closed, (1.0, math.nan), "S6closed requires a finite v, got nan"),
+    (S7_csch_sinh, (0.0, 0.5), "S7 requires a > 0, got 0.0"),
+    (S7_csch_sinh, (1.0, -4.0), "S7 divergence: |v| = 4.0 must stay below pi"),
+    (S8_exp_over_cube, (-0.5,), "S8 requires b > 0, got -0.5"),
+    (n_cosh_over_sinh_double, (0.0,), "series requires a > 0, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("fn, args, message", ARGUMENT_CHECKS,
+                         ids=[f"{fn.__name__}{args}" for fn, args, _ in ARGUMENT_CHECKS])
+def test_argument_checks_raise_their_exact_message(fn, args, message):
+    with pytest.raises(DomainError) as excinfo:
+        fn(*args)
+    assert type(excinfo.value) is DomainError
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])

@@ -204,8 +204,9 @@ def test_solve_k_evaluates_g_near_the_root_only(monkeypatch):
                 solve_k(a)
             except RangeError:
                 pass
-    # the plain bisection spends about 130 AGMs per solve on these draws
-    assert calls[0] <= 60 * solves
+    # the plain bisection spends about 130 AGMs per solve on these draws,
+    # the window replay 27.3 on average and 40 at most
+    assert calls[0] <= 30 * solves
 
 
 def test_solve_k_refuses_a_g_beyond_its_error_bound():
