@@ -1,9 +1,13 @@
 """Command-line harness: list, check, check-all and eval.
 
+``check ID`` is ``check-all --only ID`` with ``--grid`` added: one handler
+runs both.  Every command writes through ``_write``, to --out or stdout.
+
 Exit codes: 0 success (all PASS, or the entry is Contested), 1 an
 ExpectPass entry produced a non-PASS point, 2 usage errors (unknown
-identity, malformed flags) or a report --out or stdout cannot take.
-Reports go to --out or stdout and are byte-identical across runs.
+identity, malformed flags) or output that --out or stdout cannot take
+(e.g. a pipe whose reader has gone).
+Reports are byte-identical across runs.
 ``ellid eval -h`` lists each function; each takes only the flags it needs.
 """
 
@@ -16,9 +20,8 @@ import sys
 from typing import Sequence
 
 from .elliptic import Convention, EllipticArgument, Nome, ellint_E, ellint_K
-from .errors import ConfigError, DomainError, EllidError, UnknownIdentityError
-from .registry import (Classification, Expectation, Registry, ResidualReport,
-                       default_registry)
+from .errors import ConfigError, DomainError, EllidError
+from .registry import Classification, Expectation, Registry, default_registry
 from .reporting import (format_number, render_csv, render_json, render_list,
                         render_text)
 from .series import (DEFAULT_POLICY, S1_cosh_over_sinh,
@@ -64,15 +67,8 @@ def _parse_grid_overrides(specs: Sequence[str]) -> dict[str, list]:
     return {name: list(values) for name, values in overrides.items()}
 
 
-def _emit(reports: list[ResidualReport], registry: Registry, format: str,
-          out: str | None) -> int:
-    """Write the report to ``out``, else stdout; the run's exit code."""
-    if format == "json":
-        text = render_json(reports)
-    elif format == "csv":
-        text = render_csv(reports)
-    else:
-        text = render_text(reports, registry)
+def _write(text: str, out: str | None = None) -> bool:
+    """Write ``text`` to ``out``, else stdout; False, said on stderr, if it fails."""
     try:
         if out is None:
             sys.stdout.write(text)
@@ -88,10 +84,8 @@ def _emit(reports: list[ResidualReport], registry: Registry, format: str,
         sys.stderr.write(f"cannot write report to "
                          f"{'stdout' if out is None else out}: "
                          f"{exc.strerror or exc}\n")
-        return 2
-    return 1 if any(registry.get(r.identity).expected is Expectation.EXPECT_PASS
-                    and r.classification is not Classification.PASS
-                    for r in reports) else 0
+        return False
+    return True
 
 
 def _refuse_unknown(registry: Registry, ids: Sequence[str]) -> bool:
@@ -108,11 +102,11 @@ def cmd_list(args: argparse.Namespace) -> int:
         return 2
     records = [r for r in registry.records()
                if not args.ids or r.identity_id in args.ids]
-    sys.stdout.write(render_list(records))
-    return 0
+    return 0 if _write(render_list(records)) else 2
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    """``check ID`` and ``check-all [--only ID]...``: audit ``args.ids``, or all."""
     registry = default_registry()
     try:
         policy = _policy(args)
@@ -120,29 +114,24 @@ def cmd_check(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return 2
-    try:
-        reports = registry.run([args.identity], policy, grid)
-    except UnknownIdentityError:
-        sys.stderr.write(f"unknown identity {args.identity!r}; "
-                         f"try 'ellid list'\n")
+    if _refuse_unknown(registry, args.ids):
         return 2
+    try:
+        reports = registry.run(args.ids or None, policy, grid)
     except EllidError as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 2
-    return _emit(reports, registry, args.format, args.out)
-
-
-def cmd_check_all(args: argparse.Namespace) -> int:
-    registry = default_registry()
-    try:
-        policy = _policy(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"invalid configuration: {exc}\n")
+    if args.format == "json":
+        text = render_json(reports)
+    elif args.format == "csv":
+        text = render_csv(reports)
+    else:
+        text = render_text(reports, registry)
+    if not _write(text, args.out):
         return 2
-    if _refuse_unknown(registry, args.only):
-        return 2
-    return _emit(registry.run(args.only or None, policy), registry, args.format,
-                 args.out)
+    return 1 if any(registry.get(r.identity).expected is Expectation.EXPECT_PASS
+                    and r.classification is not Classification.PASS
+                    for r in reports) else 0
 
 
 def _eval_solve_k(a, policy):
@@ -233,9 +222,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         result = {"value": result}
     elif isinstance(result, SeriesResult):
         result = result._asdict()  # value, terms_used, tail_bound
-    for key, value in result.items():
-        sys.stdout.write(f"{key} = {format_number(value)}\n")
-    return 0
+    return 0 if _write("".join(f"{key} = {format_number(value)}\n"
+                               for key, value in result.items())) else 2
 
 
 def _add_common(parser: argparse.ArgumentParser, with_output: bool) -> None:
@@ -261,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(fn=cmd_list)
 
     p_check = sub.add_parser("check", help="audit one identity over its grid")
-    p_check.add_argument("identity")
+    p_check.add_argument("ids", nargs=1, metavar="identity")
     p_check.add_argument("--grid", action="append", default=[],
                          metavar="NAME=V1,V2",
                          help="override one parameter's grid values")
@@ -269,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=cmd_check)
 
     p_all = sub.add_parser("check-all", help="audit the whole registry")
-    p_all.add_argument("--only", action="append", default=[],
+    p_all.add_argument("--only", dest="ids", action="append", default=[],
                        metavar="ID", help="restrict to these identity ids")
     _add_common(p_all, with_output=True)
-    p_all.set_defaults(fn=cmd_check_all)
+    p_all.set_defaults(fn=cmd_check, grid=[])
 
     p_eval = sub.add_parser(
         "eval", help="evaluate one function ad hoc",

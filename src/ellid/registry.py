@@ -804,16 +804,14 @@ def _log_theta4_shift_sum(f: PolynomialSpec, a: float, s: float,
     """sum_n f_n log theta4(i (s+n)/2, e^(-pi a))."""
     q = Nome.from_pi_exponent(a)
     total = 0.0
-    terms = 0
-    tail = 0.0
+    parts = []
     for n, c in enumerate(f.coefficients):
         if c == 0.0:
             continue
         th = theta4_imag((s + n) / 2.0, q, policy)
         total += c * math.log(th.value)
-        terms += th.terms_used
-        tail += th.tail_bound
-    return SeriesResult(total, terms, tail)
+        parts.append(th)
+    return _combine(total, *parts)
 
 
 def _p11b_lhs_for(f: PolynomialSpec):
@@ -1008,7 +1006,11 @@ def build_registry() -> "Registry":
                      note="sign variant on the tangent term"),
              Variant("half-scale", _e8_lhs_for(2.0), e8_rhs,
                      note="scale variant: factor 2 instead of 4")),
-            Expectation.CONTESTED),
+            Expectation.CONTESTED,
+            # theta2 vanishes identically at q = 0.  A constraint, not a
+            # raised lo, so that seeded uniform draws over [lo, hi] are unchanged.
+            constraint=lambda p: p["q"] > 0.0,
+            constraint_note="q > 0"),
         IdentityRecord(
             "P4",
             "e^(x^2 a/pi) theta2(x, e^(-pi/a)) / theta4(iax, e^(-a pi)) is "

@@ -64,12 +64,6 @@ def test_check_expect_pass_entry(capsys):
     assert out.count("PASS") == 3
 
 
-def test_check_unknown_exits_2(capsys):
-    rc, _, err = run(["check", "NOPE"], capsys)
-    assert rc == 2
-    assert "unknown identity" in err
-
-
 def test_check_contested_exits_0(capsys):
     rc, out, _ = run(["check", "P6b"], capsys)
     assert rc == 0
@@ -122,6 +116,7 @@ def test_check_grid_override_constraint_violation(capsys):
 @pytest.mark.parametrize("identity, grid, err", [
     ("E4", "zz=1", "check failed: grid: E4 has no parameter 'zz'\n"),
     ("P1", "t=3.0", "check failed: P1: point {'a': 0.8, 't': 3.0} violates 2|t| < pi*a\n"),
+    ("E8", "q=0", "check failed: E8: point {'z': 0.3, 'q': 0.0} violates q > 0\n"),
 ])
 def test_check_grid_errors_are_exact(identity, grid, err, capsys):
     assert run(["check", identity, "--grid", grid], capsys) == (2, "", err)
@@ -172,7 +167,8 @@ def test_check_unwritable_out_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and path in err
 
 
-@pytest.mark.parametrize("argv", [["check-all"], ["check", "E4", "--format", "json"]])
+@pytest.mark.parametrize("argv", [["check-all"], ["check", "E4", "--format", "json"],
+                                  ["list"], ["eval", "S1", "--a", "1", "--t", "0.3"]])
 def test_stdout_whose_reader_has_gone_exits_2(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -283,11 +279,20 @@ def test_check_all_unknown_only(capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("argv", [["list", "ZZ", "P1", "XX"],
-                                  ["check-all", "--only", "ZZ", "--only", "P1",
-                                   "--only", "XX"]])
-def test_unknown_ids_are_refused_alike(argv, capsys):
-    assert run(argv, capsys) == (2, "", "unknown identity id(s): XX, ZZ\n")
+@pytest.mark.parametrize("argv, err", [
+    (["list", "ZZ", "P1", "XX"], "XX, ZZ"),
+    (["check-all", "--only", "ZZ", "--only", "P1", "--only", "XX"], "XX, ZZ"),
+    (["check", "XX"], "XX"),
+])
+def test_unknown_ids_are_refused_alike(argv, err, capsys):
+    assert run(argv, capsys) == (2, "", f"unknown identity id(s): {err}\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("identity", default_registry().ids())
+def test_check_is_check_all_only(identity, fmt, capsys):
+    want = run(["check-all", "--only", identity, "--format", fmt], capsys)
+    assert run(["check", identity, "--format", fmt], capsys) == want
 
 
 # -- eval ----------------------------------------------------------------------
