@@ -20,6 +20,7 @@ import functools
 import itertools
 import math
 from enum import Enum
+from functools import partial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .elliptic import (Convention, EllipticArgument, Nome, ellint_E, ellint_K,
@@ -459,10 +460,16 @@ def report_sort_key(r: ResidualReport) -> tuple:
 # identity evaluators
 #
 # LHS and RHS of each entry share only the library primitives; no identity
-# feeds one side's intermediate values to the other.  Variants of one record
-# may hold the same evaluator object for a side; a run calls it once per point
-# and gives every such variant its result, but never hands one side's result
-# to the other side of a row (see _reports_at).
+# feeds one side's intermediate values to the other.  Each evaluator is a flat
+# function, side(*constants, *params, policy): a variant's constants (a nome
+# reading, a sign, a scale, a test polynomial) are bound with ``partial`` in
+# ``build_registry``, so the record table is the one place that shows them.
+# A partial binds registry functions only: the benchmark tracer wraps the
+# series, theta and elliptic functions by module attribute, and a reference
+# bound at build time would escape it.  Variants of one record may hold the
+# same evaluator object for a side; a run calls it once per point and gives
+# every such variant its result, but never hands one side's result to the
+# other side of a row (see _reports_at).
 
 @functools.lru_cache(maxsize=64)
 def _ke_at(a: float) -> tuple[float, float, float]:
@@ -518,17 +525,13 @@ def _p2_rhs_theta2(a, theta, policy):
 
 # -- P2b --------------------------------------------------------------------
 
-def _p2b_lhs_for(nome: Callable[[float], Nome]):
-    def lhs(z, policy):
-        return SeriesResult(theta4_u_derivative_imag(z, nome(z), policy))
-    return lhs
+def _p2b_lhs(nome: Callable[[float], Nome], z, policy):
+    return SeriesResult(theta4_u_derivative_imag(z, nome(z), policy))
 
 
-def _p2b_rhs_for(nome: Callable[[float], Nome]):
-    def rhs(z, policy):
-        th = theta4_imag(z, nome(z), policy)
-        return _combine(-2.0 * th.value, th)
-    return rhs
+def _p2b_rhs(nome: Callable[[float], Nome], z, policy):
+    th = theta4_imag(z, nome(z), policy)
+    return _combine(-2.0 * th.value, th)
 
 
 # -- P3 ---------------------------------------------------------------------
@@ -585,31 +588,25 @@ def _e7_lhs(a, v, policy):
     return SeriesResult(0.5 * a * math.tan(0.5 * v))
 
 
-def _e7_rhs_for(inverted: bool):
+def _e7_rhs(inverted: bool, a, v, policy):
     """The right side; ``inverted`` pairs the hyperbolic sum with 1/a."""
-    def rhs(a, v, policy):
-        s6 = S6_alt_sin_over_expm1(a, v, policy)
-        s7 = S7_csch_sinh(1.0 / a if inverted else a, v, policy)
-        return _combine(v + 2.0 * a * s6.value + 2.0 * math.pi * s7.value, s6, s7)
-    return rhs
+    s6 = S6_alt_sin_over_expm1(a, v, policy)
+    s7 = S7_csch_sinh(1.0 / a if inverted else a, v, policy)
+    return _combine(v + 2.0 * a * s6.value + 2.0 * math.pi * s7.value, s6, s7)
 
 
 # -- E8 ---------------------------------------------------------------------
 
-def _e8_lhs_for(scale: float):
-    def lhs(z, q, policy):
-        r = S10_alt_sin_lambert(z, Nome.from_value(q), policy)
-        return _combine(scale * r.value, r)
-    return lhs
+def _e8_lhs(scale: float, z, q, policy):
+    r = S10_alt_sin_lambert(z, Nome.from_value(q), policy)
+    return _combine(scale * r.value, r)
 
 
-def _e8_rhs_for(tan_sign: float):
-    def rhs(z, q, policy):
-        nome = Nome.from_value(q)
-        th = theta2(z, nome, policy)
-        dth = theta_u_derivative(ThetaKind.THETA2, z, nome, policy)
-        return _combine(tan_sign * math.tan(z) + dth / th.value, th)
-    return rhs
+def _e8_rhs(tan_sign: float, z, q, policy):
+    nome = Nome.from_value(q)
+    th = theta2(z, nome, policy)
+    dth = theta_u_derivative(ThetaKind.THETA2, z, nome, policy)
+    return _combine(tan_sign * math.tan(z) + dth / th.value, th)
 
 
 # -- P4 / P4b ---------------------------------------------------------------
@@ -679,12 +676,10 @@ def _p6_rhs(a, policy):
     return _combine(-(2.0 * a / math.pi) * th.value * K, th)
 
 
-def _p6b_rhs_for(half: float):
+def _p6b_rhs(half: float, a, policy):
     """K/pi + half, with half = +1/2 (stated) or -1/2."""
-    def rhs(a, policy):
-        _, K, _ = _ke_at(a)
-        return SeriesResult(K / math.pi + half)
-    return rhs
+    _, K, _ = _ke_at(a)
+    return SeriesResult(K / math.pi + half)
 
 
 # -- P7 ---------------------------------------------------------------------
@@ -693,11 +688,9 @@ def _p7_arg(value, convention) -> EllipticArgument:
     return EllipticArgument(value, Convention(convention))
 
 
-def _p7_lhs_for(candidate: str):
+def _p7_lhs(candidate: str, value, convention, policy):
     """The ``dadk_candidates`` entry named ``candidate``."""
-    def lhs(value, convention, policy):
-        return SeriesResult(dict(dadk_candidates(_p7_arg(value, convention)))[candidate])
-    return lhs
+    return SeriesResult(dict(dadk_candidates(_p7_arg(value, convention)))[candidate])
 
 
 def _p7_rhs_fd(value, convention, policy):
@@ -711,14 +704,12 @@ def _p8_lhs(r, policy):
     return _combine(24.0 * s.value, s)
 
 
-def _p8_rhs_for(drdm: Callable[[float, float, float], float]):
-    def rhs(r, policy):
-        k, K, E = _ke_at(r)
-        m = k * k
-        d = drdm(m, K, E)
-        return SeriesResult(1.0 + (6.0 * E + (m - 5.0) * K)
-                            / (math.pi * m * (1.0 - m) * K * d))
-    return rhs
+def _p8_rhs(drdm: Callable[[float, float, float], float], r, policy):
+    k, K, E = _ke_at(r)
+    m = k * k
+    d = drdm(m, K, E)
+    return SeriesResult(1.0 + (6.0 * E + (m - 5.0) * K)
+                        / (math.pi * m * (1.0 - m) * K * d))
 
 
 # -- P9 ---------------------------------------------------------------------
@@ -777,15 +768,13 @@ def _p10a_zeta_term(F: PolynomialSpec) -> float:
                for nu in range(1, F.degree // 2 + 1))
 
 
-def _p10_lhs_for(head: Callable[[PolynomialSpec], float]):
+def _p10_lhs(head: Callable[[PolynomialSpec], float], fdeg, b, policy):
     """head(F) + 2 sum (-1)^n F(n)/(n(e^(an)-1)) - sum F(ibn)/(n sinh(b n pi))."""
-    def lhs(fdeg, b, policy):
-        F = PolynomialSpec.monomial(int(fdeg))
-        h = head(F)
-        alt = _alt_poly_over_expm1(F, 2.0 * math.pi / b, policy)
-        hyp = _imag_poly_over_sinh(F, b, policy)
-        return _combine(h + 2.0 * alt.value - hyp.value, alt, hyp)
-    return lhs
+    F = PolynomialSpec.monomial(int(fdeg))
+    h = head(F)
+    alt = _alt_poly_over_expm1(F, 2.0 * math.pi / b, policy)
+    hyp = _imag_poly_over_sinh(F, b, policy)
+    return _combine(h + 2.0 * alt.value - hyp.value, alt, hyp)
 
 
 # -- P11a / P11b ------------------------------------------------------------
@@ -814,27 +803,15 @@ def _log_theta4_shift_sum(f: PolynomialSpec, a: float, s: float,
     return _combine(total, *parts)
 
 
-def _p11b_lhs_for(f: PolynomialSpec):
-    def lhs(a, s, policy):
-        return _log_theta4_shift_sum(f, a, s, policy)
-    return lhs
-
-
-def _p11b_rhs_for(f: PolynomialSpec):
-    def rhs(a, s, policy):
-        bil = _poly_exp_bilateral_exp_sinh(f, a, s, policy)
-        prod = q_product_P0(Nome.from_pi_exponent(a), policy)
-        return _combine(f.eval(1.0) * math.log(prod.value) + bil.value, prod, bil)
-    return rhs
+def _p11b_rhs(f: PolynomialSpec, a, s, policy):
+    bil = _poly_exp_bilateral_exp_sinh(f, a, s, policy)
+    prod = q_product_P0(Nome.from_pi_exponent(a), policy)
+    return _combine(f.eval(1.0) * math.log(prod.value) + bil.value, prod, bil)
 
 
 # -- P12 --------------------------------------------------------------------
 
 _P12_POLY = PolynomialSpec((0.0, 0.0, 1.0, 1.0))  # x^2 + x^3, f(0) = 0
-
-
-def _p12_lhs(a, s, policy):
-    return poly_weighted_log_theta2_sum(_P12_POLY, a, s, policy)
 
 
 def _p12_bilateral(f: PolynomialSpec, a: float, s: float, weight_half_n: bool,
@@ -901,9 +878,10 @@ def _p7b_rhs_plus_half(x, policy):
 
 def build_registry() -> "Registry":
     pi = math.pi
-    # One object for each E8 side that variants share, so a run evaluates
-    # it once per point (see _reports_at).
-    e8_lhs, e8_rhs = _e8_lhs_for(4.0), _e8_rhs_for(1.0)
+    # One object for each side that variants share, so a run evaluates it
+    # once per point (see _reports_at).
+    e8_lhs, e8_rhs = partial(_e8_lhs, 4.0), partial(_e8_rhs, 1.0)
+    p12_lhs = partial(poly_weighted_log_theta2_sum, _P12_POLY)
     p11b_x2, p11b_x_x2 = PolynomialSpec((0.0, 0.0, 1.0)), PolynomialSpec((0.0, 1.0, 1.0))
     records = [
         IdentityRecord(
@@ -937,10 +915,10 @@ def build_registry() -> "Registry":
             "read as the real series -4 sum (-1)^n n q^(n^2) sinh(2nz) "
             "+ 2 theta4(iz, q) = 0",
             (ParamSpec("z", (0.5, 1.0, 2.0), lo=0.05, hi=20.0),),
-            (Variant("base", _p2b_lhs_for(Nome.from_exponent),
-                     _p2b_rhs_for(Nome.from_exponent)),
-             Variant("nome-exp-pi-z", _p2b_lhs_for(Nome.from_pi_exponent),
-                     _p2b_rhs_for(Nome.from_pi_exponent),
+            (Variant("base", partial(_p2b_lhs, Nome.from_exponent),
+                     partial(_p2b_rhs, Nome.from_exponent)),
+             Variant("nome-exp-pi-z", partial(_p2b_lhs, Nome.from_pi_exponent),
+                     partial(_p2b_rhs, Nome.from_pi_exponent),
                      note="alternative reading with nome e^(-pi z)")),
             Expectation.CONTESTED),
         IdentityRecord(
@@ -982,8 +960,8 @@ def build_registry() -> "Registry":
             "+ 2 pi sum csch(2 n pi^2/a) sinh(2 pi n v/a)",
             (ParamSpec("a", (2.0, 4.0), lo=0.05, hi=50.0),
              ParamSpec("v", (0.5, 1.0, 2.0), lo=0.0, hi=3.1)),
-            (Variant("base", _e7_lhs, _e7_rhs_for(inverted=False)),
-             Variant("inverted-a", _e7_lhs, _e7_rhs_for(inverted=True),
+            (Variant("base", _e7_lhs, partial(_e7_rhs, False)),
+             Variant("inverted-a", _e7_lhs, partial(_e7_rhs, True),
                      note="hyperbolic sum with a replaced by 1/a, the other "
                           "plausible pairing")),
             Expectation.CONTESTED),
@@ -1002,9 +980,9 @@ def build_registry() -> "Registry":
             (ParamSpec("z", (0.3, 0.6), lo=0.0, hi=1.4),
              ParamSpec("q", (0.2, math.exp(-pi)), lo=0.0, hi=0.9)),
             (Variant("base", e8_lhs, e8_rhs),
-             Variant("minus-tan", e8_lhs, _e8_rhs_for(-1.0),
+             Variant("minus-tan", e8_lhs, partial(_e8_rhs, -1.0),
                      note="sign variant on the tangent term"),
-             Variant("half-scale", _e8_lhs_for(2.0), e8_rhs,
+             Variant("half-scale", partial(_e8_lhs, 2.0), e8_rhs,
                      note="scale variant: factor 2 instead of 4")),
             Expectation.CONTESTED,
             # theta2 vanishes identically at q = 0.  A constraint, not a
@@ -1047,8 +1025,8 @@ def build_registry() -> "Registry":
             "P6b",
             "sum sech(n pi a) = 1/2 + K(k_a)/pi",
             (ParamSpec("a", (0.5, 1.0, 2.0), lo=0.11, hi=20.0),),
-            (Variant("base", S5_sech, _p6b_rhs_for(0.5)),
-             Variant("minus-half", S5_sech, _p6b_rhs_for(-0.5),
+            (Variant("base", S5_sech, partial(_p6b_rhs, 0.5)),
+             Variant("minus-half", S5_sech, partial(_p6b_rhs, -0.5),
                      note="closed form with -1/2; the desk-checked reading")),
             Expectation.CONTESTED),
         IdentityRecord(
@@ -1058,9 +1036,9 @@ def build_registry() -> "Registry":
             (ParamSpec("value", (0.3, 0.5, 0.7), lo=0.05, hi=0.95),
              ParamSpec("convention", ("modulus", "parameter"),
                        choices=("modulus", "parameter"))),
-            (Variant("base", _p7_lhs_for("stated-formula"), _p7_rhs_fd,
+            (Variant("base", partial(_p7_lhs, "stated-formula"), _p7_rhs_fd,
                      note="stated derivative formula vs the fd oracle"),
-             Variant("classical", _p7_lhs_for("classical"), _p7_rhs_fd,
+             Variant("classical", partial(_p7_lhs, "classical"), _p7_rhs_fd,
                      note="textbook period-ratio derivative vs the fd oracle")),
             Expectation.CONTESTED),
         IdentityRecord(
@@ -1079,9 +1057,9 @@ def build_registry() -> "Registry":
             "24 sum n q^n/(1-q^n) = 1 + (6E + (m-5)K)/(pi m (1-m) K dr/dm) "
             "with q = e^(-pi r), m the parameter at ratio r",
             (ParamSpec("r", (1.0, 2.0), lo=0.11, hi=20.0),),
-            (Variant("base", _p8_lhs, _p8_rhs_for(_dadm_stated),
+            (Variant("base", _p8_lhs, partial(_p8_rhs, _dadm_stated),
                      note="dr/dm from the stated derivative formula"),
-             Variant("classical-drdk", _p8_lhs, _p8_rhs_for(_dadm_classical),
+             Variant("classical-drdk", _p8_lhs, partial(_p8_rhs, _dadm_classical),
                      note="dr/dm from the textbook period-ratio derivative")),
             Expectation.CONTESTED),
         IdentityRecord(
@@ -1101,7 +1079,7 @@ def build_registry() -> "Registry":
             "to second order",
             (ParamSpec("fdeg", (4, 6), choices=(4, 6)),
              ParamSpec("b", (1.0, 2.0), lo=0.2, hi=10.0)),
-            (Variant("base", _p10_lhs_for(poly_even_zeta_integral), _zero_rhs),),
+            (Variant("base", partial(_p10_lhs, poly_even_zeta_integral), _zero_rhs),),
             Expectation.CONTESTED),
         IdentityRecord(
             "P10a",
@@ -1109,7 +1087,7 @@ def build_registry() -> "Registry":
             "- sum f(ibn)/(n sinh(b n pi)) = 0, ab = 2 pi",
             (ParamSpec("fdeg", (2, 4), choices=(2, 4)),
              ParamSpec("b", (1.0, 2.0), lo=0.2, hi=10.0)),
-            (Variant("base", _p10_lhs_for(_p10a_zeta_term), _zero_rhs),),
+            (Variant("base", partial(_p10_lhs, _p10a_zeta_term), _zero_rhs),),
             Expectation.CONTESTED),
         IdentityRecord(
             "P11a",
@@ -1128,10 +1106,10 @@ def build_registry() -> "Registry":
             "f(1) log P0 - sum_(n != 0) f(e^(-n)) e^(-ns)/(2n sinh(pi a n))",
             (ParamSpec("a", (1.0, 2.0), lo=0.11, hi=20.0),
              ParamSpec("s", (0.0, 0.5), lo=0.0, hi=0.6)),
-            (Variant("base", _p11b_lhs_for(p11b_x2), _p11b_rhs_for(p11b_x2),
-                     note="f(x) = x^2"),
-             Variant("mixed-parity", _p11b_lhs_for(p11b_x_x2),
-                     _p11b_rhs_for(p11b_x_x2), note="f(x) = x + x^2")),
+            (Variant("base", partial(_log_theta4_shift_sum, p11b_x2),
+                     partial(_p11b_rhs, p11b_x2), note="f(x) = x^2"),
+             Variant("mixed-parity", partial(_log_theta4_shift_sum, p11b_x_x2),
+                     partial(_p11b_rhs, p11b_x_x2), note="f(x) = x + x^2")),
             Expectation.CONTESTED,
             constraint=lambda p: 2.0 + abs(p["s"]) < pi * p["a"],
             constraint_note="deg f + |s| < pi*a"),
@@ -1142,8 +1120,8 @@ def build_registry() -> "Registry":
             "f(x) = x^2 + x^3",
             (ParamSpec("a", (1.0, 2.0), lo=0.2, hi=20.0),
              ParamSpec("s", (0.3, 0.6), lo=0.0, hi=1.5)),
-            (Variant("base", _p12_lhs, _p12_rhs_printed),
-             Variant("derived-bilateral", _p12_lhs, _p12_rhs_derived,
+            (Variant("base", p12_lhs, _p12_rhs_printed),
+             Variant("derived-bilateral", p12_lhs, _p12_rhs_derived,
                      note="right side rebuilt by transforming theta2 to the "
                           "theta4 chain: 2a f_1 s - 2a f_2 "
                           "- sum f(2 pi a n) e^(-2 pi a s n)/(2n sinh(pi^2 a n))")),
@@ -1184,8 +1162,8 @@ class Registry:
         Unknown ids and constraint violations raise; numeric evaluation
         failures, including a division by an underflowed denominator, come
         back as INCONCLUSIVE reports with a note.  It is the path a run
-        takes at one point, for one variant; nothing is shared with other
-        calls.
+        takes at one point, for one variant.  No side result is shared with
+        other calls, but ``_ke_at`` memoises (k, K, E) by ratio across calls.
         """
         record = self.get(identity_id)
         return _reports_at(record, (record.variant(variant_id),), point,
@@ -1198,8 +1176,9 @@ class Registry:
         id once) at every point of ``grid_points(grid)``, sorted.
 
         Unknown ids, unknown ``grid`` names and invalid points raise.  At each
-        point the variants share their sides (see ``_reports_at``); nothing is
-        kept from one point to the next.
+        point the variants share their sides (see ``_reports_at``).  No side
+        result is kept from one point to the next, but ``_ke_at`` memoises
+        (k, K, E) by ratio across points and runs.
         """
         records = (self.records() if ids is None
                    else [self.get(i) for i in dict.fromkeys(ids)])
@@ -1218,14 +1197,9 @@ class Registry:
         return self.run(None, policy)
 
 
-_DEFAULT_REGISTRY: Registry | None = None
-
-
+@functools.cache
 def default_registry() -> Registry:
-    global _DEFAULT_REGISTRY
-    if _DEFAULT_REGISTRY is None:
-        _DEFAULT_REGISTRY = build_registry()
-    return _DEFAULT_REGISTRY
+    return build_registry()
 
 
 def evaluate_identity(identity_id: str, variant_id: str, point: Mapping,

@@ -117,6 +117,8 @@ def test_check_grid_override_constraint_violation(capsys):
     ("E4", "zz=1", "check failed: grid: E4 has no parameter 'zz'\n"),
     ("P1", "t=3.0", "check failed: P1: point {'a': 0.8, 't': 3.0} violates 2|t| < pi*a\n"),
     ("E8", "q=0", "check failed: E8: point {'z': 0.3, 'q': 0.0} violates q > 0\n"),
+    ("E4", "a", "invalid configuration: grid: expected name=v1,v2,..., got 'a'\n"),
+    ("E4", "a=1,,2", "invalid configuration: grid: empty value in 'a=1,,2'\n"),
 ])
 def test_check_grid_errors_are_exact(identity, grid, err, capsys):
     assert run(["check", identity, "--grid", grid], capsys) == (2, "", err)
@@ -373,15 +375,17 @@ def test_eval_flags_are_those_some_function_reads():
     assert "s" not in flags
 
 
-@pytest.mark.parametrize("argv, unread", [
-    (["S1", "--a", "1", "--t", "0", "--theta", "3"], "--theta"),
-    (["K", "--k", "0.5", "--a", "3"], "--a"),
-    (["theta4", "--u", "0", "--q", "0.1", "--k", "0.5", "--x", "1"], "--k --x"),
+@pytest.mark.parametrize("argv, message", [
+    (["S1", "--a", "1", "--t", "0", "--theta", "3"], "S1 does not read --theta"),
+    (["K", "--k", "0.5", "--a", "3"], "K does not read --a"),
+    (["theta4", "--u", "0", "--q", "0.1", "--k", "0.5", "--x", "1"],
+     "theta4 does not read --k --x"),
+    (["K", "--k", "0.5", "--m", "0.25"], "pass exactly one of --k / --m"),
 ])
-def test_eval_refuses_a_flag_its_function_does_not_read(argv, unread, capsys):
+def test_eval_refuses_an_invalid_invocation(argv, message, capsys):
     rc, out, err = run(["eval", *argv], capsys)
     assert (rc, out) == (2, "")
-    assert err == f"invalid invocation: {argv[0]} does not read {unread}\n"
+    assert err == f"invalid invocation: {message}\n"
 
 
 def test_eval_takes_tol_and_cap_for_every_function(capsys):

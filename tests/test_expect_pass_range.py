@@ -1,16 +1,18 @@
-"""Each ExpectPass record PASSes over its whole declared box, bar known defects.
+"""Classes over each record's whole declared box, not only its golden grid.
 
 The golden grid pins classes at a few hand-picked points.  Here every
-ExpectPass record runs on a deterministic deck over its declared
-``ParamSpec`` box: both ends of each range plus interior points, geometric
-when lo > 0 and hi/lo > 20 and linear otherwise, every choice of a choice
-parameter, 60 points per axis for a one-parameter record and 12 for more,
-filtered by the record's constraint.  Every deck row must PASS except the
-rows of ``KNOWN_DEFECTS``, and each of those must still have its listed
-class, so that a fix shows as a row to delete.
+record runs on a deterministic deck over its declared ``ParamSpec`` box:
+both ends of each range plus interior points, geometric when lo > 0 and
+hi/lo > 20 and linear otherwise, every choice of a choice parameter, 60
+points per axis for a one-parameter record and 12 for more, filtered by the
+record's constraint.  Every ExpectPass deck row must PASS except the rows of
+``KNOWN_DEFECTS``, and each of those must still have its listed class, so
+that a fix shows as a row to delete.  Every variant's count of rows per
+class is pinned in ``CLASS_COUNTS``.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -20,7 +22,8 @@ from ellid.registry import Classification, Expectation, classify, default_regist
 EXPECT_PASS_RECORDS = [r for r in default_registry().records()
                        if r.expected is Expectation.EXPECT_PASS]
 
-INCONCLUSIVE, FAIL = Classification.INCONCLUSIVE, Classification.FAIL
+PASS, INCONCLUSIVE, FAIL = (Classification.PASS, Classification.INCONCLUSIVE,
+                            Classification.FAIL)
 
 # (identity, point values in ParamSpec order) ->
 #     (shipped class, mechanism, 50-digit oracle residual of the row).
@@ -95,3 +98,62 @@ def test_known_defects_are_oracle_passes(key):
     true = oracle.residual(identity, "base", point)
     assert classify(true) is Classification.PASS
     assert true == pytest.approx(KNOWN_DEFECTS[key][2], rel=0.05)
+
+
+# (identity, variant) -> {class: rows} over the record's deck, 3459 rows in
+# all.  A change that moves a count lists the moved rows, with their old and
+# new classes and their oracle residuals, where it records its changes.
+CLASS_COUNTS = {
+    ("E4", "base"): {PASS: 58, INCONCLUSIVE: 2},
+    ("E5", "base"): {PASS: 60},
+    ("E5b", "base"): {PASS: 57, INCONCLUSIVE: 2, FAIL: 1},
+    ("E5c", "base"): {PASS: 60},
+    ("E7", "base"): {PASS: 142, INCONCLUSIVE: 2},
+    ("E7", "inverted-a"): {PASS: 12, FAIL: 132},
+    ("E7b", "base"): {PASS: 144},
+    ("E8", "base"): {PASS: 131, INCONCLUSIVE: 1},
+    ("E8", "minus-tan"): {PASS: 11, FAIL: 121},
+    ("E8", "half-scale"): {PASS: 11, FAIL: 121},
+    ("P1", "base"): {PASS: 57},
+    ("P10", "base"): {PASS: 24},
+    ("P10a", "base"): {PASS: 12, FAIL: 12},
+    ("P11a", "base"): {PASS: 321, INCONCLUSIVE: 3},
+    ("P11b", "base"): {PASS: 90},
+    ("P11b", "mixed-parity"): {PASS: 90},
+    ("P12", "base"): {INCONCLUSIVE: 8, FAIL: 136},
+    ("P12", "derived-bilateral"): {PASS: 129, INCONCLUSIVE: 13, FAIL: 2},
+    ("P2", "base"): {PASS: 114},
+    ("P2", "sinh-squared"): {PASS: 57, INCONCLUSIVE: 7, FAIL: 50},
+    ("P2", "theta2-direct"): {PASS: 114},
+    ("P2b", "base"): {PASS: 60},
+    ("P2b", "nome-exp-pi-z"): {FAIL: 60},
+    ("P3", "base"): {PASS: 57, INCONCLUSIVE: 2, FAIL: 1},
+    ("P4", "base"): {PASS: 60},
+    ("P4b", "base"): {PASS: 136, INCONCLUSIVE: 5, FAIL: 3},
+    ("P5", "base"): {PASS: 58, INCONCLUSIVE: 2},
+    ("P5", "n-times-n-plus-1"): {PASS: 10, INCONCLUSIVE: 7, FAIL: 43},
+    ("P6", "base"): {PASS: 59, INCONCLUSIVE: 1},
+    ("P6b", "base"): {FAIL: 60},
+    ("P6b", "minus-half"): {PASS: 57, INCONCLUSIVE: 3},
+    ("P7", "base"): {INCONCLUSIVE: 1, FAIL: 23},
+    ("P7", "classical"): {PASS: 24},
+    ("P7b", "base"): {PASS: 57, INCONCLUSIVE: 3},
+    ("P7b", "middle-sum"): {PASS: 60},
+    ("P7b", "plus-half-closed"): {FAIL: 60},
+    ("P8", "base"): {PASS: 5, INCONCLUSIVE: 15, FAIL: 40},
+    ("P8", "classical-drdk"): {PASS: 57, INCONCLUSIVE: 2, FAIL: 1},
+    ("P9", "parameter"): {PASS: 60},
+    ("P9", "modulus"): {PASS: 1, INCONCLUSIVE: 17, FAIL: 42},
+}
+
+
+@pytest.mark.parametrize("record", default_registry().records(),
+                         ids=lambda r: r.identity_id)
+def test_class_counts_over_the_declared_box(record):
+    registry = default_registry()
+    points = deck(record)
+    counts = {(record.identity_id, v.variant_id): dict(Counter(
+        registry.evaluate(record.identity_id, v.variant_id, p).classification
+        for p in points)) for v in record.variants}
+    assert counts == {key: c for key, c in CLASS_COUNTS.items()
+                      if key[0] == record.identity_id}

@@ -1,5 +1,6 @@
 """Registry: records, residual engine, polynomial machinery, determinism."""
 
+import functools
 import gc
 import inspect
 import itertools
@@ -74,6 +75,25 @@ def test_every_side_takes_its_record_parameters_in_order():
                 if [p.kind for p in params] == [inspect.Parameter.VAR_POSITIONAL]:
                     continue
                 assert [p.name for p in params] == names, (rec.identity_id, v.variant_id)
+
+
+def test_every_side_is_a_flat_function_or_a_partial_of_one():
+    # A closure or lambda side hides its variant's constants from the record
+    # table; a partial of a series or theta function would escape a wrapper
+    # installed on the module attribute after the registry was built.
+    def flat(f):
+        return inspect.isfunction(f) and "<locals>" not in f.__qualname__
+
+    for rec in default_registry().records():
+        for v in rec.variants:
+            for side in (v.lhs, v.rhs):
+                where = (rec.identity_id, v.variant_id, side)
+                if isinstance(side, functools.partial):
+                    assert not side.keywords, where
+                    assert flat(side.func), where
+                    assert side.func.__module__ == "ellid.registry", where
+                else:
+                    assert flat(side), where
 
 
 def test_validate_point_returns_values_in_param_order():
