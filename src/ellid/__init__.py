@@ -17,9 +17,9 @@ from .errors import (ConfigError, ConstraintError, DomainError, EllidError,
 from .registry import (Classification, Expectation, IdentityRecord,
                        PolynomialSpec, Registry, ResidualReport, Variant,
                        build_registry, classify, default_registry,
-                       evaluate_identity, poly_even_zeta_integral,
-                       poly_even_zeta_sum, poly_weighted_log_theta2_sum,
-                       poly_weighted_log_theta4_sum, run_all, run_grid)
+                       poly_even_zeta_integral, poly_even_zeta_sum,
+                       poly_weighted_log_theta2_sum,
+                       poly_weighted_log_theta4_sum)
 from .series import (DEFAULT_POLICY, SeriesResult, TruncationPolicy,
                      S1_cosh_over_sinh, S2_alt_sin_sq_over_expm1,
                      S2h_alt_sinh_sq_over_expm1, S3_alt_n_over_expm1,

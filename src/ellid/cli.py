@@ -198,7 +198,7 @@ def _flag_values(args: argparse.Namespace, flags: Sequence[str] | None) -> list:
         value = getattr(args, name)
         if not math.isfinite(value):
             raise ConfigError(f"{args.function}: --{name} must be finite, got {value!r}")
-        values.append(Nome.from_value(value) if name == "q" else value)
+        values.append(Nome(value) if name == "q" else value)
     return values
 
 

@@ -110,10 +110,6 @@ class Nome(_NomeFields):
         return tuple.__new__(cls, (q,))
 
     @classmethod
-    def from_value(cls, q: float) -> "Nome":
-        return cls(q)
-
-    @classmethod
     def from_pi_exponent(cls, a: float) -> "Nome":
         """q = exp(-pi*a) for a > 0."""
         if not a > 0.0:

@@ -35,7 +35,7 @@ from .series import (DEFAULT_POLICY, S1_cosh_over_sinh,
                      S8_exp_over_cube, S9_lambert_E2, S10_alt_sin_lambert,
                      SeriesResult, TruncationPolicy, _inv_expm1, exp_over_sinh,
                      n_cosh_over_sinh_double, sum_series, zeta_neg, zeta_even)
-from .singular import (_dadm_classical, _dadm_stated, dadk_candidates, dadk_fd,
+from .singular import (_dadk_classical, _dadk_stated, dadk_candidates, dadk_fd,
                        solve_k)
 from .theta import (ThetaKind, _log_theta_pass, log_theta_derivative,
                     q_product_P0, theta2, theta4_imag, theta4_u_derivative_imag,
@@ -598,12 +598,12 @@ def _e7_rhs(inverted: bool, a, v, policy):
 # -- E8 ---------------------------------------------------------------------
 
 def _e8_lhs(scale: float, z, q, policy):
-    r = S10_alt_sin_lambert(z, Nome.from_value(q), policy)
+    r = S10_alt_sin_lambert(z, Nome(q), policy)
     return _combine(scale * r.value, r)
 
 
 def _e8_rhs(tan_sign: float, z, q, policy):
-    nome = Nome.from_value(q)
+    nome = Nome(q)
     th = theta2(z, nome, policy)
     dth = theta_u_derivative(ThetaKind.THETA2, z, nome, policy)
     return _combine(tan_sign * math.tan(z) + dth / th.value, th)
@@ -690,7 +690,7 @@ def _p7_arg(value, convention) -> EllipticArgument:
 
 def _p7_lhs(candidate: str, value, convention, policy):
     """The ``dadk_candidates`` entry named ``candidate``."""
-    return SeriesResult(dict(dadk_candidates(_p7_arg(value, convention)))[candidate])
+    return SeriesResult(dadk_candidates(_p7_arg(value, convention))[candidate])
 
 
 def _p7_rhs_fd(value, convention, policy):
@@ -704,10 +704,10 @@ def _p8_lhs(r, policy):
     return _combine(24.0 * s.value, s)
 
 
-def _p8_rhs(drdm: Callable[[float, float, float], float], r, policy):
+def _p8_rhs(drdm: Callable[[float, Convention, float, float], float], r, policy):
     k, K, E = _ke_at(r)
     m = k * k
-    d = drdm(m, K, E)
+    d = drdm(m, Convention.PARAMETER, K, E)
     return SeriesResult(1.0 + (6.0 * E + (m - 5.0) * K)
                         / (math.pi * m * (1.0 - m) * K * d))
 
@@ -1057,9 +1057,9 @@ def build_registry() -> "Registry":
             "24 sum n q^n/(1-q^n) = 1 + (6E + (m-5)K)/(pi m (1-m) K dr/dm) "
             "with q = e^(-pi r), m the parameter at ratio r",
             (ParamSpec("r", (1.0, 2.0), lo=0.11, hi=20.0),),
-            (Variant("base", _p8_lhs, partial(_p8_rhs, _dadm_stated),
+            (Variant("base", _p8_lhs, partial(_p8_rhs, _dadk_stated),
                      note="dr/dm from the stated derivative formula"),
-             Variant("classical-drdk", _p8_lhs, partial(_p8_rhs, _dadm_classical),
+             Variant("classical-drdk", _p8_lhs, partial(_p8_rhs, _dadk_classical),
                      note="dr/dm from the textbook period-ratio derivative")),
             Expectation.CONTESTED),
         IdentityRecord(
@@ -1189,28 +1189,13 @@ class Registry:
         reports.sort(key=report_sort_key)
         return reports
 
-    def run_grid(self, identity_id: str,
-                 policy: TruncationPolicy = DEFAULT_POLICY) -> list[ResidualReport]:
-        return self.run([identity_id], policy)
-
     def run_all(self, policy: TruncationPolicy = DEFAULT_POLICY) -> list[ResidualReport]:
+        """``run(None, policy)``: the whole catalog.  It stays a method of its
+        own because the benchmark's catalog op calls it and its tracer spans
+        it as ``registry.run_all``."""
         return self.run(None, policy)
 
 
 @functools.cache
 def default_registry() -> Registry:
     return build_registry()
-
-
-def evaluate_identity(identity_id: str, variant_id: str, point: Mapping,
-                      policy: TruncationPolicy = DEFAULT_POLICY) -> ResidualReport:
-    return default_registry().evaluate(identity_id, variant_id, point, policy)
-
-
-def run_grid(identity_id: str,
-             policy: TruncationPolicy = DEFAULT_POLICY) -> list[ResidualReport]:
-    return default_registry().run_grid(identity_id, policy)
-
-
-def run_all(policy: TruncationPolicy = DEFAULT_POLICY) -> list[ResidualReport]:
-    return default_registry().run_all(policy)

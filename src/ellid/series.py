@@ -80,8 +80,10 @@ def sum_series(term_fn: Callable[[int], tuple[float, float]],
     envelope may stop.  The geometric tail e_n r / (1 - r) is
     the reported ``tail_bound``.  An envelope of exactly 0 stops at once
     with tail 0.  The envelope test runs first: it fails for almost every
-    term, and r and the tail are computed only once it holds.  The tests
-    have no side effects, so their order changes no result.
+    term, and the observed-ratio half, ``_observed_tail``, runs only once
+    it holds.  The tests have no side effects, so their order changes no
+    result.  ``theta._log_theta_pass`` applies this rule, with the same
+    ``_observed_tail``, to each of its accumulators.
     """
     total = initial
     comp = 0.0
@@ -103,18 +105,28 @@ def sum_series(term_fn: Callable[[int], tuple[float, float]],
             return SeriesResult(total, n - start + 1, 0.0)
         # The envelope test first: it fails for almost every term.  In
         # relative mode tol * max(1, |t|) is the larger of tol and tol * |t|
-        # (a NaN |t| gives tol either way).  No stop on the first term: the
-        # geometric ratio is unknown there, so any tail estimate would be
-        # fiction.
-        if ((env < tol or relative and env < tol * abs(t))
-                and 0.0 < prev_env < math.inf):
-            ratio = env / prev_env
-            if ratio < guard:
-                tail = env * ratio / (1.0 - ratio)
-                if tail <= tol:
-                    return SeriesResult(total, n - start + 1, tail)
+        # (a NaN |t| gives tol either way).
+        if env < tol or relative and env < tol * abs(t):
+            tail = _observed_tail(env, prev_env, guard, tol)
+            if tail is not None:
+                return SeriesResult(total, n - start + 1, tail)
         prev_env = env
     raise _summation_error(policy.cap, last_envelope=prev_env)
+
+
+def _observed_tail(env: float, prev_env: float, guard: float,
+                   tol: float) -> float | None:
+    """The observed-ratio half of ``sum_series``'s stop rule: the tail
+    env r / (1 - r), r = env / prev_env, if 0 < prev_env < inf, r < guard and
+    the tail is at most tol; otherwise None.  prev_env is inf before the
+    first term, where no ratio is known and so no tail estimate holds."""
+    if 0.0 < prev_env < math.inf:
+        ratio = env / prev_env
+        if ratio < guard:
+            tail = env * ratio / (1.0 - ratio)
+            if tail <= tol:
+                return tail
+    return None
 
 
 def _summation_error(n: int, exc: Exception | None = None,

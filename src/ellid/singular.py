@@ -269,34 +269,30 @@ def dadk_fd(arg: EllipticArgument, step: float = 1e-4) -> DerivativeEstimate:
     return DerivativeEstimate(value, error)
 
 
-def dadk_candidates(arg: EllipticArgument) -> list[tuple[str, float]]:
+def dadk_candidates(arg: EllipticArgument) -> dict[str, float]:
     """Closed-form candidates for da/d(argument), for comparison to dadk_fd.
 
-    "stated-formula" is (dK/darg)/(E K - K^2) read in the argument's own
-    convention, the derivative claim the registry audits; "classical" is the
-    textbook derivative of the period ratio, -pi/(2 k k'^2 K^2) in the
-    modulus convention and the chain-ruled -pi/(4 m (1-m) K^2) in the
-    parameter convention.
+    A mapping from name to value, read in the argument's own convention:
+    "stated-formula" is ``_dadk_stated``, the derivative claim the registry
+    audits, and "classical" is ``_dadk_classical``.
     """
     if not 0.05 <= arg.value <= 0.95:
         raise DomainError(f"dadk_candidates supports arguments in [0.05, 0.95], got {arg.value!r}")
     K = ellint_K(arg)
     E = ellint_E(arg)
-    stated = _dK_from(arg.value, arg.convention, K, E) / (E * K - K * K)
-    if arg.convention is Convention.MODULUS:
-        k = arg.value
-        kp2 = (1.0 - k) * (1.0 + k)
-        classical = -math.pi / (2.0 * k * kp2 * K * K)
-    else:
-        classical = _dadm_classical(arg.value, K, E)
-    return [("stated-formula", stated), ("classical", classical)]
+    return {"stated-formula": _dadk_stated(arg.value, arg.convention, K, E),
+            "classical": _dadk_classical(arg.value, arg.convention, K, E)}
 
 
-def _dadm_stated(m: float, K: float, E: float) -> float:
-    """The stated da/dm, (dK/dm)/(E K - K^2), from m and K(m), E(m)."""
-    return _dK_from(m, Convention.PARAMETER, K, E) / (E * K - K * K)
+def _dadk_stated(value: float, convention: Convention, K: float, E: float) -> float:
+    """The stated da/d(argument), (dK/darg)/(E K - K^2), from K and E there."""
+    return _dK_from(value, convention, K, E) / (E * K - K * K)
 
 
-def _dadm_classical(m: float, K: float, E: float) -> float:
-    """The classical da/dm, -pi/(4 m (1-m) K^2); E is not used."""
-    return -math.pi / (4.0 * m * (1.0 - m) * K * K)
+def _dadk_classical(value: float, convention: Convention, K: float, E: float) -> float:
+    """The textbook da/d(argument): -pi/(2 k k'^2 K^2) for the modulus, the
+    chain-ruled -pi/(4 m (1-m) K^2) for the parameter.  E is not used."""
+    if convention is Convention.MODULUS:
+        kp2 = (1.0 - value) * (1.0 + value)
+        return -math.pi / (2.0 * value * kp2 * K * K)
+    return -math.pi / (4.0 * value * (1.0 - value) * K * K)

@@ -26,7 +26,7 @@ from enum import Enum
 from .elliptic import Nome
 from .errors import DomainError, NonConvergenceError, PoleError, UnsupportedOrderError
 from .series import (DEFAULT_POLICY, SeriesResult, TruncationPolicy,
-                     _summation_error, sum_series)
+                     _observed_tail, _summation_error, sum_series)
 
 MAX_LOG_DERIVATIVE_ORDER = 12
 
@@ -186,7 +186,8 @@ def _log_theta_pass(kind: ThetaKind, top: int, s: float, q: Nome,
     and the absolute-value envelope of the order-0 series, the scale of the
     pole test.  Each n's exponentials (or q-power, cosine and sine) are
     computed once.  Each accumulator keeps the Kahan state and stop rule of
-    ``sum_series(..., relative=True)`` and freezes when its own rule fires,
+    ``sum_series(..., relative=True)``, whose docstring states the rule and
+    whose ``_observed_tail`` it calls, and freezes when its own rule fires,
     so every value has the bits a separate pass would give, and so does
     g^(j), which depends only on f^(0..j).
 
@@ -253,12 +254,9 @@ def _log_theta_pass(kind: ThetaKind, top: int, s: float, q: Nome,
                 sums[j] = t
                 if env == 0.0:
                     continue
-                if env < tol or env < tol * abs(t):  # tol * max(1, |t|)
-                    prev = prevs[j]
-                    if 0.0 < prev < math.inf:
-                        ratio = env / prev
-                        if ratio < 1.0 and env * ratio / (1.0 - ratio) <= tol:
-                            continue
+                if ((env < tol or env < tol * abs(t))  # tol * max(1, |t|)
+                        and _observed_tail(env, prevs[j], 1.0, tol) is not None):
+                    continue
                 prevs[j] = env
                 still.append(j)
             active = still

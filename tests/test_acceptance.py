@@ -19,9 +19,9 @@ from ellid import (Classification, EllipticArgument, PolynomialSpec,
                    S5sq_sech2, S6_alt_sin_over_expm1, S6closed, S7_csch_sinh,
                    S8_exp_over_cube, S9_lambert_E2, S10_alt_sin_lambert,
                    Nome, ThetaKind, TruncationPolicy, dadk_candidates,
-                   dadk_fd, ellint_E, ellint_K, legendre_defect,
-                   log_theta_derivative, poly_even_zeta_integral,
-                   poly_even_zeta_sum, run_grid)
+                   dadk_fd, default_registry, ellint_E, ellint_K,
+                   legendre_defect, log_theta_derivative,
+                   poly_even_zeta_integral, poly_even_zeta_sum)
 from ellid.cli import main
 from ellid.series import n_cosh_over_sinh_double
 
@@ -55,7 +55,7 @@ def test_criterion_01_core_oracles():
 def test_criterion_02_p1_grid():
     with criterion(2, "P1 product/series link on the full grid"):
         t0 = time.monotonic()
-        reports = run_grid("P1")
+        reports = default_registry().run(["P1"])
         assert len(reports) == 9
         for r in reports:
             assert r.rel_residual <= 1e-10, r.params
@@ -64,9 +64,9 @@ def test_criterion_02_p1_grid():
 
 def test_criterion_03_e4_e5():
     with criterion(3, "E4 and E5 chain identities"):
-        for r in run_grid("E4") + run_grid("E5"):
+        for r in default_registry().run(["E4"]) + default_registry().run(["E5"]):
             assert r.rel_residual <= 1e-9, (r.identity, r.params)
-        at_one = [r for r in run_grid("E4") if r.params["a"] == 1.0][0]
+        at_one = [r for r in default_registry().run(["E4"]) if r.params["a"] == 1.0][0]
         assert abs(at_one.lhs - (-0.0018640)) < 1e-7
         assert abs(at_one.rhs - (-0.0018640)) < 1e-7
 
@@ -74,16 +74,16 @@ def test_criterion_03_e4_e5():
 def test_criterion_04_e5b_e5c_e7b():
     with criterion(4, "E5b, E5c, E7b hyperbolic-sum identities"):
         for identity in ("E5b", "E5c", "E7b"):
-            for r in run_grid(identity):
+            for r in default_registry().run([identity]):
                 assert r.rel_residual <= 1e-9, (identity, r.params)
-        at_one = [r for r in run_grid("E5c") if r.params["x"] == 1.0][0]
+        at_one = [r for r in default_registry().run(["E5c"]) if r.params["x"] == 1.0][0]
         assert abs(at_one.lhs - 0.0074559) < 1e-7
         assert abs(at_one.rhs - (-4.0 * S3_alt_n_over_expm1(2.0 * PI).value)) < 1e-15
 
 
 def test_criterion_05_p6b_adjudication():
     with criterion(5, "P6b sech-sum adjudication"):
-        reports = run_grid("P6b")
+        reports = default_registry().run(["P6b"])
         for r in reports:
             if r.variant == "base":
                 assert r.classification is Classification.FAIL
@@ -96,7 +96,7 @@ def test_criterion_05_p6b_adjudication():
 
 def test_criterion_06_p9_conventions():
     with criterion(6, "P9 descending transformation by convention"):
-        reports = run_grid("P9")
+        reports = default_registry().run(["P9"])
         for r in reports:
             if r.variant == "parameter":
                 assert r.rel_residual <= 1e-11, r.params
@@ -112,22 +112,22 @@ def test_criterion_07_p7_derivative_audit():
         for k in (0.3, 1.0 / math.sqrt(2.0), 0.7):
             arg = EllipticArgument.from_modulus(k)
             fd = dadk_fd(arg).value
-            classical = dict(dadk_candidates(arg))["classical"]
+            classical = dadk_candidates(arg)["classical"]
             assert abs(fd - classical) <= 1e-6 * abs(classical)
         # the stated formula's deviation is recorded, never asserted true
         arg = EllipticArgument.from_parameter(0.5)
-        stated = dict(dadk_candidates(arg))["stated-formula"]
+        stated = dadk_candidates(arg)["stated-formula"]
         fd = dadk_fd(arg).value
         deviation = abs(stated - fd) / abs(fd)
         assert 0.005 < deviation < 0.009
-        for r in run_grid("P7"):
+        for r in default_registry().run(["P7"]):
             if r.variant == "base":
                 assert r.classification is not Classification.PASS
 
 
 def test_criterion_08_p11a_derivative_identities():
     with criterion(8, "P11a polynomial-weighted derivative identity"):
-        for r in run_grid("P11a"):
+        for r in default_registry().run(["P11a"]):
             assert r.rel_residual <= 1e-8, r.params
         # derivative engine validated by finite-difference order consistency
         q = Nome.from_pi_exponent(1.0)
@@ -162,7 +162,7 @@ CONTESTED = ("P2", "P2b", "P3", "E7", "E8", "P4", "P4b", "P5", "P6", "P7b",
 def test_criterion_10_contested_classified_and_deterministic(tmp_path):
     with criterion(10, "contested entries classified; runs byte-identical"):
         for identity in CONTESTED:
-            for r in run_grid(identity):
+            for r in default_registry().run([identity]):
                 assert r.note == "", (identity, r.params, r.note)
                 assert math.isfinite(r.lhs) and math.isfinite(r.rhs)
         t0 = time.monotonic()
@@ -215,10 +215,10 @@ SERIES_GRID = (
     (lambda pol: S8_exp_over_cube(2.0, pol), "S8(2)"),
     (lambda pol: S9_lambert_E2(Nome.from_pi_exponent(1.0), pol), "S9(e^-pi)"),
     (lambda pol: S9_lambert_E2(Nome.from_pi_exponent(2.0), pol), "S9(e^-2pi)"),
-    (lambda pol: S9_lambert_E2(Nome.from_value(0.5), pol), "S9(0.5)"),
-    (lambda pol: S10_alt_sin_lambert(0.4, Nome.from_value(0.3), pol), "S10(0.4, 0.3)"),
+    (lambda pol: S9_lambert_E2(Nome(0.5), pol), "S9(0.5)"),
+    (lambda pol: S10_alt_sin_lambert(0.4, Nome(0.3), pol), "S10(0.4, 0.3)"),
     (lambda pol: S10_alt_sin_lambert(0.3, Nome.from_pi_exponent(1.0), pol), "S10(0.3, e^-pi)"),
-    (lambda pol: S10_alt_sin_lambert(0.6, Nome.from_value(0.2), pol), "S10(0.6, 0.2)"),
+    (lambda pol: S10_alt_sin_lambert(0.6, Nome(0.2), pol), "S10(0.6, 0.2)"),
     (lambda pol: n_cosh_over_sinh_double(0.5, pol), "ncosh/sinh2(0.5)"),
     (lambda pol: n_cosh_over_sinh_double(1.0, pol), "ncosh/sinh2(1)"),
     (lambda pol: n_cosh_over_sinh_double(2.0, pol), "ncosh/sinh2(2)"),

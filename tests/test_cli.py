@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ellid
-from ellid import default_registry, run_all, run_grid
+from ellid import default_registry
 from ellid.cli import EVAL_TABLE, build_parser, main
 from ellid.reporting import render_json
 
@@ -119,6 +119,9 @@ def test_check_grid_override_constraint_violation(capsys):
     ("E8", "q=0", "check failed: E8: point {'z': 0.3, 'q': 0.0} violates q > 0\n"),
     ("E4", "a", "invalid configuration: grid: expected name=v1,v2,..., got 'a'\n"),
     ("E4", "a=1,,2", "invalid configuration: grid: empty value in 'a=1,,2'\n"),
+    ("E4", "a=0.01", "check failed: E4: a=0.01 below 0.11\n"),
+    ("E4", "a=abc", "check failed: E4: a='abc' is not a finite number\n"),
+    ("E4", "a=nan", "check failed: E4: a=nan is not a finite number\n"),
 ])
 def test_check_grid_errors_are_exact(identity, grid, err, capsys):
     assert run(["check", identity, "--grid", grid], capsys) == (2, "", err)
@@ -127,7 +130,7 @@ def test_check_grid_errors_are_exact(identity, grid, err, capsys):
 def test_check_all_only_runs_each_id_once_sorted(capsys):
     argv = ["check-all", "--only", "P6b", "--only", "E4", "--only", "P6b",
             "--format", "json"]
-    want = render_json(run_grid("E4") + run_grid("P6b"))
+    want = render_json(default_registry().run(["E4"]) + default_registry().run(["P6b"]))
     assert run(argv, capsys) == (0, want, "")
 
 
@@ -144,10 +147,10 @@ def test_check_default_grid_override_matches_plain_check(identity, capsys):
 
 
 @pytest.mark.parametrize("identity", default_registry().ids())
-def test_check_gives_the_rows_of_run_grid(identity, capsys):
-    # check takes the --grid path at the default grid; the rows are run_grid's
+def test_check_gives_the_rows_of_registry_run(identity, capsys):
+    # check takes the --grid path at the default grid; the rows are Registry.run's
     _, out, err = run(["check", identity, "--format", "json"], capsys)
-    assert (out, err) == (render_json(run_grid(identity)), "")
+    assert (out, err) == (render_json(default_registry().run([identity])), "")
 
 
 def test_every_default_grid_point_is_valid():
@@ -227,7 +230,7 @@ def test_check_all_hash_seed_independent(tmp_path):
 def test_check_all_matches_golden_report(capsys):
     # any intended change to the report bytes regenerates the golden file
     golden = GOLDEN_REPORT.read_bytes()
-    assert render_json(run_all()).encode() == golden
+    assert render_json(default_registry().run_all()).encode() == golden
     rc, out, _ = run(["check-all", "--format", "json"], capsys)
     assert rc == 0
     assert out.encode() == golden
@@ -381,6 +384,7 @@ def test_eval_flags_are_those_some_function_reads():
     (["theta4", "--u", "0", "--q", "0.1", "--k", "0.5", "--x", "1"],
      "theta4 does not read --k --x"),
     (["K", "--k", "0.5", "--m", "0.25"], "pass exactly one of --k / --m"),
+    (["S1", "--a", "inf", "--t", "0"], "S1: --a must be finite, got inf"),
 ])
 def test_eval_refuses_an_invalid_invocation(argv, message, capsys):
     rc, out, err = run(["eval", *argv], capsys)

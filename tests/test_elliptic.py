@@ -246,10 +246,10 @@ def test_nome_builds():
     assert abs(math.log(q.q) + PI) <= 1e-14 * PI
     q2 = Nome.from_exponent(2.0)
     assert abs(q2.q - math.exp(-2.0)) == 0.0
-    assert Nome.from_value(0.0).q == 0.0
+    assert Nome(0.0).q == 0.0
     with pytest.raises(DomainError):
-        Nome.from_value(1.0)
+        Nome(1.0)
     with pytest.raises(DomainError):
-        Nome.from_value(-0.2)
+        Nome(-0.2)
     with pytest.raises(DomainError):
         Nome.from_pi_exponent(0.0)

@@ -94,7 +94,6 @@ def test_records_with_different_values_differ():
 def test_nome_equality_and_hash_follow_q():
     assert hash(Nome(0.5)) == hash((0.5,))
     assert Nome(0.5) != Nome(0.25)
-    assert Nome.from_value(0.5) == Nome(0.5)
 
 
 def test_default_policy_is_shared_and_immutable():

@@ -16,10 +16,9 @@ from scipy.integrate import quad
 from ellid import (Classification, ConstraintError, DomainError, Expectation,
                    PoleError, PolynomialSpec, RangeError, ResidualReport,
                    S4_n_over_sinh, SeriesResult, TruncationPolicy, UnknownIdentityError,
-                   classify, default_registry, evaluate_identity,
-                   poly_even_zeta_integral, poly_even_zeta_sum,
-                   poly_weighted_log_theta2_sum, poly_weighted_log_theta4_sum,
-                   registry, run_all, run_grid)
+                   classify, default_registry, poly_even_zeta_integral,
+                   poly_even_zeta_sum, poly_weighted_log_theta2_sum,
+                   poly_weighted_log_theta4_sum, registry)
 from ellid import cli
 from ellid.reporting import render_csv, render_json, render_text
 from libm import perturbed_libm
@@ -125,13 +124,13 @@ def test_classification_bands():
 
 
 def test_evaluate_p1_point():
-    r = evaluate_identity("P1", "base", {"a": 1.0, "t": 0.3})
+    r = default_registry().evaluate("P1", "base", {"a": 1.0, "t": 0.3})
     assert r.classification is Classification.PASS
     assert r.abs_residual < 1e-11
 
 
 def test_evaluate_e4_point():
-    r = evaluate_identity("E4", "base", {"a": 1.0})
+    r = default_registry().evaluate("E4", "base", {"a": 1.0})
     assert r.classification is Classification.PASS
     assert abs(r.lhs - (-0.0018640)) < 1e-7
     assert abs(r.rhs - (-0.0018640)) < 1e-7
@@ -139,25 +138,25 @@ def test_evaluate_e4_point():
 
 def test_evaluate_p9_degenerate_point():
     # x = 0 collapses both sides to K(0)
-    r = evaluate_identity("P9", "parameter", {"x": 0.0})
+    r = default_registry().evaluate("P9", "parameter", {"x": 0.0})
     assert r.classification is Classification.PASS
     assert r.abs_residual == 0.0
 
 
 def test_unknown_identity_and_variant():
     with pytest.raises(UnknownIdentityError):
-        evaluate_identity("NOPE", "base", {})
+        default_registry().evaluate("NOPE", "base", {})
     with pytest.raises(UnknownIdentityError):
-        evaluate_identity("P1", "no-such-variant", {"a": 1.0, "t": 0.0})
+        default_registry().evaluate("P1", "no-such-variant", {"a": 1.0, "t": 0.0})
 
 
 def test_constraint_violations_raise():
     with pytest.raises(ConstraintError):
-        evaluate_identity("P1", "base", {"a": 0.8, "t": 2.0})  # 2t >= pi a
+        default_registry().evaluate("P1", "base", {"a": 0.8, "t": 2.0})  # 2t >= pi a
     with pytest.raises(ConstraintError):
-        evaluate_identity("P1", "base", {"a": 1.0})  # missing parameter
+        default_registry().evaluate("P1", "base", {"a": 1.0})  # missing parameter
     with pytest.raises(ConstraintError):
-        evaluate_identity("P7", "base", {"value": 0.5, "convention": "weird"})
+        default_registry().evaluate("P7", "base", {"value": 0.5, "convention": "weird"})
 
 
 def test_every_constraint_cuts_its_declared_box():
@@ -174,15 +173,15 @@ def test_every_constraint_cuts_its_declared_box():
 
 
 def test_non_convergence_is_inconclusive_never_pass():
-    r = evaluate_identity("P1", "base", {"a": 1.0, "t": 0.3},
-                          TruncationPolicy(cap=2))
+    r = default_registry().evaluate("P1", "base", {"a": 1.0, "t": 0.3},
+                                    TruncationPolicy(cap=2))
     assert r.classification is Classification.INCONCLUSIVE
     assert "NonConvergenceError" in r.note
     assert r.lhs != r.lhs  # nan
 
 
 def test_p6b_adjudication():
-    reports = run_grid("P6b")
+    reports = default_registry().run(["P6b"])
     base = [r for r in reports if r.variant == "base"]
     minus = [r for r in reports if r.variant == "minus-half"]
     assert len(base) == len(minus) == 3
@@ -195,14 +194,14 @@ def test_p6b_adjudication():
 
 
 def test_expect_pass_entries_all_pass():
-    reports = run_all()
+    reports = default_registry().run_all()
     for r in reports:
         if r.identity in EXPECT_PASS_IDS:
             assert r.classification is Classification.PASS, (r.identity, r.params)
 
 
 def test_contested_entries_fully_classified():
-    reports = run_all()
+    reports = default_registry().run_all()
     for r in reports:
         if r.identity in CONTESTED_FULL_GRID_IDS:
             assert r.note == ""
@@ -216,12 +215,12 @@ def test_report_count_matches_registry_cardinality():
     reg = default_registry()
     want = sum(len(rec.variants) * len(rec.grid_points())
                for rec in reg.records())
-    assert len(run_all()) == want
+    assert len(default_registry().run_all()) == want
 
 
 def test_run_all_deterministic():
-    a = run_all()
-    b = run_all()
+    a = default_registry().run_all()
+    b = default_registry().run_all()
     assert a == b
     assert render_json(a) == render_json(b)
 
@@ -230,7 +229,7 @@ def test_no_golden_class_rests_on_libm_last_bit():
     # Each run moves every transcendental result and sqrt by a seeded 0 or
     # +-1 ulp, as another libm might; the bits move, the classes must not.
     default_registry()  # E8's grid computes q at build time: build unperturbed
-    base = run_all()
+    base = default_registry().run_all()
     want = [r.classification for r in base]
     values = {(r.lhs, r.rhs) for r in base}
     moved = 0
@@ -238,7 +237,7 @@ def test_no_golden_class_rests_on_libm_last_bit():
         registry._ke_at.cache_clear()
         try:
             with perturbed_libm(seed):
-                reports = run_all()
+                reports = default_registry().run_all()
         finally:
             registry._ke_at.cache_clear()
         assert [r.classification for r in reports] == want, seed
@@ -257,7 +256,7 @@ def test_run_all_solves_each_singular_modulus_once(monkeypatch):
     monkeypatch.setattr(registry, "solve_k", counting_solve_k)
     registry._ke_at.cache_clear()
     try:
-        reports = run_all()
+        reports = default_registry().run_all()
         assert sorted(solved) == [0.5, 1.0, 2.0]
         golden = Path(__file__).parent / "data" / "check_all.json"
         assert render_json(reports).encode() == golden.read_bytes()
@@ -311,7 +310,7 @@ def _sharing_registry(lhs, rhs_a, rhs_b, both=None, grid=(1.0, 2.0, 3.0)):
 
 def test_variants_share_each_side_once_per_point():
     lhs, rhs_a, rhs_b, both = _Side(1.0), _Side(1.0), _Side(2.0), _Side(1.0)
-    reports = _sharing_registry(lhs, rhs_a, rhs_b, both).run_grid("T")
+    reports = _sharing_registry(lhs, rhs_a, rhs_b, both).run(["T"])
     assert len(reports) == 12
     for side in (lhs, rhs_a, rhs_b):
         assert sorted(side.calls) == [1.0, 2.0, 3.0]
@@ -329,7 +328,7 @@ def test_variants_share_each_side_once_per_point():
 
 
 def test_check_grid_shares_each_side_once_per_point(monkeypatch, capsys):
-    # `ellid check --grid` runs the same per-point engine as run_grid
+    # `ellid check --grid` runs the same per-point engine as Registry.run
     lhs, rhs_a, rhs_b, both = _Side(1.0), _Side(1.0), _Side(2.0), _Side(1.0)
     reg = _sharing_registry(lhs, rhs_a, rhs_b, both)
     monkeypatch.setattr(cli, "default_registry", lambda: reg)
@@ -339,7 +338,7 @@ def test_check_grid_shares_each_side_once_per_point(monkeypatch, capsys):
     assert sorted(both.calls) == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 12
-    assert rows == json.loads(render_json(reg.run_grid("T")))
+    assert rows == json.loads(render_json(reg.run(["T"])))
 
 
 def test_a_records_own_invalid_grid_point_raises():
@@ -347,21 +346,21 @@ def test_a_records_own_invalid_grid_point_raises():
     lhs, rhs_a, rhs_b = _Side(1.0), _Side(1.0), _Side(2.0)
     reg = _sharing_registry(lhs, rhs_a, rhs_b, grid=(1.0, 9.0))
     with pytest.raises(ConstraintError, match=r"^T: x=9\.0 above 5\.0$"):
-        reg.run_grid("T")
+        reg.run(["T"])
     for side in (lhs, rhs_a, rhs_b):
         assert side.calls == [1.0]
 
 
 def test_run_gives_each_id_once():
     reg = default_registry()
-    assert reg.run(["E4", "E4"]) == reg.run_grid("E4")
-    assert reg.run(["P6b", "E4", "P6b"]) == reg.run_grid("E4") + reg.run_grid("P6b")
+    assert reg.run(["E4", "E4"]) == reg.run(["E4"])
+    assert reg.run(["P6b", "E4", "P6b"]) == reg.run(["E4"]) + reg.run(["P6b"])
 
 
 @pytest.mark.parametrize("exc", [DomainError, ZeroDivisionError])
 def test_failed_shared_lhs_gives_every_variant_its_note(exc):
     lhs, rhs_a, rhs_b = _Side(1.0, fail_at=(2.0,), exc=exc), _Side(1.0), _Side(1.0)
-    reports = _sharing_registry(lhs, rhs_a, rhs_b).run_grid("T")
+    reports = _sharing_registry(lhs, rhs_a, rhs_b).run(["T"])
     assert sorted(lhs.calls) == [1.0, 2.0, 3.0]
     # a failed lhs skips its rhs, as a single evaluation would
     assert 2.0 not in rhs_a.calls and 2.0 not in rhs_b.calls
@@ -377,7 +376,7 @@ def test_failed_shared_lhs_gives_every_variant_its_note(exc):
 def test_failed_rhs_leaves_other_variants_alone():
     lhs, rhs_a, rhs_b = _Side(1.0), _Side(1.0, fail_at=(3.0,)), _Side(1.0)
     reg = _sharing_registry(lhs, rhs_a, rhs_b)
-    by_key = {(r.variant, r.params["x"]): r for r in reg.run_grid("T")}
+    by_key = {(r.variant, r.params["x"]): r for r in reg.run(["T"])}
     for variant in ("base", "same-rhs"):
         assert by_key[variant, 3.0].note == "DomainError: no value at x=3.0"
     assert rhs_a.calls.count(3.0) == 1
@@ -391,17 +390,17 @@ def test_failed_rhs_leaves_other_variants_alone():
 def test_bare_side_exception_still_propagates():
     lhs = _Side(1.0, fail_at=(1.0,), exc=RuntimeError)
     with pytest.raises(RuntimeError):
-        _sharing_registry(lhs, _Side(1.0), _Side(1.0)).run_grid("T")
+        _sharing_registry(lhs, _Side(1.0), _Side(1.0)).run(["T"])
 
 
 def test_run_all_and_render_json_leave_no_reference_cycles():
     # A side failure kept with its traceback would tie the traceback's frames
     # to the memo holding it, one garbage cycle per failed side.
-    run_all()
+    default_registry().run_all()
     gc.collect()
     gc.disable()
     try:
-        render_json(run_all())
+        render_json(default_registry().run_all())
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -428,7 +427,7 @@ def test_evaluate_returns_a_row_anywhere_in_declared_ranges(identity_id, data):
 
 
 def test_adjudication_outcomes():
-    reports = run_all()
+    reports = default_registry().run_all()
     by = {}
     for r in reports:
         by.setdefault((r.identity, r.variant), []).append(r.classification)
@@ -458,7 +457,7 @@ def test_adjudication_outcomes():
 
 
 def test_p10a_quadratic_case_fails_by_one_over_a():
-    reports = run_grid("P10a")
+    reports = default_registry().run(["P10a"])
     for r in reports:
         if r.params["fdeg"] == 2:
             a = 2.0 * PI / r.params["b"]
@@ -469,7 +468,7 @@ def test_p10a_quadratic_case_fails_by_one_over_a():
 
 
 def test_p9_modulus_reading_recorded():
-    reports = [r for r in run_grid("P9") if r.variant == "modulus"]
+    reports = [r for r in default_registry().run(["P9"]) if r.variant == "modulus"]
     assert len(reports) == 7
     # half the grid leaves the real domain; those points carry an error note
     noted = [r for r in reports if r.note]
@@ -562,7 +561,7 @@ def test_weighted_log_theta2_pole_propagates():
 # -- serialization ---------------------------------------------------------------
 
 def test_render_json_is_valid_and_ordered():
-    reports = run_grid("E4")
+    reports = default_registry().run(["E4"])
     text = render_json(reports)
     parsed = json.loads(text)
     assert len(parsed) == 3
@@ -571,6 +570,7 @@ def test_render_json_is_valid_and_ordered():
                                       "classification", "terms", "note"]
     assert parsed[0]["identity"] == "E4"
     assert isinstance(parsed[0]["lhs"], float)
+    assert render_json([]) == "[]\n"
 
 
 
@@ -599,15 +599,15 @@ def test_render_json_escapes_strings_as_json_dumps(identity, variant, key, value
 
 
 def test_render_json_nan_becomes_null():
-    r = evaluate_identity("P1", "base", {"a": 1.0, "t": 0.3},
-                          TruncationPolicy(cap=2))
+    r = default_registry().evaluate("P1", "base", {"a": 1.0, "t": 0.3},
+                                    TruncationPolicy(cap=2))
     parsed = json.loads(render_json([r]))
     assert parsed[0]["lhs"] is None
     assert "NonConvergenceError" in parsed[0]["note"]
 
 
 def test_render_csv_shape():
-    reports = run_grid("P6b")
+    reports = default_registry().run(["P6b"])
     lines = render_csv(reports).splitlines()
     assert lines[0] == ("identity,variant,params,lhs,rhs,abs_residual,"
                         "rel_residual,classification,terms,note")
@@ -616,7 +616,7 @@ def test_render_csv_shape():
 
 def test_render_text_marks_adjudication():
     reg = default_registry()
-    text = render_text(run_grid("P6b"), reg)
+    text = render_text(default_registry().run(["P6b"]), reg)
     assert "P6b adjudication" in text
     assert "minus-half" in text
 

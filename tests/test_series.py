@@ -47,6 +47,9 @@ def test_S3_values():
 def test_S3_first_term_dominance():
     got = S3_alt_n_over_expm1(50.0)
     assert abs(got.value - (-math.exp(-50.0))) < 1e-6 * math.exp(-50.0)
+    # past x = 700 the terms take e^-x, where expm1 would overflow
+    got = S3_alt_n_over_expm1(720.0)
+    assert (got.value, got.terms_used) == (-math.exp(-720.0), 2)
 
 
 def test_S3sq_value():
@@ -143,20 +146,20 @@ def test_S8_small_b_first_term_dominates():
 
 
 def test_S9_values():
-    assert S9_lambert_E2(Nome.from_value(0.0)).value == 0.0
+    assert S9_lambert_E2(Nome(0.0)).value == 0.0
     q = Nome.from_pi_exponent(2.0)
     got = S9_lambert_E2(q)
     # classical weight-2 value at the second lemniscatic point
     assert abs(got.value - (1.0 - 3.0 / PI) / 24.0) < 1e-15
     assert abs(got.value - 0.0018779308936928327) < 1e-16
-    got5 = S9_lambert_E2(Nome.from_value(0.5))
+    got5 = S9_lambert_E2(Nome(0.5))
     want5 = direct(lambda n: n * 0.5 ** n / (1 - 0.5 ** n), 200)
     assert abs(got5.value - want5) < 1e-12
     assert abs(got5.value - 2.7440338887594884) < 1e-12
 
 
 def test_S10_values():
-    q = Nome.from_value(0.3)
+    q = Nome(0.3)
     assert S10_alt_sin_lambert(0.0, q).value == 0.0
     assert abs(S10_alt_sin_lambert(PI / 2, q).value) < 1e-15
     got = S10_alt_sin_lambert(0.4, q)
@@ -186,8 +189,8 @@ def test_S1_even_in_t_exact():
 def test_odd_parity_exact(v):
     assert S6_alt_sin_over_expm1(1.5, -v).value == -S6_alt_sin_over_expm1(1.5, v).value
     assert S7_csch_sinh(2.0, -v).value == -S7_csch_sinh(2.0, v).value
-    assert (S10_alt_sin_lambert(-v, Nome.from_value(0.3)).value
-            == -S10_alt_sin_lambert(v, Nome.from_value(0.3)).value)
+    assert (S10_alt_sin_lambert(-v, Nome(0.3)).value
+            == -S10_alt_sin_lambert(v, Nome(0.3)).value)
 
 
 # -- domain guards, convergence control ---------------------------------------

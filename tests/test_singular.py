@@ -297,9 +297,9 @@ def test_dadk_fd_symmetric_point_relation():
 
 
 def test_dadk_candidates_frozen():
-    cands = dict(dadk_candidates(EllipticArgument.from_parameter(0.5)))
+    cands = dadk_candidates(EllipticArgument.from_parameter(0.5))
     assert abs(cands["stated-formula"] - (-0.9076651338075715)) < 1e-13
-    cands = dict(dadk_candidates(EllipticArgument.from_modulus(1.0 / math.sqrt(2.0))))
+    cands = dadk_candidates(EllipticArgument.from_modulus(1.0 / math.sqrt(2.0)))
     assert abs(cands["classical"] - (-1.2924401043861942)) < 1e-13
 
 
@@ -307,7 +307,7 @@ def test_dadk_candidates_frozen():
 def test_classical_candidate_matches_fd(k):
     arg = EllipticArgument.from_modulus(k)
     fd = dadk_fd(arg).value
-    classical = dict(dadk_candidates(arg))["classical"]
+    classical = dadk_candidates(arg)["classical"]
     assert abs(fd - classical) <= 1e-6 * abs(classical)
 
 
@@ -315,7 +315,7 @@ def test_stated_formula_deviates_from_fd():
     # the deviation at the symmetric point is a bit under one percent
     arg = EllipticArgument.from_parameter(0.5)
     fd = dadk_fd(arg).value
-    stated = dict(dadk_candidates(arg))["stated-formula"]
+    stated = dadk_candidates(arg)["stated-formula"]
     dev = abs(stated - fd) / abs(fd)
     assert 0.005 < dev < 0.009
 

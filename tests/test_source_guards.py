@@ -55,3 +55,21 @@ def test_cli_writes_stdout_only_through_write():
 
     visit(ast.parse(Path(cli.__file__).read_text()), None)
     assert lines == []
+
+
+def test_theta_restates_no_observed_ratio_stop_test():
+    # sum_series's observed-ratio test lives in series._observed_tail alone;
+    # _log_product's declared ratio is its own rule
+    lines = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "_log_product":
+            return
+        if (isinstance(node, ast.Name) and node.id == "ratio"
+                and isinstance(node.ctx, ast.Store)):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(Path(theta.__file__).read_text()))
+    assert lines == []

@@ -37,7 +37,7 @@ def direct_theta3(z, q, n_max=50):
                            for n in range(1, n_max))
 
 
-Q01 = Nome.from_value(0.1)
+Q01 = Nome(0.1)
 QPI = Nome.from_pi_exponent(1.0)
 
 
@@ -45,8 +45,8 @@ QPI = Nome.from_pi_exponent(1.0)
 
 def test_theta4_empty_series():
     for u in (0.0, 0.7, 2.0):
-        assert theta4(u, Nome.from_value(0.0)).value == 1.0
-    assert theta4_imag(0.4, Nome.from_value(0.0)).value == 1.0
+        assert theta4(u, Nome(0.0)).value == 1.0
+    assert theta4_imag(0.4, Nome(0.0)).value == 1.0
 
 
 def test_theta4_values():
@@ -59,8 +59,8 @@ def test_theta4_values():
 
 
 def test_theta4_imag_matches_real_at_zero():
-    a = theta4_imag(0.0, Nome.from_value(0.2)).value
-    b = theta4(0.0, Nome.from_value(0.2)).value
+    a = theta4_imag(0.0, Nome(0.2)).value
+    b = theta4(0.0, Nome(0.2)).value
     assert abs(a - b) <= 4e-16
 
 
@@ -74,17 +74,17 @@ def test_theta4_imag_value():
 def test_theta4_imag_unrepresentable_raises_cleanly():
     from ellid import NonConvergenceError
     with pytest.raises(NonConvergenceError):
-        theta4_imag(400.0, Nome.from_value(0.5))
+        theta4_imag(400.0, Nome(0.5))
 
 
 def test_theta4_imag_even_exact():
-    q = Nome.from_value(0.37)
+    q = Nome(0.37)
     assert theta4_imag(0.8, q).value == theta4_imag(-0.8, q).value
 
 
 def test_theta2_values():
-    assert theta2(0.3, Nome.from_value(0.0)).value == 0.0
-    assert abs(theta2(PI / 2, Nome.from_value(0.3)).value) <= 1e-15
+    assert theta2(0.3, Nome(0.0)).value == 0.0
+    assert abs(theta2(PI / 2, Nome(0.3)).value) <= 1e-15
     got = theta2(0.0, Q01)
     assert abs(got.value - 1.1359306015682802) < 1e-15
     assert abs(got.value - direct_theta2(0.0, 0.1)) < 1e-15
@@ -97,7 +97,7 @@ def test_theta2_values():
 @pytest.mark.parametrize("z", [0.0, -0.0, 0.3, -2.0, 1e300, -1e300, 3.0])
 def test_theta2_at_zero_nome_is_the_first_term(z):
     # the first envelope is 0, so the series stops there with +0.0
-    q = Nome.from_value(0.0)
+    q = Nome(0.0)
     got = theta2(z, q)
     assert got == (0.0, 1, 0.0) and math.copysign(1.0, got.value) == 1.0
     d = theta_u_derivative(ThetaKind.THETA2, z, q)
@@ -105,7 +105,7 @@ def test_theta2_at_zero_nome_is_the_first_term(z):
 
 
 def test_theta2_at_zero_nome_and_nonfinite_z_acts_as_at_any_nome():
-    for q in (Nome.from_value(0.0), Nome.from_value(0.3)):
+    for q in (Nome(0.0), Nome(0.3)):
         for z in (math.inf, -math.inf):
             with pytest.raises(DomainError):
                 theta2(z, q)
@@ -113,7 +113,7 @@ def test_theta2_at_zero_nome_and_nonfinite_z_acts_as_at_any_nome():
 
 
 def test_theta3_values():
-    assert theta3(1.3, Nome.from_value(0.0)).value == 1.0
+    assert theta3(1.3, Nome(0.0)).value == 1.0
     got = theta3(0.0, QPI)
     assert abs(got.value - 1.0864348112133080) < 1e-15
     assert abs(got.value - direct_theta3(0.0, math.exp(-PI))) < 1e-15
@@ -241,7 +241,7 @@ def test_log_derivative_theta2_order_consistency():
 def test_log_derivative_pole():
     # theta2 vanishes at s = pi/2
     with pytest.raises(PoleError):
-        log_theta_derivative(ThetaKind.THETA2, 1, PI / 2, Nome.from_value(0.3))
+        log_theta_derivative(ThetaKind.THETA2, 1, PI / 2, Nome(0.3))
 
 
 def test_log_derivative_order_cap():
@@ -330,19 +330,19 @@ def _outcome(fn):
 
 
 PARITY_POINTS = [
-    (0.3, Nome.from_value(0.0), TruncationPolicy()),      # q = 0
-    (0.3, Nome.from_value(1e-300), TruncationPolicy()),  # terms underflow
+    (0.3, Nome(0.0), TruncationPolicy()),      # q = 0
+    (0.3, Nome(1e-300), TruncationPolicy()),  # terms underflow
     (0.3, QPI, TruncationPolicy()),
     (1.1, Q01, TruncationPolicy()),
     (-0.7, QPI, TruncationPolicy()),                       # negative s
-    (-2.5, Nome.from_value(0.5), TruncationPolicy()),
-    (PI / 2, Nome.from_value(0.3), TruncationPolicy()),    # theta2 zero
+    (-2.5, Nome(0.5), TruncationPolicy()),
+    (PI / 2, Nome(0.3), TruncationPolicy()),    # theta2 zero
     (PI, QPI, TruncationPolicy()),                         # theta4(i s/2) zero
     (0.7, Q01, TruncationPolicy(cap=3)),                   # starved caps
     (0.7, Q01, TruncationPolicy(cap=4)),
     (0.7, Q01, TruncationPolicy(cap=5)),
-    (1.1, Nome.from_value(0.5), TruncationPolicy(cap=9)),
-    (-800.0, Nome.from_value(0.5), TruncationPolicy()),    # term overflow
+    (1.1, Nome(0.5), TruncationPolicy(cap=9)),
+    (-800.0, Nome(0.5), TruncationPolicy()),    # term overflow
 ]
 
 
@@ -384,9 +384,9 @@ POLY_COEFFICIENTS = [
 
 POLY_PARITY_POINTS = PARITY_POINTS + [
     (PI, QPI, TruncationPolicy(cap=4)),                  # pole; orders >= 4 starve
-    (PI / 2, Nome.from_value(0.3), TruncationPolicy(cap=6)),  # pole; orders >= 2 starve
-    (3e307, Nome.from_value(1e-3), TruncationPolicy()),  # cos(inf) from order 7 up
-    (5e307, Nome.from_value(1e-8), TruncationPolicy()),  # pole; cos(inf) at order 8
+    (PI / 2, Nome(0.3), TruncationPolicy(cap=6)),  # pole; orders >= 2 starve
+    (3e307, Nome(1e-3), TruncationPolicy()),  # cos(inf) from order 7 up
+    (5e307, Nome(1e-8), TruncationPolicy()),  # pole; cos(inf) at order 8
 ]
 
 
@@ -451,7 +451,7 @@ def test_public_polynomial_sums_match_per_order_calls():
 def test_log_theta_sums_at_unrepresentable_s_raise_ellid_errors(s):
     # cos(inf) or exp overflow in a term must surface as sum_series's
     # DomainError or NonConvergenceError, never as a bare ValueError.
-    q = Nome.from_value(0.3)
+    q = Nome(0.3)
     policy = TruncationPolicy(cap=64)
     calls = []
     for order in range(13):
@@ -470,8 +470,8 @@ def test_log_theta_sums_at_unrepresentable_s_raise_ellid_errors(s):
 # -- q-products -----------------------------------------------------------------
 
 def test_q_product_values():
-    assert q_product_P0(Nome.from_value(0.0)).value == 1.0
-    got = q_product_P0(Nome.from_value(0.5))
+    assert q_product_P0(Nome(0.0)).value == 1.0
+    got = q_product_P0(Nome(0.5))
     prod = 1.0
     for n in range(1, 60):
         prod *= 1.0 - 0.5 ** (2 * n)
@@ -481,8 +481,8 @@ def test_q_product_values():
 
 
 def test_euler_product_values():
-    assert euler_product(Nome.from_value(0.0)).value == 1.0
-    got = euler_product(Nome.from_value(0.1))
+    assert euler_product(Nome(0.0)).value == 1.0
+    got = euler_product(Nome(0.1))
     prod = 1.0
     for n in range(1, 40):
         prod *= 1.0 - 0.1 ** n
@@ -492,8 +492,8 @@ def test_euler_product_values():
 
 def test_euler_product_of_q_squared_is_P0():
     q = 0.3
-    assert (euler_product(Nome.from_value(q * q)).value
-            == q_product_P0(Nome.from_value(q)).value)
+    assert (euler_product(Nome(q * q)).value
+            == q_product_P0(Nome(q)).value)
 
 
 def test_log_P0_minus_log_theta4_matches_series():
@@ -508,7 +508,7 @@ def test_log_P0_minus_log_theta4_matches_series():
 def test_nonfinite_imaginary_argument_is_refused_before_summing(t):
     # Its terms are inf or NaN, so no stop rule could fire: the sums used to
     # run to the cap (tens of ms) before the same NonConvergenceError.
-    q = Nome.from_value(0.3)
+    q = Nome(0.3)
     calls = [lambda: theta4_imag(t, q), lambda: theta4_u_derivative_imag(t, q)]
     calls += [lambda order=order: log_theta_derivative(
         ThetaKind.THETA4_IMAG_HALF, order, t, q) for order in range(13)]
