@@ -242,9 +242,8 @@ def _poly_log_theta_sum(kind: ThetaKind, f: PolynomialSpec, s: float, q: Nome,
 
 def _poly_bilateral_exp_sinh(f: PolynomialSpec, a: float, s: float,
                              policy: TruncationPolicy) -> SeriesResult:
-    """-sum_{n in Z, n != 0} f(n) e^(-ns) / (2n sinh(pi a n)); needs |s| < pi a."""
-    if abs(s) >= math.pi * a:
-        raise DomainError(f"bilateral sum diverges: |s| = {abs(s)!r} >= pi*a = {math.pi * a!r}")
+    """-sum_{n in Z, n != 0} f(n) e^(-ns) / (2n sinh(pi a n)); converges only
+    for |s| < pi a, which P11a's constraint enforces."""
 
     def pair(n: int) -> tuple[float, float]:
         x = math.pi * a * n
@@ -262,12 +261,8 @@ def _poly_exp_bilateral_exp_sinh(f: PolynomialSpec, a: float, s: float,
 
     f(e^(+-n)) is expanded coefficientwise into exp_over_sinh terms so the
     n > 0 mirror (which carries f(e^n) ~ e^(deg*n)) never overflows; the sum
-    converges only for deg + |s| < pi a, which is enforced.
+    converges only for deg + |s| < pi a, which P11b's constraint (deg 2) enforces.
     """
-    if f.degree + abs(s) >= math.pi * a:
-        raise DomainError(
-            f"bilateral sum diverges: degree + |s| = {f.degree + abs(s)!r} "
-            f">= pi*a = {math.pi * a!r}")
 
     def pair(n: int) -> tuple[float, float]:
         x = math.pi * a * n
@@ -421,7 +416,8 @@ def _reports_at(record: IdentityRecord, variants: Sequence[Variant],
     Each distinct evaluator object (``v.lhs is w.lhs``) is called at most
     once per side, and every variant holding it gets its value, or its
     error note.  A row's lhs and rhs never share a call, even when they are
-    one object.  A row whose lhs fails does not call its rhs.
+    one object.  A failed side, lhs first, gives one INCONCLUSIVE row with
+    its error note; a row whose lhs fails does not call its rhs.
     """
     values = record.validate_point(point)
     lhs_seen, rhs_seen = {}, {}
@@ -429,10 +425,7 @@ def _reports_at(record: IdentityRecord, variants: Sequence[Variant],
     reports = []
     for v in variants:
         lhs = _side_at(v.lhs, values, policy, lhs_seen)
-        if isinstance(lhs, str):
-            reports.append(_error_report(identity, v.variant_id, point, lhs))
-            continue
-        rhs = _side_at(v.rhs, values, policy, rhs_seen)
+        rhs = lhs if isinstance(lhs, str) else _side_at(v.rhs, values, policy, rhs_seen)
         if isinstance(rhs, str):
             reports.append(_error_report(identity, v.variant_id, point, rhs))
             continue
@@ -817,9 +810,8 @@ _P12_POLY = PolynomialSpec((0.0, 0.0, 1.0, 1.0))  # x^2 + x^3, f(0) = 0
 def _p12_bilateral(f: PolynomialSpec, a: float, s: float, weight_half_n: bool,
                    policy: TruncationPolicy) -> SeriesResult:
     """sum_{n != 0} f(2 pi n a) e^(-2 pi n s a) / w with w = 2n sinh(pi^2 a n)
-    (weight_half_n) or w = sinh(pi^2 a n) (printed form)."""
-    if 2.0 * math.pi * abs(s) >= math.pi ** 2:
-        raise DomainError(f"bilateral sum diverges: |s| = {abs(s)!r} >= pi/2")
+    (weight_half_n) or w = sinh(pi^2 a n) (printed form); converges only for
+    |s| < pi/2, which P12's range 0 <= s <= 1.5 enforces."""
 
     def pair(n: int) -> tuple[float, float]:
         x = math.pi ** 2 * a * n

@@ -8,8 +8,6 @@ NaN (an errored evaluation) serializes as JSON null / an empty CSV cell.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from typing import Iterable, Sequence
@@ -78,6 +76,9 @@ def _flat_cell(x: float) -> str:
 
 
 def render_csv(reports: Sequence[ResidualReport]) -> str:
+    import csv  # only here, so the other commands start without it
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(REPORT_FIELDS)

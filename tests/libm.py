@@ -27,17 +27,22 @@ def _moved(fn, rng: random.Random, ulps: int):
     return wrapped
 
 
+def ellid_modules():
+    """Every loaded ``ellid`` module that imports ``math``."""
+    return [m for name, m in sorted(sys.modules.items())
+            if name.startswith("ellid.") and getattr(m, "math", None) is math]
+
+
 @contextlib.contextmanager
 def perturbed_libm(seed: int, ulps: int = 1, names=TRANSCENDENTAL,
                    modules=None):
     """Run the body with ``names`` of ``math`` moved in ``modules``.
 
-    ``modules`` defaults to every loaded ``ellid`` module that imports
-    ``math``; each gets back the real module on exit.
+    ``modules`` defaults to ``ellid_modules()``; each gets back the real
+    module on exit.
     """
     if modules is None:
-        modules = [m for name, m in sorted(sys.modules.items())
-                   if name.startswith("ellid.") and getattr(m, "math", None) is math]
+        modules = ellid_modules()
     rng = random.Random(seed)
     fake = types.SimpleNamespace(**vars(math))
     for name in names:

@@ -253,11 +253,11 @@ def test_golden_report_matches_benchmark_reference():
     assert GOLDEN_REPORT.read_bytes() == bench_ref.read_bytes()
 
 
-def test_cli_import_loads_no_thread_pool_dataclasses_or_fractions():
+def test_cli_import_loads_no_thread_pool_dataclasses_fractions_or_csv():
     # Each of these costs the cold CLI start milliseconds it does not need.
     code = ("import sys, ellid.cli; "
             "print(' '.join(m for m in ('concurrent.futures', 'dataclasses', "
-            "'inspect', 'fractions') if m in sys.modules))")
+            "'inspect', 'fractions', 'csv') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, env=child_env())
     assert out.stdout.split() == []

@@ -157,6 +157,21 @@ def test_singular_band_rejected():
         EllipticArgument.from_parameter(1.5)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ellint_K_extended(1.0), SingularArgumentError,
+     "K is singular or undefined for parameter 1.0"),
+    (lambda: ellint_K_extended(math.nan), SingularArgumentError,
+     "K is singular or undefined for parameter nan"),
+    (lambda: legendre_defect(EllipticArgument.from_modulus(0.0)), DomainError,
+     "legendre_defect requires 0 < value < 1, got 0.0"),
+])
+def test_refusal_type_and_text(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
 def test_K_extended_negative_parameter():
     # K(m=-3) = pi / (2 agm(1, 2))
     got = ellint_K_extended(-3.0)

@@ -32,7 +32,7 @@ EXPECT_PASS_RECORDS = [r for r in default_registry().records()
 PASS, INCONCLUSIVE, FAIL = (Classification.PASS, Classification.INCONCLUSIVE,
                             Classification.FAIL)
 
-KE_CANCELLATION = "K and E cancel at the singular modulus (_ke_at, a <~ 0.13)"
+KE_CANCELLATION = "K and E cancel at the singular modulus (_ke_at, a <~ 0.16)"
 SMALL_M = ("K - E cancels at small m in the stated dr/dm (r >~ 5.8); "
            "from r ~ 12.9 on E == K and the side divides by zero")
 RATIO_GUARD = ("the 0.99 ratio guard keeps a converged sum running to the cap "

@@ -8,9 +8,9 @@ import pytest
 
 from ellid import (Classification, Convention, DerivativeEstimate,
                    DomainError, EllipticArgument, Expectation, IdentityRecord,
-                   Nome, PolynomialSpec, ResidualReport,
+                   Nome, PolynomialSpec, Registry, ResidualReport,
                    SeriesResult, SingularArgumentError, SingularSolve,
-                   TruncationPolicy, Variant, DEFAULT_POLICY)
+                   TruncationPolicy, Variant, DEFAULT_POLICY, default_registry)
 from ellid.registry import ParamSpec
 
 
@@ -131,6 +131,12 @@ INVALID = [
      "polynomial degree 9 above cap 8"),
     (lambda: PolynomialSpec((0.0, math.inf)), DomainError,
      "polynomial coefficients must be finite"),
+    (lambda: Nome.from_exponent(0.0), DomainError,
+     "exponent must be positive, got 0.0"),
+    (lambda: PolynomialSpec.monomial(-1), DomainError,
+     "monomial degree must be >= 0, got -1"),
+    (lambda: Registry([default_registry().get("P1")] * 2), ValueError,
+     "duplicate identity id 'P1'"),
 ]
 
 

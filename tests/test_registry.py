@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ellid import (Classification, ConstraintError, DomainError, Expectation,
-                   PoleError, PolynomialSpec, RangeError, ResidualReport,
+                   NonConvergenceError, PoleError, PolynomialSpec, RangeError, ResidualReport,
                    S4_n_over_sinh, SeriesResult, TruncationPolicy, UnknownIdentityError,
                    classify, default_registry, poly_even_zeta_integral,
                    poly_even_zeta_sum, poly_weighted_log_theta2_sum,
@@ -556,6 +556,18 @@ def test_weighted_log_theta4_zero_polynomial():
 def test_weighted_log_theta2_pole_propagates():
     with pytest.raises(PoleError):
         poly_weighted_log_theta2_sum(PolynomialSpec.monomial(1), 1.0, PI / 2)
+
+
+@pytest.mark.parametrize("bilateral, args", [
+    (registry._poly_bilateral_exp_sinh, (PolynomialSpec.monomial(2), 0.2, 1.0)),
+    (registry._poly_exp_bilateral_exp_sinh, (PolynomialSpec((0.0, 1.0, 1.0)), 1.0, 1.2)),
+    (registry._p12_bilateral, (registry._P12_POLY, 1.0, PI / 2, False)),
+], ids=["P11a", "P11b", "P12"])
+def test_bilateral_sum_outside_its_record_domain_does_not_converge(bilateral, args):
+    # The records' constraints keep these sums convergent; called past them
+    # they overflow a term or reach the cap rather than return a value.
+    with pytest.raises(NonConvergenceError):
+        bilateral(*args, TruncationPolicy())
 
 
 # -- serialization ---------------------------------------------------------------
