@@ -7,7 +7,8 @@ Exit codes: 0 success (all PASS, or the entry is Contested), 1 an
 ExpectPass entry produced a non-PASS point, 2 usage errors (unknown
 identity, malformed flags) or output that --out or stdout cannot take
 (e.g. a pipe whose reader has gone).
-Reports are byte-identical across runs.
+Reports are byte-identical across runs: a report is a function of the
+identity ids and --grid alone.  Only eval takes --tol and --cap.
 ``ellid eval -h`` lists each function; each takes only the flags it needs.
 """
 
@@ -109,7 +110,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     """``check ID`` and ``check-all [--only ID]...``: audit ``args.ids``, or all."""
     registry = default_registry()
     try:
-        policy = _policy(args)
         grid = _parse_grid_overrides(args.grid)
     except ConfigError as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
@@ -117,7 +117,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if _refuse_unknown(registry, args.ids):
         return 2
     try:
-        reports = registry.run(args.ids or None, policy, grid)
+        reports = registry.run(args.ids or None, grid)
     except EllidError as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 2
@@ -226,16 +226,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
                                for key, value in result.items())) else 2
 
 
-def _add_common(parser: argparse.ArgumentParser, with_output: bool) -> None:
-    parser.add_argument("--tol", type=float, default=DEFAULT_POLICY.tolerance,
-                        help="series tolerance (default %(default)s)")
-    parser.add_argument("--cap", type=int, default=DEFAULT_POLICY.cap,
-                        help="series term cap (default %(default)s)")
-    if with_output:
-        parser.add_argument("--out", default=None, help="output path (default stdout)")
-        parser.add_argument("--format", choices=FORMATS, default="text")
-        # Ignored (audits run serially); bench/run.py's traced cli_cold run passes it.
-        parser.add_argument("--parallel", type=int, help=argparse.SUPPRESS)
+def _add_output(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument("--format", choices=FORMATS, default="text")
+    # Ignored (audits run serially); bench/run.py's traced cli_cold run passes it.
+    parser.add_argument("--parallel", type=int, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--grid", action="append", default=[],
                          metavar="NAME=V1,V2",
                          help="override one parameter's grid values")
-    _add_common(p_check, with_output=True)
+    _add_output(p_check)
     p_check.set_defaults(fn=cmd_check)
 
     p_all = sub.add_parser("check-all", help="audit the whole registry")
     p_all.add_argument("--only", dest="ids", action="append", default=[],
                        metavar="ID", help="restrict to these identity ids")
-    _add_common(p_all, with_output=True)
+    _add_output(p_all)
     p_all.set_defaults(fn=cmd_check, grid=[])
 
     p_eval = sub.add_parser(
@@ -271,7 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("function", help="one of the functions listed below")
     for flag in _EVAL_FLAGS:
         p_eval.add_argument(f"--{flag}", type=float, default=None)
-    _add_common(p_eval, with_output=False)
+    p_eval.add_argument("--tol", type=float, default=DEFAULT_POLICY.tolerance,
+                        help="series tolerance (default %(default)s)")
+    p_eval.add_argument("--cap", type=int, default=DEFAULT_POLICY.cap,
+                        help="series term cap (default %(default)s)")
     p_eval.set_defaults(fn=cmd_eval)
 
     return parser

@@ -240,8 +240,7 @@ def _poly_log_theta_sum(kind: ThetaKind, f: PolynomialSpec, s: float, q: Nome,
 # ---------------------------------------------------------------------------
 # bilateral sums shared by the polynomial identities
 
-def _poly_bilateral_exp_sinh(f: PolynomialSpec, a: float, s: float,
-                             policy: TruncationPolicy) -> SeriesResult:
+def _poly_bilateral_exp_sinh(f: PolynomialSpec, a: float, s: float) -> SeriesResult:
     """-sum_{n in Z, n != 0} f(n) e^(-ns) / (2n sinh(pi a n)); converges only
     for |s| < pi a, which P11a's constraint enforces."""
 
@@ -252,11 +251,10 @@ def _poly_bilateral_exp_sinh(f: PolynomialSpec, a: float, s: float,
         env = f.eval_abs(n) * exp_over_sinh(n * abs(s), x) / n
         return term, env
 
-    return sum_series(pair, policy)
+    return sum_series(pair)
 
 
-def _poly_exp_bilateral_exp_sinh(f: PolynomialSpec, a: float, s: float,
-                                 policy: TruncationPolicy) -> SeriesResult:
+def _poly_exp_bilateral_exp_sinh(f: PolynomialSpec, a: float, s: float) -> SeriesResult:
     """-sum_{n != 0} f(e^(-n)) e^(-ns) / (2n sinh(pi a n)).
 
     f(e^(+-n)) is expanded coefficientwise into exp_over_sinh terms so the
@@ -277,7 +275,7 @@ def _poly_exp_bilateral_exp_sinh(f: PolynomialSpec, a: float, s: float,
             env += abs(c) * exp_over_sinh(n * abs(s) + i * n, x)
         return -(minus + plus) / (2.0 * n), env / n
 
-    return sum_series(pair, policy)
+    return sum_series(pair)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +290,9 @@ class ParamSpec(NamedTuple):
     choices: tuple | None = None
 
 
-# A side takes its record's parameter values, in ``ParamSpec`` order, then the
-# policy: ``side(*values, policy)``.
+# A side takes its record's parameter values, in ``ParamSpec`` order:
+# ``side(*values)``.  It calls the primitives without a policy, so the audit
+# sums every series at one policy, ``DEFAULT_POLICY``.
 Evaluator = Callable[..., SeriesResult]
 
 
@@ -389,7 +388,7 @@ def _error_report(identity_id: str, variant_id: str, point: Mapping,
         math.nan, Classification.INCONCLUSIVE, {"lhs": 0, "rhs": 0}, note)
 
 
-def _side_at(side: Evaluator, values: tuple, policy: TruncationPolicy,
+def _side_at(side: Evaluator, values: tuple,
              seen: dict[int, SeriesResult | str]) -> SeriesResult | str:
     """One side's value at the point ``values``, or the note of its error.
 
@@ -401,7 +400,7 @@ def _side_at(side: Evaluator, values: tuple, policy: TruncationPolicy,
     if id(side) in seen:
         return seen[id(side)]
     try:
-        result = side(*values, policy)
+        result = side(*values)
     except (EllidError, ZeroDivisionError) as exc:
         result = f"{type(exc).__name__}: {exc}"
     seen[id(side)] = result
@@ -409,7 +408,7 @@ def _side_at(side: Evaluator, values: tuple, policy: TruncationPolicy,
 
 
 def _reports_at(record: IdentityRecord, variants: Sequence[Variant],
-                point: Mapping, policy: TruncationPolicy) -> list[ResidualReport]:
+                point: Mapping) -> list[ResidualReport]:
     """The rows of ``variants`` of ``record`` at one point.
 
     The point is validated once; a violation raises ``ConstraintError``.
@@ -424,8 +423,8 @@ def _reports_at(record: IdentityRecord, variants: Sequence[Variant],
     identity = record.identity_id
     reports = []
     for v in variants:
-        lhs = _side_at(v.lhs, values, policy, lhs_seen)
-        rhs = lhs if isinstance(lhs, str) else _side_at(v.rhs, values, policy, rhs_seen)
+        lhs = _side_at(v.lhs, values, lhs_seen)
+        rhs = lhs if isinstance(lhs, str) else _side_at(v.rhs, values, rhs_seen)
         if isinstance(rhs, str):
             reports.append(_error_report(identity, v.variant_id, point, rhs))
             continue
@@ -454,7 +453,7 @@ def report_sort_key(r: ResidualReport) -> tuple:
 #
 # LHS and RHS of each entry share only the library primitives; no identity
 # feeds one side's intermediate values to the other.  Each evaluator is a flat
-# function, side(*constants, *params, policy): a variant's constants (a nome
+# function, side(*constants, *params): a variant's constants (a nome
 # reading, a sign, a scale, a test polynomial) are bound with ``partial`` in
 # ``build_registry``, so the record table is the one place that shows them.
 # A partial binds registry functions only: the benchmark tracer wraps the
@@ -480,81 +479,81 @@ def _ke_at(a: float) -> tuple[float, float, float]:
 
 # -- P1 ---------------------------------------------------------------------
 
-def _p1_rhs(a, t, policy):
+def _p1_rhs(a, t):
     q = Nome.from_pi_exponent(a)
-    prod = q_product_P0(q, policy)
-    th = theta4_imag(t, q, policy)
+    prod = q_product_P0(q)
+    th = theta4_imag(t, q)
     return _combine(math.log(prod.value) - math.log(th.value), prod, th)
 
 
 # -- P2 ---------------------------------------------------------------------
 
-def _p2_lhs(a, theta, policy):
-    r = S2_alt_sin_sq_over_expm1(2.0 * math.pi * a, theta, policy)
+def _p2_lhs(a, theta):
+    r = S2_alt_sin_sq_over_expm1(2.0 * math.pi * a, theta)
     return _combine(4.0 * r.value, r)
 
 
-def _p2_lhs_sinh(a, theta, policy):
-    r = S2h_alt_sinh_sq_over_expm1(2.0 * math.pi * a, theta, policy)
+def _p2_lhs_sinh(a, theta):
+    r = S2h_alt_sinh_sq_over_expm1(2.0 * math.pi * a, theta)
     return _combine(4.0 * r.value, r)
 
 
-def _p2_rhs(a, theta, policy):
+def _p2_rhs(a, theta):
     q = Nome.from_pi_exponent(1.0 / a)
-    num = theta4_imag(theta / a, q, policy)
-    den = theta4_imag(0.0, q, policy)
+    num = theta4_imag(theta / a, q)
+    den = theta4_imag(0.0, q)
     value = (math.log(num.value) - math.log(den.value) - math.log(math.cos(theta))
              - theta * theta / (a * math.pi))
     return _combine(value, num, den)
 
 
-def _p2_rhs_theta2(a, theta, policy):
+def _p2_rhs_theta2(a, theta):
     q = Nome.from_pi_exponent(a)
-    num = theta2(theta, q, policy)
-    den = theta2(0.0, q, policy)
+    num = theta2(theta, q)
+    den = theta2(0.0, q)
     value = math.log(num.value) - math.log(den.value) - math.log(math.cos(theta))
     return _combine(value, num, den)
 
 
 # -- P2b --------------------------------------------------------------------
 
-def _p2b_lhs(nome: Callable[[float], Nome], z, policy):
-    return SeriesResult(theta4_u_derivative_imag(z, nome(z), policy))
+def _p2b_lhs(nome: Callable[[float], Nome], z):
+    return SeriesResult(theta4_u_derivative_imag(z, nome(z)))
 
 
-def _p2b_rhs(nome: Callable[[float], Nome], z, policy):
-    th = theta4_imag(z, nome(z), policy)
+def _p2b_rhs(nome: Callable[[float], Nome], z):
+    th = theta4_imag(z, nome(z))
     return _combine(-2.0 * th.value, th)
 
 
 # -- P3 ---------------------------------------------------------------------
 
-def _p3_lhs(a, policy):
+def _p3_lhs(a):
     q = Nome.from_pi_exponent(2.0 * a)
-    d = log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, 2, math.pi * a, q, policy)
+    d = log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, 2, math.pi * a, q)
     return SeriesResult(2.0 * math.pi ** 2 * d)
 
 
-def _p3_rhs(a, policy):
+def _p3_rhs(a):
     _, K, E = _ke_at(a)
     return SeriesResult(K * E - K * K)
 
 
 # -- E4 / E5 ----------------------------------------------------------------
 
-def _e4_lhs(a, policy):
-    return S3_alt_n_over_expm1(2.0 * math.pi / a, policy)
+def _e4_lhs(a):
+    return S3_alt_n_over_expm1(2.0 * math.pi / a)
 
 
-def _e4_rhs(a, policy):
+def _e4_rhs(a):
     _, K, E = _ke_at(a)
     return SeriesResult(0.125 - a / (4.0 * math.pi)
                         + a * a * K * (E - K) / (2.0 * math.pi ** 2))
 
 
-def _e5_lhs(a, policy):
-    alt = S3_alt_n_over_expm1(2.0 * math.pi / a, policy)
-    hyp = n_cosh_over_sinh_double(a, policy)
+def _e5_lhs(a):
+    alt = S3_alt_n_over_expm1(2.0 * math.pi / a)
+    hyp = n_cosh_over_sinh_double(a)
     value = -0.25 + a / (2.0 * math.pi) + 2.0 * alt.value + 2.0 * a * a * hyp.value
     return _combine(value, alt, hyp)
 
@@ -565,40 +564,40 @@ def _zero_rhs(*_):
 
 # -- E5b / E5c --------------------------------------------------------------
 
-def _e5b_rhs(b, policy):
+def _e5b_rhs(b):
     _, K, E = _ke_at(b)
     return SeriesResult(K * (K - E) / math.pi ** 2)
 
 
-def _e5c_rhs(x, policy):
-    r = S3_alt_n_over_expm1(2.0 * math.pi * x, policy)
+def _e5c_rhs(x):
+    r = S3_alt_n_over_expm1(2.0 * math.pi * x)
     return _combine(-4.0 * r.value, r)
 
 
 # -- E7 ---------------------------------------------------------------------
 
-def _e7_lhs(a, v, policy):
+def _e7_lhs(a, v):
     return SeriesResult(0.5 * a * math.tan(0.5 * v))
 
 
-def _e7_rhs(inverted: bool, a, v, policy):
+def _e7_rhs(inverted: bool, a, v):
     """The right side; ``inverted`` pairs the hyperbolic sum with 1/a."""
-    s6 = S6_alt_sin_over_expm1(a, v, policy)
-    s7 = S7_csch_sinh(1.0 / a if inverted else a, v, policy)
+    s6 = S6_alt_sin_over_expm1(a, v)
+    s7 = S7_csch_sinh(1.0 / a if inverted else a, v)
     return _combine(v + 2.0 * a * s6.value + 2.0 * math.pi * s7.value, s6, s7)
 
 
 # -- E8 ---------------------------------------------------------------------
 
-def _e8_lhs(scale: float, z, q, policy):
-    r = S10_alt_sin_lambert(z, Nome(q), policy)
+def _e8_lhs(scale: float, z, q):
+    r = S10_alt_sin_lambert(z, Nome(q))
     return _combine(scale * r.value, r)
 
 
-def _e8_rhs(tan_sign: float, z, q, policy):
+def _e8_rhs(tan_sign: float, z, q):
     nome = Nome(q)
-    th = theta2(z, nome, policy)
-    dth = theta_u_derivative(ThetaKind.THETA2, z, nome, policy)
+    th = theta2(z, nome)
+    dth = theta_u_derivative(ThetaKind.THETA2, z, nome)
     return _combine(tan_sign * math.tan(z) + dth / th.value, th)
 
 
@@ -607,49 +606,49 @@ def _e8_rhs(tan_sign: float, z, q, policy):
 _P4_X_GRID = (0.0, 0.1, 0.2, 0.3)
 
 
-def _p4_bracket(a: float, x: float, policy) -> SeriesResult:
-    t2 = theta2(x, Nome.from_pi_exponent(1.0 / a), policy)
-    t4 = theta4_imag(a * x, Nome.from_pi_exponent(a), policy)
+def _p4_bracket(a: float, x: float) -> SeriesResult:
+    t2 = theta2(x, Nome.from_pi_exponent(1.0 / a))
+    t4 = theta4_imag(a * x, Nome.from_pi_exponent(a))
     return _combine(math.exp(x * x * a / math.pi) * t2.value / t4.value, t2, t4)
 
 
-def _p4_lhs(a, policy):
-    vals = [_p4_bracket(a, x, policy) for x in _P4_X_GRID]
+def _p4_lhs(a):
+    vals = [_p4_bracket(a, x) for x in _P4_X_GRID]
     return _combine(max(v.value for v in vals), *vals)
 
 
-def _p4_rhs(a, policy):
-    return SeriesResult(min(_p4_bracket(a, x, policy).value for x in _P4_X_GRID))
+def _p4_rhs(a):
+    return SeriesResult(min(_p4_bracket(a, x).value for x in _P4_X_GRID))
 
 
-def _p4b_lhs(a, z, policy):
-    r = S7_csch_sinh(2.0 / a, 2.0 * z, policy)
+def _p4b_lhs(a, z):
+    r = S7_csch_sinh(2.0 / a, 2.0 * z)
     return _combine(2.0 * math.pi * r.value, r)
 
 
-def _p4b_rhs(a, z, policy):
+def _p4b_rhs(a, z):
     q = Nome.from_exponent(1.0 / a)
-    th = theta2(z, q, policy)
-    dth = theta_u_derivative(ThetaKind.THETA2, z, q, policy)
+    th = theta2(z, q)
+    dth = theta_u_derivative(ThetaKind.THETA2, z, q)
     return _combine(-2.0 * z - dth / (a * th.value), th)
 
 
 # -- P5 ---------------------------------------------------------------------
 
-def _p5_lhs(b, policy):
-    cube = S8_exp_over_cube(b, policy)
-    nsq = S3sq_alt_nsq_over_expm1(2.0 * math.pi / b, policy)
+def _p5_lhs(b):
+    cube = S8_exp_over_cube(b)
+    nsq = S3sq_alt_nsq_over_expm1(2.0 * math.pi / b)
     return _combine(-2.0 * cube.value + nsq.value, cube, nsq)
 
 
-def _p5_lhs_shifted(b, policy):
-    cube = S8_exp_over_cube(b, policy)
-    nsq = S3sq_alt_nsq_over_expm1(2.0 * math.pi / b, policy)
-    lin = S3_alt_n_over_expm1(2.0 * math.pi / b, policy)
+def _p5_lhs_shifted(b):
+    cube = S8_exp_over_cube(b)
+    nsq = S3sq_alt_nsq_over_expm1(2.0 * math.pi / b)
+    lin = S3_alt_n_over_expm1(2.0 * math.pi / b)
     return _combine(-2.0 * cube.value + nsq.value + lin.value, cube, nsq, lin)
 
 
-def _p5_rhs(b, policy):
+def _p5_rhs(b):
     _, K, E = _ke_at(b)
     return SeriesResult(0.125 - b / (4.0 * math.pi)
                 + b * b * (E * K - K * K) / (2.0 * math.pi ** 2))
@@ -657,19 +656,19 @@ def _p5_rhs(b, policy):
 
 # -- P6 / P6b ---------------------------------------------------------------
 
-def _p6_lhs(a, policy):
+def _p6_lhs(a):
     q = Nome.from_pi_exponent(0.5 / a)
-    return SeriesResult(theta_u_derivative(ThetaKind.THETA2, 0.25 * math.pi, q, policy))
+    return SeriesResult(theta_u_derivative(ThetaKind.THETA2, 0.25 * math.pi, q))
 
 
-def _p6_rhs(a, policy):
+def _p6_rhs(a):
     q = Nome.from_pi_exponent(0.5 / a)
-    th = theta2(0.25 * math.pi, q, policy)
+    th = theta2(0.25 * math.pi, q)
     _, K, _ = _ke_at(a)
     return _combine(-(2.0 * a / math.pi) * th.value * K, th)
 
 
-def _p6b_rhs(half: float, a, policy):
+def _p6b_rhs(half: float, a):
     """K/pi + half, with half = +1/2 (stated) or -1/2."""
     _, K, _ = _ke_at(a)
     return SeriesResult(K / math.pi + half)
@@ -681,23 +680,23 @@ def _p7_arg(value, convention) -> EllipticArgument:
     return EllipticArgument(value, Convention(convention))
 
 
-def _p7_lhs(candidate: str, value, convention, policy):
+def _p7_lhs(candidate: str, value, convention):
     """The ``dadk_candidates`` entry named ``candidate``."""
     return SeriesResult(dadk_candidates(_p7_arg(value, convention))[candidate])
 
 
-def _p7_rhs_fd(value, convention, policy):
+def _p7_rhs_fd(value, convention):
     return SeriesResult(dadk_fd(_p7_arg(value, convention)).value)
 
 
 # -- P8 ---------------------------------------------------------------------
 
-def _p8_lhs(r, policy):
-    s = S9_lambert_E2(Nome.from_pi_exponent(r), policy)
+def _p8_lhs(r):
+    s = S9_lambert_E2(Nome.from_pi_exponent(r))
     return _combine(24.0 * s.value, s)
 
 
-def _p8_rhs(drdm: Callable[[float, Convention, float, float], float], r, policy):
+def _p8_rhs(drdm: Callable[[float, Convention, float, float], float], r):
     k, K, E = _ke_at(r)
     m = k * k
     d = drdm(m, Convention.PARAMETER, K, E)
@@ -707,15 +706,16 @@ def _p8_rhs(drdm: Callable[[float, Convention, float, float], float], r, policy)
 
 # -- P9 ---------------------------------------------------------------------
 
-def _p9_lhs_parameter(x, policy):
+def _p9_lhs_parameter(x):
     return SeriesResult(ellint_K_extended(x / (x - 1.0)) / math.sqrt(1.0 - x))
 
 
-def _p9_rhs_parameter(x, policy):
-    return SeriesResult(ellint_K(EllipticArgument.from_parameter(x)))
+def _p9_rhs(convention: Convention, x):
+    """K(x), with x read in ``convention``."""
+    return SeriesResult(ellint_K(EllipticArgument(x, convention)))
 
 
-def _p9_lhs_modulus(x, policy):
+def _p9_lhs_modulus(x):
     km = x / (x - 1.0)
     # |km| >= 1 has no real K in the modulus reading; refuse, the report
     # records the failure.
@@ -724,14 +724,9 @@ def _p9_lhs_modulus(x, policy):
     return SeriesResult(ellint_K_extended(km * km) / math.sqrt(1.0 - x))
 
 
-def _p9_rhs_modulus(x, policy):
-    return SeriesResult(ellint_K(EllipticArgument.from_modulus(x)))
-
-
 # -- P10 / P10a -------------------------------------------------------------
 
-def _alt_poly_over_expm1(F: PolynomialSpec, a: float,
-                         policy: TruncationPolicy) -> SeriesResult:
+def _alt_poly_over_expm1(F: PolynomialSpec, a: float) -> SeriesResult:
     """sum (-1)^n F(n) / (n (e^(an) - 1))."""
 
     def term(n: int) -> tuple[float, float]:
@@ -740,11 +735,10 @@ def _alt_poly_over_expm1(F: PolynomialSpec, a: float,
         sign = -1.0 if n % 2 else 1.0
         return sign * F.eval(n) * inv / n, env
 
-    return sum_series(term, policy)
+    return sum_series(term)
 
 
-def _imag_poly_over_sinh(F: PolynomialSpec, b: float,
-                         policy: TruncationPolicy) -> SeriesResult:
+def _imag_poly_over_sinh(F: PolynomialSpec, b: float) -> SeriesResult:
     """sum F(ibn) / (n sinh(b n pi)) for even F (real values)."""
 
     def term(n: int) -> tuple[float, float]:
@@ -752,7 +746,7 @@ def _imag_poly_over_sinh(F: PolynomialSpec, b: float,
         env = F.eval_abs(b * n) * inv / n
         return F.eval_imag_even(b * n) * inv / n, env
 
-    return sum_series(term, policy)
+    return sum_series(term)
 
 
 def _p10a_zeta_term(F: PolynomialSpec) -> float:
@@ -761,28 +755,27 @@ def _p10a_zeta_term(F: PolynomialSpec) -> float:
                for nu in range(1, F.degree // 2 + 1))
 
 
-def _p10_lhs(head: Callable[[PolynomialSpec], float], fdeg, b, policy):
+def _p10_lhs(head: Callable[[PolynomialSpec], float], fdeg, b):
     """head(F) + 2 sum (-1)^n F(n)/(n(e^(an)-1)) - sum F(ibn)/(n sinh(b n pi))."""
     F = PolynomialSpec.monomial(int(fdeg))
     h = head(F)
-    alt = _alt_poly_over_expm1(F, 2.0 * math.pi / b, policy)
-    hyp = _imag_poly_over_sinh(F, b, policy)
+    alt = _alt_poly_over_expm1(F, 2.0 * math.pi / b)
+    hyp = _imag_poly_over_sinh(F, b)
     return _combine(h + 2.0 * alt.value - hyp.value, alt, hyp)
 
 
 # -- P11a / P11b ------------------------------------------------------------
 
-def _p11a_lhs(fdeg, a, s, policy):
-    return poly_weighted_log_theta4_sum(PolynomialSpec.monomial(int(fdeg)), a, s, policy)
+def _p11a_lhs(fdeg, a, s):
+    return poly_weighted_log_theta4_sum(PolynomialSpec.monomial(int(fdeg)), a, s)
 
 
-def _p11a_rhs(fdeg, a, s, policy):
+def _p11a_rhs(fdeg, a, s):
     # The f(0) log P0 term is 0: f = x^fdeg with fdeg >= 2 has f(0) = 0.
-    return _poly_bilateral_exp_sinh(PolynomialSpec.monomial(int(fdeg)), a, s, policy)
+    return _poly_bilateral_exp_sinh(PolynomialSpec.monomial(int(fdeg)), a, s)
 
 
-def _log_theta4_shift_sum(f: PolynomialSpec, a: float, s: float,
-                          policy: TruncationPolicy) -> SeriesResult:
+def _log_theta4_shift_sum(f: PolynomialSpec, a: float, s: float) -> SeriesResult:
     """sum_n f_n log theta4(i (s+n)/2, e^(-pi a))."""
     q = Nome.from_pi_exponent(a)
     total = 0.0
@@ -790,15 +783,15 @@ def _log_theta4_shift_sum(f: PolynomialSpec, a: float, s: float,
     for n, c in enumerate(f.coefficients):
         if c == 0.0:
             continue
-        th = theta4_imag((s + n) / 2.0, q, policy)
+        th = theta4_imag((s + n) / 2.0, q)
         total += c * math.log(th.value)
         parts.append(th)
     return _combine(total, *parts)
 
 
-def _p11b_rhs(f: PolynomialSpec, a, s, policy):
-    bil = _poly_exp_bilateral_exp_sinh(f, a, s, policy)
-    prod = q_product_P0(Nome.from_pi_exponent(a), policy)
+def _p11b_rhs(f: PolynomialSpec, a, s):
+    bil = _poly_exp_bilateral_exp_sinh(f, a, s)
+    prod = q_product_P0(Nome.from_pi_exponent(a))
     return _combine(f.eval(1.0) * math.log(prod.value) + bil.value, prod, bil)
 
 
@@ -807,8 +800,8 @@ def _p11b_rhs(f: PolynomialSpec, a, s, policy):
 _P12_POLY = PolynomialSpec((0.0, 0.0, 1.0, 1.0))  # x^2 + x^3, f(0) = 0
 
 
-def _p12_bilateral(f: PolynomialSpec, a: float, s: float, weight_half_n: bool,
-                   policy: TruncationPolicy) -> SeriesResult:
+def _p12_bilateral(f: PolynomialSpec, a: float, s: float,
+                   weight_half_n: bool) -> SeriesResult:
     """sum_{n != 0} f(2 pi n a) e^(-2 pi n s a) / w with w = 2n sinh(pi^2 a n)
     (weight_half_n) or w = sinh(pi^2 a n) (printed form); converges only for
     |s| < pi/2, which P12's range 0 <= s <= 1.5 enforces."""
@@ -824,19 +817,19 @@ def _p12_bilateral(f: PolynomialSpec, a: float, s: float, weight_half_n: bool,
             return (plus + minus_num) / (2.0 * n), env / n
         return plus - minus_num, 2.0 * env
 
-    return sum_series(pair, policy)
+    return sum_series(pair)
 
 
-def _p12_rhs_printed(a, s, policy):
+def _p12_rhs_printed(a, s):
     f = _P12_POLY
-    bil = _p12_bilateral(f, a, s, weight_half_n=False, policy=policy)
+    bil = _p12_bilateral(f, a, s, weight_half_n=False)
     value = 2.0 * a - 2.0 * a * f.eval(0.0) * s + a * math.pi * bil.value
     return _combine(value, bil)
 
 
-def _p12_rhs_derived(a, s, policy):
+def _p12_rhs_derived(a, s):
     f = _P12_POLY
-    bil = _p12_bilateral(f, a, s, weight_half_n=True, policy=policy)
+    bil = _p12_bilateral(f, a, s, weight_half_n=True)
     value = (2.0 * a * f.coefficient(1) * s - 2.0 * a * f.coefficient(2)
              - bil.value)
     return _combine(value, bil)
@@ -844,23 +837,23 @@ def _p12_rhs_derived(a, s, policy):
 
 # -- P7b ----------------------------------------------------------------
 
-def _p7b_lhs(x, policy):
+def _p7b_lhs(x):
     q = Nome.from_pi_exponent(2.0 * x)
-    d = log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, 1, math.pi * x, q, policy)
+    d = log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, 1, math.pi * x, q)
     return SeriesResult(2.0 * math.pi * d)
 
 
-def _p7b_rhs_k(x, policy):
+def _p7b_rhs_k(x):
     _, K, _ = _ke_at(x)
     return SeriesResult(0.5 * math.pi - K)
 
 
-def _p7b_rhs_sech(x, policy):
-    r = S5_sech(x, policy)
+def _p7b_rhs_sech(x):
+    r = S5_sech(x)
     return _combine(-math.pi * r.value, r)
 
 
-def _p7b_rhs_plus_half(x, policy):
+def _p7b_rhs_plus_half(x):
     _, K, _ = _ke_at(x)
     return SeriesResult(-math.pi * (0.5 + K / math.pi))
 
@@ -1058,9 +1051,10 @@ def build_registry() -> "Registry":
             "P9",
             "K(x/(x-1))/sqrt(1-x) = K(x), read in each convention",
             (ParamSpec("x", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7), lo=0.0, hi=0.7),),
-            (Variant("parameter", _p9_lhs_parameter, _p9_rhs_parameter,
+            (Variant("parameter", _p9_lhs_parameter,
+                     partial(_p9_rhs, Convention.PARAMETER),
                      note="descending transformation of the parameter"),
-             Variant("modulus", _p9_lhs_modulus, _p9_rhs_modulus,
+             Variant("modulus", _p9_lhs_modulus, partial(_p9_rhs, Convention.MODULUS),
                      note="modulus reading; x/(x-1) leaves the real domain "
                           "for x >= 1/2")),
             Expectation.CONTESTED),
@@ -1147,9 +1141,10 @@ class Registry:
         except KeyError:
             raise UnknownIdentityError(f"unknown identity {identity_id!r}") from None
 
-    def evaluate(self, identity_id: str, variant_id: str, point: Mapping,
-                 policy: TruncationPolicy = DEFAULT_POLICY) -> ResidualReport:
-        """Evaluate one (identity, variant, grid point) into a report.
+    def evaluate(self, identity_id: str, variant_id: str,
+                 point: Mapping) -> ResidualReport:
+        """Evaluate one (identity, variant, grid point) into a report, at
+        the audit's one policy.
 
         Unknown ids and constraint violations raise; numeric evaluation
         failures, including a division by an underflowed denominator, come
@@ -1158,14 +1153,13 @@ class Registry:
         other calls, but ``_ke_at`` memoises (k, K, E) by ratio across calls.
         """
         record = self.get(identity_id)
-        return _reports_at(record, (record.variant(variant_id),), point,
-                           policy)[0]
+        return _reports_at(record, (record.variant(variant_id),), point)[0]
 
     def run(self, ids: Sequence[str] | None = None,
-            policy: TruncationPolicy = DEFAULT_POLICY,
             grid: Mapping[str, Sequence] = {}) -> list[ResidualReport]:
         """Every variant of each record in ``ids`` (all records if None, each
-        id once) at every point of ``grid_points(grid)``, sorted.
+        id once) at every point of ``grid_points(grid)``, sorted: a function
+        of ``ids`` and ``grid`` alone.
 
         Unknown ids, unknown ``grid`` names and invalid points raise.  At each
         point the variants share their sides (see ``_reports_at``).  No side
@@ -1177,15 +1171,15 @@ class Registry:
         reports = []
         for record in records:
             for point in record.grid_points(grid):
-                reports.extend(_reports_at(record, record.variants, point, policy))
+                reports.extend(_reports_at(record, record.variants, point))
         reports.sort(key=report_sort_key)
         return reports
 
-    def run_all(self, policy: TruncationPolicy = DEFAULT_POLICY) -> list[ResidualReport]:
-        """``run(None, policy)``: the whole catalog.  It stays a method of its
-        own because the benchmark's catalog op calls it and its tracer spans
-        it as ``registry.run_all``."""
-        return self.run(None, policy)
+    def run_all(self) -> list[ResidualReport]:
+        """``run()``: the whole catalog at its own grids.  It stays a method
+        of its own because the benchmark's catalog op calls it and its tracer
+        spans it as ``registry.run_all``."""
+        return self.run()
 
 
 @functools.cache

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ellid
-from ellid import default_registry
+from ellid import Expectation, NonConvergenceError, cli, default_registry, registry
 from ellid.cli import EVAL_TABLE, build_parser, main
 from ellid.reporting import render_json
 
@@ -70,9 +70,16 @@ def test_check_contested_exits_0(capsys):
     assert "FAIL" in out and "PASS" in out
 
 
-def test_check_starved_cap_exits_1(capsys):
-    # an ExpectPass entry with a cap too small to converge must fail the run
-    rc, out, _ = run(["check", "P1", "--cap", "2"], capsys)
+def test_check_expect_pass_side_failure_exits_1(monkeypatch, capsys):
+    # an ExpectPass entry with a non-PASS point must fail the run
+    def side(x):
+        raise NonConvergenceError(f"no value at x={x!r}")
+
+    record = registry.IdentityRecord(
+        "T", "test identity", (registry.ParamSpec("x", (1.0,)),),
+        (registry.Variant("base", side, side),), Expectation.EXPECT_PASS)
+    monkeypatch.setattr(cli, "default_registry", lambda: registry.Registry([record]))
+    rc, out, _ = run(["check", "T"], capsys)
     assert rc == 1
     assert "INCONCLUSIVE" in out
 
@@ -415,19 +422,28 @@ def test_environment_does_not_set_the_cap(capsys, monkeypatch):
     monkeypatch.setenv("ELLID_CAP", "2")
     assert run(["check", "P1"], capsys)[0] == 0
 
-@pytest.mark.parametrize("command", [
-    ["check", "E4"], ["check-all", "--only", "E4"], ["eval", "S5", "--a", "1"],
-])
 @pytest.mark.parametrize("flags, message", [
     (["--tol", "-1"], "tolerance must be positive, got -1.0"),
     (["--tol", "nan"], "tolerance must be positive, got nan"),
     (["--cap", "0"], "cap must be >= 1, got 0"),
 ])
-def test_bad_tolerance_or_cap_exits_2(command, flags, message, capsys):
-    rc, out, err = run(command + flags, capsys)
+def test_bad_tolerance_or_cap_exits_2(flags, message, capsys):
+    rc, out, err = run(["eval", "S5", "--a", "1"] + flags, capsys)
     assert (rc, out) == (2, "")
     assert err.count("\n") == 1
     assert err.endswith(f": {message}\n")
+
+
+@pytest.mark.parametrize("command", [["check", "E4"], ["check-all", "--only", "E4"]])
+@pytest.mark.parametrize("flags", [["--tol", "1e-15"], ["--tol", "-1"], ["--cap", "2"]])
+def test_audit_refuses_tolerance_and_cap(command, flags, capsys):
+    # the audit runs at one policy, so its report is a function of the ids
+    # and --grid alone
+    with pytest.raises(SystemExit) as e:
+        main(command + flags)
+    out, err = capsys.readouterr()
+    assert (e.value.code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(flags)}\n" in err
 
 
 def test_malformed_flags_exit_2(capsys):

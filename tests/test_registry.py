@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from ellid import (Classification, ConstraintError, DomainError, Expectation,
                    NonConvergenceError, PoleError, PolynomialSpec, RangeError, ResidualReport,
-                   S4_n_over_sinh, SeriesResult, TruncationPolicy, UnknownIdentityError,
+                   S4_n_over_sinh, SeriesResult, UnknownIdentityError,
                    classify, default_registry, poly_even_zeta_integral,
                    poly_even_zeta_sum, poly_weighted_log_theta2_sum,
                    poly_weighted_log_theta4_sum, registry)
@@ -64,16 +64,24 @@ def test_e8_scale_four_variants_share_one_lhs():
 
 
 def test_every_side_takes_its_record_parameters_in_order():
-    # A run calls side(*values, policy) with the values in ParamSpec order, so
-    # a side whose parameters came in another order would take wrong values.
+    # A run calls side(*values) with the values in ParamSpec order, so a side
+    # whose parameters came in another order would take wrong values.  A
+    # library primitive used as a side keeps its defaulted policy parameter.
     for rec in default_registry().records():
-        names = [p.name for p in rec.params] + ["policy"]
+        names = [p.name for p in rec.params]
         for v in rec.variants:
             for side in (v.lhs, v.rhs):
                 params = list(inspect.signature(side).parameters.values())
                 if [p.kind for p in params] == [inspect.Parameter.VAR_POSITIONAL]:
                     continue
-                assert [p.name for p in params] == names, (rec.identity_id, v.variant_id)
+                where = (rec.identity_id, v.variant_id)
+                assert [p.name for p in params[:len(names)]] == names, where
+                extra = params[len(names):]
+                if extra:
+                    fn = side.func if isinstance(side, functools.partial) else side
+                    assert not fn.__name__.startswith("_"), where
+                    assert [p.name for p in extra] == ["policy"], where
+                    assert extra[0].default is not extra[0].empty, where
 
 
 def test_every_side_is_a_flat_function_or_a_partial_of_one():
@@ -170,14 +178,6 @@ def test_every_constraint_cuts_its_declared_box():
                 for p in record.params]
         corners = [dict(zip(names, c)) for c in itertools.product(*axes)]
         assert not all(map(record.constraint, corners)), record.identity_id
-
-
-def test_non_convergence_is_inconclusive_never_pass():
-    r = default_registry().evaluate("P1", "base", {"a": 1.0, "t": 0.3},
-                                    TruncationPolicy(cap=2))
-    assert r.classification is Classification.INCONCLUSIVE
-    assert "NonConvergenceError" in r.note
-    assert r.lhs != r.lhs  # nan
 
 
 def test_p6b_adjudication():
@@ -288,7 +288,7 @@ class _Side:
         self.exc = exc
         self.calls = []
 
-    def __call__(self, x, policy):
+    def __call__(self, x):
         self.calls.append(x)
         if x in self.fail_at:
             raise self.exc(f"no value at x={x!r}")
@@ -357,8 +357,9 @@ def test_run_gives_each_id_once():
     assert reg.run(["P6b", "E4", "P6b"]) == reg.run(["E4"]) + reg.run(["P6b"])
 
 
-@pytest.mark.parametrize("exc", [DomainError, ZeroDivisionError])
+@pytest.mark.parametrize("exc", [DomainError, NonConvergenceError, ZeroDivisionError])
 def test_failed_shared_lhs_gives_every_variant_its_note(exc):
+    # A failed side, whatever its error, is INCONCLUSIVE with a note, never PASS.
     lhs, rhs_a, rhs_b = _Side(1.0, fail_at=(2.0,), exc=exc), _Side(1.0), _Side(1.0)
     reports = _sharing_registry(lhs, rhs_a, rhs_b).run(["T"])
     assert sorted(lhs.calls) == [1.0, 2.0, 3.0]
@@ -550,7 +551,7 @@ def test_weighted_log_theta4_sum_quadratic_reduces_to_lambert():
 def test_weighted_log_theta4_zero_polynomial():
     f = PolynomialSpec((0.0,))
     assert poly_weighted_log_theta4_sum(f, 1.0, 0.2).value == 0.0
-    assert registry._log_theta4_shift_sum(f, 1.0, 0.2, TruncationPolicy()).value == 0.0
+    assert registry._log_theta4_shift_sum(f, 1.0, 0.2).value == 0.0
 
 
 def test_weighted_log_theta2_pole_propagates():
@@ -567,7 +568,7 @@ def test_bilateral_sum_outside_its_record_domain_does_not_converge(bilateral, ar
     # The records' constraints keep these sums convergent; called past them
     # they overflow a term or reach the cap rather than return a value.
     with pytest.raises(NonConvergenceError):
-        bilateral(*args, TruncationPolicy())
+        bilateral(*args)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -611,11 +612,11 @@ def test_render_json_escapes_strings_as_json_dumps(identity, variant, key, value
 
 
 def test_render_json_nan_becomes_null():
-    r = default_registry().evaluate("P1", "base", {"a": 1.0, "t": 0.3},
-                                    TruncationPolicy(cap=2))
+    # the golden P9 modulus row at x = 1/2, where x/(x-1) = -1 has no real K
+    r = default_registry().evaluate("P9", "modulus", {"x": 0.5})
     parsed = json.loads(render_json([r]))
     assert parsed[0]["lhs"] is None
-    assert "NonConvergenceError" in parsed[0]["note"]
+    assert parsed[0]["note"].startswith("DomainError: ")
 
 
 def test_render_csv_shape():
