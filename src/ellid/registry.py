@@ -10,8 +10,9 @@ corrected.
 
 Classification is a pure function of the relative residual
 |lhs - rhs| / max(1, |lhs|, |rhs|):  PASS <= 1e-9 < INCONCLUSIVE <= 1e-6 < FAIL.
-Evaluation errors (non-convergence, poles, domain violations at odd points)
-are embedded as INCONCLUSIVE reports with a note, never as PASS.
+Evaluation errors (non-convergence, poles, domain violations at odd points),
+each an ``EllidError``, are embedded as INCONCLUSIVE reports with a note,
+never as PASS.
 """
 
 from __future__ import annotations
@@ -215,22 +216,15 @@ def _poly_log_theta_sum(kind: ThetaKind, f: PolynomialSpec, s: float, q: Nome,
                         policy: TruncationPolicy) -> SeriesResult:
     """sum_n (-1)^n f_n d^n/ds^n log theta from one pass over the series.
 
-    Values and errors are those of one ``log_theta_derivative`` call per
-    nonzero coefficient, in ascending order.  The pass at the top order
-    fails whenever one of those calls does.  If the lowest order's call
-    succeeds, raw orders up to it and the scale stop at the same n in every
-    pass, so the top pass's error is that of the first later call that
-    fails; a failed top pass is therefore followed by a pass at the lowest
-    order, which raises that order's own error or pole if it has one.
+    The value is that of one ``log_theta_derivative`` call per nonzero
+    coefficient, summed in ascending order.  The sum runs one pass, at the
+    top order, and fails with that pass's error: the error a
+    ``log_theta_derivative`` call at the top order raises.
     """
     orders = [n for n, c in enumerate(f.coefficients) if c != 0.0]
     if not orders:
         return SeriesResult(0.0)
-    try:
-        g = _log_theta_pass(kind, orders[-1], s, q, policy)
-    except EllidError:
-        _log_theta_pass(kind, orders[0], s, q, policy)
-        raise
+    g = _log_theta_pass(kind, orders[-1], s, q, policy)
     total = 0.0
     for n in orders:
         total += (-1.0 if n % 2 else 1.0) * f.coefficients[n] * g[n]
@@ -392,6 +386,7 @@ def _side_at(side: Evaluator, values: tuple,
              seen: dict[int, SeriesResult | str]) -> SeriesResult | str:
     """One side's value at the point ``values``, or the note of its error.
 
+    Only an ``EllidError`` becomes a note; any other exception propagates.
     ``seen`` maps id(evaluator) to what earlier calls at this point gave.
     Only the note is kept: a kept exception would hold its traceback, whose
     frames hold the memo that holds the exception, a reference cycle per
@@ -401,7 +396,7 @@ def _side_at(side: Evaluator, values: tuple,
         return seen[id(side)]
     try:
         result = side(*values)
-    except (EllidError, ZeroDivisionError) as exc:
+    except EllidError as exc:
         result = f"{type(exc).__name__}: {exc}"
     seen[id(side)] = result
     return result
@@ -700,8 +695,10 @@ def _p8_rhs(drdm: Callable[[float, Convention, float, float], float], r):
     k, K, E = _ke_at(r)
     m = k * k
     d = drdm(m, Convention.PARAMETER, K, E)
-    return SeriesResult(1.0 + (6.0 * E + (m - 5.0) * K)
-                        / (math.pi * m * (1.0 - m) * K * d))
+    denominator = math.pi * m * (1.0 - m) * K * d
+    if denominator == 0.0:
+        raise DomainError(f"pi m (1-m) K dr/dm is 0 at r={r!r} (dr/dm = {d!r})")
+    return SeriesResult(1.0 + (6.0 * E + (m - 5.0) * K) / denominator)
 
 
 # -- P9 ---------------------------------------------------------------------
@@ -1146,11 +1143,11 @@ class Registry:
         """Evaluate one (identity, variant, grid point) into a report, at
         the audit's one policy.
 
-        Unknown ids and constraint violations raise; numeric evaluation
-        failures, including a division by an underflowed denominator, come
-        back as INCONCLUSIVE reports with a note.  It is the path a run
-        takes at one point, for one variant.  No side result is shared with
-        other calls, but ``_ke_at`` memoises (k, K, E) by ratio across calls.
+        Unknown ids and constraint violations raise; a side that raises an
+        ``EllidError`` comes back as an INCONCLUSIVE report with a note.  It
+        is the path a run takes at one point, for one variant.  No side
+        result is shared with other calls, but ``_ke_at`` memoises (k, K, E)
+        by ratio across calls.
         """
         record = self.get(identity_id)
         return _reports_at(record, (record.variant(variant_id),), point)[0]

@@ -285,8 +285,16 @@ def dadk_candidates(arg: EllipticArgument) -> dict[str, float]:
 
 
 def _dadk_stated(value: float, convention: Convention, K: float, E: float) -> float:
-    """The stated da/d(argument), (dK/darg)/(E K - K^2), from K and E there."""
-    return _dK_from(value, convention, K, E) / (E * K - K * K)
+    """The stated da/d(argument), (dK/darg)/(E K - K^2), from K and E there.
+
+    E K - K^2 rounds to 0 where K and E agree to every bit or nearly (P8's
+    m at r >~ 12.58); such a point is refused with a ``DomainError``.
+    """
+    denominator = E * K - K * K
+    if denominator == 0.0:
+        raise DomainError(f"E K - K^2 is 0 at {convention.value} {value!r} "
+                          f"(E = {E!r}, K = {K!r})")
+    return _dK_from(value, convention, K, E) / denominator
 
 
 def _dadk_classical(value: float, convention: Convention, K: float, E: float) -> float:

@@ -1,0 +1,101 @@
+"""Diff an in-process ``check-all`` against the golden report, row by row.
+
+Run as ``python tests/golden_diff.py [--write]`` with ``ellid`` importable
+(installed, or ``src`` on PYTHONPATH).  It prints one line per row whose
+bytes differ from ``tests/data/check_all.json``: identity, variant, point,
+old and new residual, old and new class, and the 50-digit residual and class
+of ``tests/oracle.py``.  It then lists every ``KNOWN_DEFECTS`` row that now
+has the oracle's class, so that a fix can delete its entry.
+
+The exit status is 1 if a changed row's class moved and its new class is
+not the oracle's, else 0.  With ``--write`` and no such row, it regenerates
+``tests/data/check_all.{json,csv,txt}`` together; the benchmark keeps its own
+copy of the json bytes in ``bench/ref/check_all.json``, which must then get
+the same bytes in a change that may edit ``bench/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+import oracle
+from ellid.registry import build_registry, classify
+from ellid.reporting import render_csv, render_json, render_text
+from test_expect_pass_range import KNOWN_DEFECTS, _point
+
+DATA = Path(__file__).parent / "data"
+
+
+def _key(row: dict) -> tuple:
+    return row["identity"], row["variant"], json.dumps(row["params"], sort_keys=True)
+
+
+def _residual(row: dict | None) -> str:
+    if row is None:
+        return "-"
+    value = row["rel_residual"]
+    return "nan" if value is None else format(value, ".17g")
+
+
+def _describe(old: dict | None, new: dict | None) -> tuple[str, bool]:
+    """The CHANGES-ready line of one changed row, and whether its class
+    moved away from the oracle's."""
+    row = new or old
+    params = " ".join(f"{k}={v}" for k, v in sorted(row["params"].items()))
+    old_class = old["classification"] if old else "-"
+    new_class = new["classification"] if new else "-"
+    true = oracle.residual(row["identity"], row["variant"], row["params"])
+    true_class = classify(true).value
+    away = new is not None and new_class != old_class and new_class != true_class
+    line = (f"{row['identity']} {row['variant']} {params}: "
+            f"residual {_residual(old)} -> {_residual(new)}, "
+            f"class {old_class} -> {new_class}, "
+            f"oracle {true:.2g} ({true_class})"
+            + ("  MOVED AWAY FROM THE ORACLE" if away else ""))
+    return line, away
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true",
+                        help="regenerate tests/data/check_all.{json,csv,txt}")
+    args = parser.parse_args(argv)
+
+    registry = build_registry()
+    reports = registry.run()
+    text = render_json(reports)
+    old = {_key(r): r for r in json.loads((DATA / "check_all.json").read_text())}
+    new = {_key(r): r for r in json.loads(text)}
+    changed = [key for key in sorted(old.keys() | new.keys())
+               if old.get(key) != new.get(key)]
+    moved_away = 0
+    for key in changed:
+        line, away = _describe(old.get(key), new.get(key))
+        moved_away += away
+        print(line)
+    print(f"{len(changed)} changed row(s), {moved_away} moved away from the oracle")
+
+    for (identity, variant, values), (_, true, _) in sorted(KNOWN_DEFECTS.items()):
+        got = registry.evaluate(identity, variant, _point(identity, values))
+        if got.classification is classify(true):
+            print(f"KNOWN_DEFECTS row now has the oracle's class: {identity} "
+                  f"{variant} {values}: {got.classification.value}, oracle {true:.2g}")
+
+    if moved_away:
+        return 1
+    if args.write:
+        for name, rendered in (("check_all.json", text),
+                               ("check_all.csv", render_csv(reports)),
+                               ("check_all.txt", render_text(reports, registry))):
+            with open(DATA / name, "w", newline="") as fh:
+                fh.write(rendered)
+        print(f"wrote {DATA}/check_all.{{json,csv,txt}}; bench/ref/check_all.json "
+              f"must get the same json bytes in a change that may edit bench/")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -194,15 +194,19 @@ def test_stdout_whose_reader_has_gone_exits_2(argv):
     assert proc.stderr == "cannot write report to stdout: Broken pipe\n"
 
 
-def test_check_p8_underflowed_denominator_is_inconclusive(capsys):
-    # at r = 16, E K - K^2 underflows to 0 in the stated dr/dm: the point
-    # must become an INCONCLUSIVE row, not a traceback
-    rc, out, _ = run(["check", "P8", "--grid", "r=16", "--format", "json"], capsys)
+@pytest.mark.parametrize("r, denominator", [(12.5, "pi m (1-m) K dr/dm is 0"),
+                                              (16, "E K - K^2 is 0")],
+                         ids=["p8-rhs", "stated-drdm"])
+def test_check_p8_underflowed_denominator_is_inconclusive(r, denominator, capsys):
+    # At r = 12.5 the stated dr/dm is 0, so P8's right side would divide by
+    # 0; at r = 16, E K - K^2 is 0 inside the stated dr/dm.  Either point
+    # is an INCONCLUSIVE row whose note names that denominator.
+    rc, out, _ = run(["check", "P8", "--grid", f"r={r}", "--format", "json"], capsys)
     assert rc == 0
     base, classical = json.loads(out)
     assert base["variant"] == "base"
     assert base["classification"] == "INCONCLUSIVE"
-    assert base["note"].startswith("ZeroDivisionError")
+    assert base["note"].startswith(f"DomainError: {denominator} at ")
     assert classical["classification"] == "PASS"
 
 

@@ -34,7 +34,7 @@ PASS, INCONCLUSIVE, FAIL = (Classification.PASS, Classification.INCONCLUSIVE,
 
 KE_CANCELLATION = "K and E cancel at the singular modulus (_ke_at, a <~ 0.16)"
 SMALL_M = ("K - E cancels at small m in the stated dr/dm (r >~ 5.8); "
-           "from r ~ 12.9 on E == K and the side divides by zero")
+           "from r ~ 11.94 on a denominator is 0 and the side refuses")
 RATIO_GUARD = ("the 0.99 ratio guard keeps a converged sum running to the cap "
                "(NonConvergenceError, envelope ratio ~ 0.991-0.995)")
 LOST_DIGITS = ("the terms are orders larger than the value (theta2 near q = 1), "

@@ -1,0 +1,56 @@
+"""The golden-diff tool: silent on an unchanged tree, exact on a moved side."""
+
+import shutil
+from pathlib import Path
+
+import golden_diff
+from ellid import registry
+from ellid.series import SeriesResult
+
+
+def _shifted_e4_rhs(monkeypatch, shift):
+    e4_rhs = registry._e4_rhs
+    monkeypatch.setattr(registry, "_e4_rhs",
+                        lambda a: SeriesResult(e4_rhs(a).value + shift))
+
+
+def test_unchanged_tree_lists_no_rows(capsys):
+    assert golden_diff.main([]) == 0
+    assert capsys.readouterr().out == "0 changed row(s), 0 moved away from the oracle\n"
+
+
+def test_perturbed_side_is_listed_and_a_class_moved_away_fails(monkeypatch, capsys):
+    _shifted_e4_rhs(monkeypatch, 1e-3)
+    assert golden_diff.main([]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "3 changed row(s), 3 moved away from the oracle"
+    for line, a in zip(lines, ("0.5", "1", "2")):
+        assert line.startswith(f"E4 base a={a}: residual ")
+        assert "class PASS -> FAIL, oracle " in line
+        assert line.endswith("(PASS)  MOVED AWAY FROM THE ORACLE")
+
+
+def test_moved_bits_that_keep_their_class_pass(monkeypatch, capsys):
+    _shifted_e4_rhs(monkeypatch, 1e-13)
+    assert golden_diff.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "3 changed row(s), 0 moved away from the oracle"
+    assert all("class PASS -> PASS" in line for line in lines[:3])
+
+
+def test_known_defect_that_gets_the_oracle_class_is_listed(monkeypatch, capsys):
+    # an exact rhs clears E4's two KE_CANCELLATION rows
+    monkeypatch.setattr(registry, "_e4_rhs", registry._e4_lhs)
+    assert golden_diff.main([]) == 0
+    out = capsys.readouterr().out
+    assert out.count("KNOWN_DEFECTS row now has the oracle's class: E4 base (") == 2
+
+
+def test_write_regenerates_the_three_golden_files(tmp_path, monkeypatch, capsys):
+    shutil.copy(golden_diff.DATA / "check_all.json", tmp_path)
+    monkeypatch.setattr(golden_diff, "DATA", tmp_path)
+    assert golden_diff.main(["--write"]) == 0
+    assert "bench/ref/check_all.json" in capsys.readouterr().out
+    for name in ("check_all.json", "check_all.csv", "check_all.txt"):
+        assert (tmp_path / name).read_bytes() == (
+            Path(__file__).parent / "data" / name).read_bytes()

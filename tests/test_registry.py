@@ -19,7 +19,7 @@ from ellid import (Classification, ConstraintError, DomainError, Expectation,
                    classify, default_registry, poly_even_zeta_integral,
                    poly_even_zeta_sum, poly_weighted_log_theta2_sum,
                    poly_weighted_log_theta4_sum, registry)
-from ellid import cli
+from ellid import cli, errors
 from ellid.reporting import render_csv, render_json, render_text
 from libm import perturbed_libm
 
@@ -357,7 +357,7 @@ def test_run_gives_each_id_once():
     assert reg.run(["P6b", "E4", "P6b"]) == reg.run(["E4"]) + reg.run(["P6b"])
 
 
-@pytest.mark.parametrize("exc", [DomainError, NonConvergenceError, ZeroDivisionError])
+@pytest.mark.parametrize("exc", [DomainError, NonConvergenceError])
 def test_failed_shared_lhs_gives_every_variant_its_note(exc):
     # A failed side, whatever its error, is INCONCLUSIVE with a note, never PASS.
     lhs, rhs_a, rhs_b = _Side(1.0, fail_at=(2.0,), exc=exc), _Side(1.0), _Side(1.0)
@@ -388,9 +388,11 @@ def test_failed_rhs_leaves_other_variants_alone():
         assert reg.evaluate("T", variant, {"x": 3.0}) == by_key[variant, 3.0]
 
 
-def test_bare_side_exception_still_propagates():
-    lhs = _Side(1.0, fail_at=(1.0,), exc=RuntimeError)
-    with pytest.raises(RuntimeError):
+@pytest.mark.parametrize("exc", [RuntimeError, ZeroDivisionError])
+def test_bare_side_exception_still_propagates(exc):
+    # only an EllidError becomes a note; anything else is a defect of its side
+    lhs = _Side(1.0, fail_at=(1.0,), exc=exc)
+    with pytest.raises(exc):
         _sharing_registry(lhs, _Side(1.0), _Side(1.0)).run(["T"])
 
 
@@ -411,20 +413,29 @@ def _record_ids():
     return [r.identity_id for r in default_registry().records()]
 
 
+ELLID_ERROR_NAMES = {name for name, obj in vars(errors).items()
+                     if isinstance(obj, type) and issubclass(obj, errors.EllidError)}
+
+
 @pytest.mark.parametrize("identity_id", _record_ids())
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(data=st.data())
 def test_evaluate_returns_a_row_anywhere_in_declared_ranges(identity_id, data):
+    # Each range's ends are drawn as well as its interior.  A failed side
+    # gives a note that names an EllidError; any other exception escapes.
     reg = default_registry()
     record = reg.get(identity_id)
     point = {p.name: data.draw(st.sampled_from(p.choices) if p.choices is not None
-                               else st.floats(p.lo, p.hi), label=p.name)
+                               else st.sampled_from((p.lo, p.hi)) | st.floats(p.lo, p.hi),
+                               label=p.name)
              for p in record.params}
     assume(record.constraint is None or record.constraint(point))
     for v in record.variants:
         report = reg.evaluate(identity_id, v.variant_id, point)
         assert isinstance(report, ResidualReport)
+        assert report.note == "" or report.note.split(":")[0] in ELLID_ERROR_NAMES, \
+            report.note
 
 
 def test_adjudication_outcomes():
