@@ -70,8 +70,11 @@ def classify(rel_residual: float) -> Classification:
 
 def _combine(value: float, *parts: SeriesResult) -> SeriesResult:
     """``value`` carrying the summed terms and tail bounds of its series parts."""
-    return SeriesResult(value, sum(p.terms_used for p in parts),
-                        sum(p.tail_bound for p in parts))
+    terms = tail = 0  # int 0 with no parts, as sum() gave
+    for p in parts:
+        terms += p.terms_used
+        tail += p.tail_bound
+    return SeriesResult(value, terms, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +242,12 @@ def _poly_bilateral_exp_sinh(f: PolynomialSpec, a: float, s: float) -> SeriesRes
     for |s| < pi a, which P11a's constraint enforces."""
 
     def pair(n: int) -> tuple[float, float]:
+        # 2 e^(y - x) / d is exp_over_sinh(y, x), with d computed once per n
         x = math.pi * a * n
-        term = -(f.eval(n) * exp_over_sinh(-n * s, x)
-                 + f.eval(-n) * exp_over_sinh(n * s, x)) / (2.0 * n)
-        env = f.eval_abs(n) * exp_over_sinh(n * abs(s), x) / n
+        d = 1.0 - math.exp(-2.0 * x)
+        term = -(f.eval(n) * (2.0 * math.exp(-n * s - x) / d)
+                 + f.eval(-n) * (2.0 * math.exp(n * s - x) / d)) / (2.0 * n)
+        env = f.eval_abs(n) * (2.0 * math.exp(n * abs(s) - x) / d) / n
         return term, env
 
     return sum_series(pair)
@@ -251,22 +256,23 @@ def _poly_bilateral_exp_sinh(f: PolynomialSpec, a: float, s: float) -> SeriesRes
 def _poly_exp_bilateral_exp_sinh(f: PolynomialSpec, a: float, s: float) -> SeriesResult:
     """-sum_{n != 0} f(e^(-n)) e^(-ns) / (2n sinh(pi a n)).
 
-    f(e^(+-n)) is expanded coefficientwise into exp_over_sinh terms so the
+    f(e^(+-n)) is expanded coefficientwise into e^y / sinh(x) terms so the
     n > 0 mirror (which carries f(e^n) ~ e^(deg*n)) never overflows; the sum
     converges only for deg + |s| < pi a, which P11b's constraint (deg 2) enforces.
     """
 
     def pair(n: int) -> tuple[float, float]:
         x = math.pi * a * n
+        d = 1.0 - math.exp(-2.0 * x)  # as in _poly_bilateral_exp_sinh
         plus = 0.0
         minus = 0.0
         env = 0.0
         for i, c in enumerate(f.coefficients):
             if c == 0.0:
                 continue
-            plus += c * exp_over_sinh(n * s + i * n, x)
-            minus += c * exp_over_sinh(-n * s - i * n, x)
-            env += abs(c) * exp_over_sinh(n * abs(s) + i * n, x)
+            plus += c * (2.0 * math.exp(n * s + i * n - x) / d)
+            minus += c * (2.0 * math.exp(-n * s - i * n - x) / d)
+            env += abs(c) * (2.0 * math.exp(n * abs(s) + i * n - x) / d)
         return -(minus + plus) / (2.0 * n), env / n
 
     return sum_series(pair)
@@ -318,7 +324,8 @@ class IdentityRecord(NamedTuple):
 
         ``grid`` maps a parameter name to the values that replace its own
         grid; a name this record lacks raises ``ConfigError``.  Points are
-        not validated here: a run validates each one as it evaluates it.
+        not validated here: a run validates each one when it first reaches
+        it (see ``Registry.run``).
         """
         names = [p.name for p in self.params]
         for name in grid:
@@ -402,20 +409,20 @@ def _side_at(side: Evaluator, values: tuple,
     return result
 
 
-def _reports_at(record: IdentityRecord, variants: Sequence[Variant],
-                point: Mapping) -> list[ResidualReport]:
-    """The rows of ``variants`` of ``record`` at one point.
+def _reports_at(identity: str, variants: Sequence[Variant], point: Mapping,
+                values: tuple) -> list[ResidualReport]:
+    """The rows of ``variants`` of record ``identity`` at one point, in
+    ``variants`` order.
 
-    The point is validated once; a violation raises ``ConstraintError``.
-    Each distinct evaluator object (``v.lhs is w.lhs``) is called at most
-    once per side, and every variant holding it gets its value, or its
-    error note.  A row's lhs and rhs never share a call, even when they are
-    one object.  A failed side, lhs first, gives one INCONCLUSIVE row with
-    its error note; a row whose lhs fails does not call its rhs.
+    ``values`` is what ``validate_point(point)`` returned; the caller
+    validates.  Each distinct evaluator object (``v.lhs is w.lhs``) is
+    called at most once per side, and every variant holding it gets its
+    value, or its error note.  A row's lhs and rhs never share a call, even
+    when they are one object.  A failed side, lhs first, gives one
+    INCONCLUSIVE row with its error note; a row whose lhs fails does not
+    call its rhs.
     """
-    values = record.validate_point(point)
     lhs_seen, rhs_seen = {}, {}
-    identity = record.identity_id
     reports = []
     for v in variants:
         lhs = _side_at(v.lhs, values, lhs_seen)
@@ -805,11 +812,12 @@ def _p12_bilateral(f: PolynomialSpec, a: float, s: float,
 
     def pair(n: int) -> tuple[float, float]:
         x = math.pi ** 2 * a * n
+        d = 1.0 - math.exp(-2.0 * x)  # as in _poly_bilateral_exp_sinh
         c = 2.0 * math.pi * n * a
-        plus = f.eval(c) * exp_over_sinh(-2.0 * math.pi * n * s * a, x)
+        plus = f.eval(c) * (2.0 * math.exp(-2.0 * math.pi * n * s * a - x) / d)
         # the n -> -n mirror: f(-c) e^(+2 pi n s a) / sinh(-x) terms
-        minus_num = f.eval(-c) * exp_over_sinh(2.0 * math.pi * n * s * a, x)
-        env = f.eval_abs(c) * exp_over_sinh(2.0 * math.pi * n * abs(s) * a, x)
+        minus_num = f.eval(-c) * (2.0 * math.exp(2.0 * math.pi * n * s * a - x) / d)
+        env = f.eval_abs(c) * (2.0 * math.exp(2.0 * math.pi * n * abs(s) * a - x) / d)
         if weight_half_n:
             return (plus + minus_num) / (2.0 * n), env / n
         return plus - minus_num, 2.0 * env
@@ -1118,6 +1126,9 @@ class Registry:
 
     def __init__(self, records: Sequence[IdentityRecord]):
         self._records: dict[str, IdentityRecord] = {}
+        # identity -> the plan of its default run: its grid_points(), their
+        # validated values, and the indices of its rows in report order
+        self._plans = {}
         for rec in records:
             if rec.identity_id in self._records:
                 raise ValueError(f"duplicate identity id {rec.identity_id!r}")
@@ -1145,32 +1156,52 @@ class Registry:
 
         Unknown ids and constraint violations raise; a side that raises an
         ``EllidError`` comes back as an INCONCLUSIVE report with a note.  It
-        is the path a run takes at one point, for one variant.  No side
-        result is shared with other calls, but ``_ke_at`` memoises (k, K, E)
-        by ratio across calls.
+        validates the point on every call, then evaluates as a run does at
+        one point (``_reports_at``), for one variant.  No side result is
+        shared with other calls, but ``_ke_at`` memoises (k, K, E) by ratio
+        across calls.
         """
         record = self.get(identity_id)
-        return _reports_at(record, (record.variant(variant_id),), point)[0]
+        return _reports_at(identity_id, (record.variant(variant_id),), point,
+                           record.validate_point(point))[0]
 
     def run(self, ids: Sequence[str] | None = None,
             grid: Mapping[str, Sequence] = {}) -> list[ResidualReport]:
         """Every variant of each record in ``ids`` (all records if None, each
-        id once) at every point of ``grid_points(grid)``, sorted: a function
-        of ``ids`` and ``grid`` alone.
+        id once) at every point of ``grid_points(grid)``, in
+        ``report_sort_key`` order: a function of ``ids`` and ``grid`` alone.
 
-        Unknown ids, unknown ``grid`` names and invalid points raise.  At each
-        point the variants share their sides (see ``_reports_at``).  No side
-        result is kept from one point to the next, but ``_ke_at`` memoises
-        (k, K, E) by ratio across points and runs.
+        Records run in the order given and points in product order.  A run
+        validates each point when it reaches it, so an invalid point raises
+        after the points before it were evaluated.  At a record's own grid
+        only the first run does so, and it keeps the record's plan on the
+        instance: its points, their validated values and the report order
+        of its rows.  A ``grid`` override computes them on each run.
+        Unknown ids and unknown ``grid`` names raise too.  At each point the
+        variants share their sides (see ``_reports_at``), and every side is
+        called at every point on every run.  No side result is kept from
+        one point to the next, but ``_ke_at`` memoises (k, K, E) by ratio
+        across points and runs.
         """
         records = (self.records() if ids is None
                    else [self.get(i) for i in dict.fromkeys(ids)])
-        reports = []
+        reports = {}
         for record in records:
-            for point in record.grid_points(grid):
-                reports.extend(_reports_at(record, record.variants, point))
-        reports.sort(key=report_sort_key)
-        return reports
+            identity = record.identity_id
+            points, values, order = (not grid and self._plans.get(identity)
+                                     or (record.grid_points(grid), [], None))
+            rows = []
+            for i, point in enumerate(points):
+                if i == len(values):  # not yet validated
+                    values.append(record.validate_point(point))
+                rows += _reports_at(identity, record.variants, point, values[i])
+            if order is None:
+                # a stable sort: rows with equal keys keep the order they were made in
+                order = sorted(range(len(rows)), key=lambda e: report_sort_key(rows[e]))
+                if not grid:
+                    self._plans[identity] = points, values, order
+            reports[identity] = [rows[e] for e in order]
+        return [r for identity in sorted(reports) for r in reports[identity]]
 
     def run_all(self) -> list[ResidualReport]:
         """``run()``: the whole catalog at its own grids.  It stays a method

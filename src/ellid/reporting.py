@@ -37,10 +37,10 @@ _json_str = json.encoder.encode_basestring_ascii
 
 
 def _json_params(params: dict) -> str:
-    inner = ", ".join(
+    inner = ", ".join([
         f"{_json_str(k)}: "
         f"{_json_str(v) if isinstance(v, str) else _json_number(v)}"
-        for k, v in sorted(params.items()))
+        for k, v in sorted(params.items())])
     return "{" + inner + "}"
 
 
@@ -49,8 +49,11 @@ def render_json(reports: Sequence[ResidualReport]) -> str:
     stays under our control."""
     rows = []
     for r in reports:
-        terms = ", ".join(f"{_json_str(k)}: {int(v)}"
-                          for k, v in sorted(r.terms.items()))
+        t = r.terms
+        if len(t) == 2 and "lhs" in t and "rhs" in t:  # every engine row: no sort
+            terms = f"\"lhs\": {int(t['lhs'])}, \"rhs\": {int(t['rhs'])}"
+        else:
+            terms = ", ".join([f"{_json_str(k)}: {int(v)}" for k, v in sorted(t.items())])
         rows.append(
             "{"
             f"\"identity\": {_json_str(r.identity)}, "

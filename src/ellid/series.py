@@ -186,7 +186,9 @@ def _sinh_over_sinh(y: float, x: float) -> float:
 
 
 def exp_over_sinh(y: float, x: float) -> float:
-    """e^y / sinh(x) for x > 0; used by the bilateral identity sums."""
+    """e^y / sinh(x) for x > 0; used by ``registry._imag_poly_over_sinh``.
+    The bilateral identity sums inline it, to compute its denominator once
+    per term."""
     ex = math.exp(-2.0 * x)
     return 2.0 * math.exp(y - x) / (1.0 - ex)
 

@@ -1,14 +1,17 @@
 """Diff an in-process ``check-all`` against the golden report, row by row.
 
-Run as ``python tests/golden_diff.py [--write]`` with ``ellid`` importable
-(installed, or ``src`` on PYTHONPATH).  It prints one line per row whose
-bytes differ from ``tests/data/check_all.json``: identity, variant, point,
-old and new residual, old and new class, and the 50-digit residual and class
-of ``tests/oracle.py``.  It then lists every ``KNOWN_DEFECTS`` row that now
-has the oracle's class, so that a fix can delete its entry.
+Run as ``python tests/golden_diff.py [--write] [--deck]`` with ``ellid``
+importable (installed, or ``src`` on PYTHONPATH).  It prints one line per row
+whose bytes differ from ``tests/data/check_all.json``: identity, variant,
+point, old and new residual, old and new class, and the 50-digit residual and
+class of ``tests/oracle.py``.  It then lists every ``KNOWN_DEFECTS`` row that
+now has the oracle's class, so that a fix can delete its entry.  With
+``--deck`` it also evaluates ``test_expect_pass_range.deck()`` for every
+record and prints each variant whose class counts differ from
+``CLASS_COUNTS``, old counts -> new counts; nothing on an unchanged tree.
 
 The exit status is 1 if a changed row's class moved and its new class is
-not the oracle's, else 0.  With ``--write`` and no such row, it regenerates
+not the oracle's, else 0; deck lines do not change it.  With ``--write`` and no such row, it regenerates
 ``tests/data/check_all.{json,csv,txt}`` together; the benchmark keeps its own
 copy of the json bytes in ``bench/ref/check_all.json``, which must then get
 the same bytes in a change that may edit ``bench/``.
@@ -19,12 +22,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import oracle
-from ellid.registry import build_registry, classify
+from ellid.registry import Classification, build_registry, classify
 from ellid.reporting import render_csv, render_json, render_text
-from test_expect_pass_range import KNOWN_DEFECTS, _point
+from test_expect_pass_range import CLASS_COUNTS, KNOWN_DEFECTS, _point, shipped
 
 DATA = Path(__file__).parent / "data"
 
@@ -58,10 +62,28 @@ def _describe(old: dict | None, new: dict | None) -> tuple[str, bool]:
     return line, away
 
 
+def _counts(counts: dict) -> str:
+    return ", ".join(f"{c.value} {counts[c]}" for c in Classification if c in counts) or "-"
+
+
+def _deck_lines() -> list[str]:
+    """One line per (identity, variant) whose deck class counts moved."""
+    new = {key: Counter(cls for _, cls in rows) for key, rows in shipped().items()}
+    lines = []
+    for key in sorted(CLASS_COUNTS.keys() | new.keys()):
+        old_counts, new_counts = CLASS_COUNTS.get(key, {}), new.get(key, {})
+        if old_counts != new_counts:
+            lines.append(f"deck {key[0]} {key[1]}: {_counts(old_counts)} -> "
+                         f"{_counts(new_counts)}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true",
                         help="regenerate tests/data/check_all.{json,csv,txt}")
+    parser.add_argument("--deck", action="store_true",
+                        help="also list the deck class counts that moved")
     args = parser.parse_args(argv)
 
     registry = build_registry()
@@ -83,6 +105,10 @@ def main(argv: list[str] | None = None) -> int:
         if got.classification is classify(true):
             print(f"KNOWN_DEFECTS row now has the oracle's class: {identity} "
                   f"{variant} {values}: {got.classification.value}, oracle {true:.2g}")
+
+    if args.deck:
+        for line in _deck_lines():
+            print(line)
 
     if moved_away:
         return 1

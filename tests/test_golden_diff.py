@@ -54,3 +54,19 @@ def test_write_regenerates_the_three_golden_files(tmp_path, monkeypatch, capsys)
     for name in ("check_all.json", "check_all.csv", "check_all.txt"):
         assert (tmp_path / name).read_bytes() == (
             Path(__file__).parent / "data" / name).read_bytes()
+
+
+def test_deck_lists_no_moved_class_count_on_an_unchanged_tree(capsys):
+    assert golden_diff.main(["--deck"]) == 0
+    assert capsys.readouterr().out == "0 changed row(s), 0 moved away from the oracle\n"
+
+
+def test_deck_lists_a_moved_class_count(monkeypatch):
+    rows = dict(golden_diff.shipped())
+    e4 = rows["E4", "base"]
+    # E4's last two deck rows, at its largest a, PASS; make them FAIL
+    rows["E4", "base"] = e4[:-2] + [(values, registry.Classification.FAIL)
+                                    for values, _ in e4[-2:]]
+    monkeypatch.setattr(golden_diff, "shipped", lambda: rows)
+    assert golden_diff._deck_lines() == [
+        "deck E4 base: PASS 58, INCONCLUSIVE 2 -> PASS 56, INCONCLUSIVE 2, FAIL 2"]

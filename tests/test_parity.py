@@ -1,0 +1,186 @@
+"""Rewritten hot paths against the code they replaced, copied here as the
+reference: the bilateral sums with one sinh denominator per term, and
+``render_json``.  Each must give the same bits as its reference."""
+
+import itertools
+import json
+import math
+import random
+
+import pytest
+
+from ellid import EllidError, PolynomialSpec, registry
+from ellid.registry import Classification, ResidualReport, default_registry
+from ellid.reporting import render_json
+from ellid.series import exp_over_sinh, sum_series
+
+# -- the bilateral sums, one exp_over_sinh call per exponential ---------------
+
+
+def _ref_poly_bilateral_exp_sinh(f, a, s):
+    def pair(n):
+        x = math.pi * a * n
+        term = -(f.eval(n) * exp_over_sinh(-n * s, x)
+                 + f.eval(-n) * exp_over_sinh(n * s, x)) / (2.0 * n)
+        env = f.eval_abs(n) * exp_over_sinh(n * abs(s), x) / n
+        return term, env
+
+    return sum_series(pair)
+
+
+def _ref_poly_exp_bilateral_exp_sinh(f, a, s):
+    def pair(n):
+        x = math.pi * a * n
+        plus = 0.0
+        minus = 0.0
+        env = 0.0
+        for i, c in enumerate(f.coefficients):
+            if c == 0.0:
+                continue
+            plus += c * exp_over_sinh(n * s + i * n, x)
+            minus += c * exp_over_sinh(-n * s - i * n, x)
+            env += abs(c) * exp_over_sinh(n * abs(s) + i * n, x)
+        return -(minus + plus) / (2.0 * n), env / n
+
+    return sum_series(pair)
+
+
+def _ref_p12_bilateral(f, a, s, weight_half_n):
+    def pair(n):
+        x = math.pi ** 2 * a * n
+        c = 2.0 * math.pi * n * a
+        plus = f.eval(c) * exp_over_sinh(-2.0 * math.pi * n * s * a, x)
+        minus_num = f.eval(-c) * exp_over_sinh(2.0 * math.pi * n * s * a, x)
+        env = f.eval_abs(c) * exp_over_sinh(2.0 * math.pi * n * abs(s) * a, x)
+        if weight_half_n:
+            return (plus + minus_num) / (2.0 * n), env / n
+        return plus - minus_num, 2.0 * env
+
+    return sum_series(pair)
+
+
+def _box_points(identity, n, seed):
+    """Every corner of the record's declared box and ``n`` seeded uniform
+    points in it, all inside its constraint."""
+    record = default_registry().get(identity)
+    names = [p.name for p in record.params]
+    corners = [dict(zip(names, c)) for c in itertools.product(
+        *(p.choices or (p.lo, p.hi) for p in record.params))]
+    rng = random.Random(seed)
+    drawn = []
+    while len(drawn) < n:
+        drawn.append({p.name: rng.choice(p.choices) if p.choices else rng.uniform(p.lo, p.hi)
+                      for p in record.params})
+        if record.constraint is not None and not record.constraint(drawn[-1]):
+            drawn.pop()
+    return [p for p in corners if record.constraint is None or record.constraint(p)] + drawn
+
+
+def _outcome(fn, *args):
+    """The bits of a sum, or its error."""
+    try:
+        r = fn(*args)
+    except EllidError as exc:
+        return type(exc).__name__, str(exc)
+    return r.value.hex(), r.terms_used, r.tail_bound.hex()
+
+
+_P11B_POLYS = (PolynomialSpec((0.0, 0.0, 1.0)), PolynomialSpec((0.0, 1.0, 1.0)))
+
+
+def _cases(identity):
+    """(hoisted sum, its reference, args) at each box point of ``identity``."""
+    for p in _box_points(identity, 500, seed=sum(map(ord, identity))):
+        if identity == "P11a":
+            f = PolynomialSpec.monomial(p["fdeg"])
+            yield (registry._poly_bilateral_exp_sinh, _ref_poly_bilateral_exp_sinh,
+                   (f, p["a"], p["s"]))
+        elif identity == "P11b":
+            for f in _P11B_POLYS:
+                yield (registry._poly_exp_bilateral_exp_sinh,
+                       _ref_poly_exp_bilateral_exp_sinh, (f, p["a"], p["s"]))
+        else:
+            for weight_half_n in (True, False):
+                yield (registry._p12_bilateral, _ref_p12_bilateral,
+                       (registry._P12_POLY, p["a"], p["s"], weight_half_n))
+
+
+@pytest.mark.parametrize("identity", ["P11a", "P11b", "P12"])
+def test_hoisted_bilateral_sum_gives_the_reference_bits(identity):
+    mismatched = [args for fn, ref, args in _cases(identity)
+                  if _outcome(fn, *args) != _outcome(ref, *args)]
+    assert mismatched == []
+
+
+# -- render_json before it skipped the sort of an engine row's terms -----------
+
+def _ref_format_number(x):
+    if isinstance(x, int):
+        return str(x)
+    return format(float(x), ".17g")
+
+
+def _ref_json_number(x):
+    if isinstance(x, float):
+        return format(x, ".17g") if math.isfinite(x) else "null"
+    return _ref_format_number(x)
+
+
+_ref_json_str = json.encoder.encode_basestring_ascii
+
+
+def _ref_json_params(params):
+    inner = ", ".join(
+        f"{_ref_json_str(k)}: "
+        f"{_ref_json_str(v) if isinstance(v, str) else _ref_json_number(v)}"
+        for k, v in sorted(params.items()))
+    return "{" + inner + "}"
+
+
+def _ref_render_json(reports):
+    rows = []
+    for r in reports:
+        terms = ", ".join(f"{_ref_json_str(k)}: {int(v)}"
+                          for k, v in sorted(r.terms.items()))
+        rows.append(
+            "{"
+            f"\"identity\": {_ref_json_str(r.identity)}, "
+            f"\"variant\": {_ref_json_str(r.variant)}, "
+            f"\"params\": {_ref_json_params(r.params)}, "
+            f"\"lhs\": {_ref_json_number(r.lhs)}, "
+            f"\"rhs\": {_ref_json_number(r.rhs)}, "
+            f"\"abs_residual\": {_ref_json_number(r.abs_residual)}, "
+            f"\"rel_residual\": {_ref_json_number(r.rel_residual)}, "
+            f"\"classification\": {_ref_json_str(r.classification.value)}, "
+            f"\"terms\": {{{terms}}}, "
+            f"\"note\": {_ref_json_str(r.note)}"
+            "}")
+    if not rows:
+        return "[]\n"
+    return "[\n  " + ",\n  ".join(rows) + "\n]\n"
+
+
+_ROW = ResidualReport("X", "v\u00e9", {"s": "str", "a": 1, "b": 1.5}, 0.5, 0.25, 0.25,
+                      0.25, Classification.FAIL, {"lhs": 3, "rhs": 4}, "")
+_HAND_BUILT = [
+    _ROW,
+    _ROW._replace(lhs=math.nan, rhs=math.nan, abs_residual=math.nan, rel_residual=math.nan,
+                  classification=Classification.INCONCLUSIVE, note='DomainError: "q"\n'),
+    _ROW._replace(params={}, lhs=math.inf, rhs=-math.inf, abs_residual=math.inf),
+    _ROW._replace(params={"z": True, "y": -0.0, "x": 1e-300}, lhs=1, rhs=2,
+                  classification=Classification.PASS, note="note"),
+    *(_ROW._replace(terms=terms) for terms in (
+        {"rhs": 4, "lhs": 3}, {"lhs": 3}, {"rhs": 4}, {}, {"lhs": 1, "rhs": 2, "mid": 3},
+        {"lhs": 2.9, "rhs": True}, {"lhs": 1, "rhs_": 2}, {"b": 1, "a": 2})),
+]
+
+
+@pytest.mark.parametrize("reports", [[], _HAND_BUILT, *([r] for r in _HAND_BUILT)],
+                         ids=["empty", "all", *(f"row{i}" for i in range(len(_HAND_BUILT)))])
+def test_render_json_gives_the_reference_bytes(reports):
+    assert render_json(reports) == _ref_render_json(reports)
+
+
+def test_render_json_gives_the_reference_bytes_for_the_catalog():
+    reports = default_registry().run_all()
+    assert render_json(reports) == _ref_render_json(reports)

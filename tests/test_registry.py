@@ -6,6 +6,7 @@ import inspect
 import itertools
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -407,6 +408,102 @@ def test_run_all_and_render_json_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _sorted_run(reg, ids=None, grid={}):
+    """The rows of ``reg.run(ids, grid)`` as the run made them before it kept
+    a plan: every point of every record in run order, then one sort."""
+    records = reg.records() if ids is None else [reg.get(i) for i in dict.fromkeys(ids)]
+    reports = []
+    for rec in records:
+        for point in rec.grid_points(grid):
+            reports += registry._reports_at(rec.identity_id, rec.variants, point,
+                                            rec.validate_point(point))
+    reports.sort(key=registry.report_sort_key)
+    return reports
+
+
+def _override_axis(rng, param, draw_uniform):
+    """A seeded replacement for ``param``'s grid: repeated, shuffled values
+    from its own grid and their int twins, or from its choices, plus one
+    uniform draw over its range if ``draw_uniform``."""
+    pool = list(param.choices or param.grid)
+    pool += [int(v) for v in pool if not isinstance(v, str) and v == int(v)]
+    axis = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+    if draw_uniform and param.choices is None:
+        axis.insert(rng.randrange(len(axis) + 1), rng.uniform(param.lo, param.hi))
+    return axis
+
+
+def _seeded_grid(rng, rec):
+    """A seeded ``grid`` override over some of ``rec``'s parameters, every
+    point of which it accepts."""
+    names = rng.sample([p.name for p in rec.params], rng.randint(1, len(rec.params)))
+    for attempt in range(20):
+        grid = {p.name: _override_axis(rng, p, attempt < 10)
+                for p in rec.params if p.name in names}
+        try:
+            for point in rec.grid_points(grid):
+                rec.validate_point(point)
+        except ConstraintError:
+            continue
+        return grid
+    raise AssertionError("the record's own grid values failed validation")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_run_gives_the_rows_of_one_sort_after_the_run(seed):
+    # repr, not ==, so that a row at a=1 and one at a=1.0 may not swap
+    rng = random.Random(seed)
+    reg = registry.build_registry()
+    ids = reg.ids() + rng.sample(reg.ids(), 5)
+    rng.shuffle(ids)
+    for run_ids in (None, ids, ids[:7]):
+        want = repr(_sorted_run(reg, run_ids))
+        assert repr(reg.run(run_ids)) == want  # building the plans
+        assert repr(reg.run(run_ids)) == want  # from the plans
+    for rec in reg.records():
+        ids = [rec.identity_id] * 2
+        grid = _seeded_grid(rng, rec)
+        assert repr(reg.run(ids, grid)) == repr(_sorted_run(reg, ids, grid)), grid
+
+
+class _Counted:
+    """A side that counts its calls."""
+
+    def __init__(self, side):
+        self.side = side
+        self.calls = 0
+
+    def __call__(self, *values):
+        self.calls += 1
+        return self.side(*values)
+
+
+def test_a_second_run_validates_nothing_and_calls_every_side_again(monkeypatch):
+    counted = {}  # id(side) -> _Counted, one per object, so sharing stays
+
+    def wrap(side):
+        return counted.setdefault(id(side), _Counted(side))
+
+    records = [rec._replace(variants=tuple(v._replace(lhs=wrap(v.lhs), rhs=wrap(v.rhs))
+                                           for v in rec.variants))
+               for rec in default_registry().records()]
+    reg = registry.Registry(records)
+    validated = []
+    validate_point = registry.IdentityRecord.validate_point
+    monkeypatch.setattr(registry.IdentityRecord, "validate_point",
+                        lambda rec, point: validated.append(point)
+                        or validate_point(rec, point))
+    first = reg.run_all()
+    assert len(validated) == sum(len(rec.grid_points()) for rec in records)
+    calls = {key: side.calls for key, side in counted.items()}
+    assert all(calls.values())
+    validated.clear()
+    assert repr(reg.run_all()) == repr(first)
+    assert validated == []
+    assert {key: side.calls for key, side in counted.items()} == {
+        key: 2 * n for key, n in calls.items()}
 
 
 def _record_ids():
