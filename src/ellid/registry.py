@@ -300,7 +300,6 @@ class Variant(NamedTuple):
     variant_id: str
     lhs: Evaluator
     rhs: Evaluator
-    note: str = ""
 
 
 class IdentityRecord(NamedTuple):
@@ -891,11 +890,11 @@ def build_registry() -> "Registry":
             (ParamSpec("a", (0.5, 1.0, 2.0), lo=0.05, hi=20.0),
              ParamSpec("theta", (0.2, 0.5), lo=0.0, hi=1.2)),
             (Variant("base", _p2_lhs, _p2_rhs),
-             Variant("sinh-squared", _p2_lhs_sinh, _p2_rhs,
-                     note="proof text uses sinh^2 where the statement has sin^2"),
-             Variant("theta2-direct", _p2_lhs, _p2_rhs_theta2,
-                     note="same right side through theta2 at nome e^(-pi a), "
-                          "no Gaussian correction term")),
+             # proof text uses sinh^2 where the statement has sin^2
+             Variant("sinh-squared", _p2_lhs_sinh, _p2_rhs),
+             # same right side through theta2 at nome e^(-pi a), no Gaussian
+             # correction term
+             Variant("theta2-direct", _p2_lhs, _p2_rhs_theta2)),
             Expectation.CONTESTED,
             constraint=lambda p: abs(p["theta"]) < min(0.5 * pi, pi * p["a"]),
             constraint_note="|theta| < min(pi/2, pi*a)"),
@@ -907,9 +906,9 @@ def build_registry() -> "Registry":
             (ParamSpec("z", (0.5, 1.0, 2.0), lo=0.05, hi=20.0),),
             (Variant("base", partial(_p2b_lhs, Nome.from_exponent),
                      partial(_p2b_rhs, Nome.from_exponent)),
+             # alternative reading with nome e^(-pi z)
              Variant("nome-exp-pi-z", partial(_p2b_lhs, Nome.from_pi_exponent),
-                     partial(_p2b_rhs, Nome.from_pi_exponent),
-                     note="alternative reading with nome e^(-pi z)")),
+                     partial(_p2b_rhs, Nome.from_pi_exponent))),
             Expectation.CONTESTED),
         IdentityRecord(
             "P3",
@@ -951,9 +950,8 @@ def build_registry() -> "Registry":
             (ParamSpec("a", (2.0, 4.0), lo=0.05, hi=50.0),
              ParamSpec("v", (0.5, 1.0, 2.0), lo=0.0, hi=3.1)),
             (Variant("base", _e7_lhs, partial(_e7_rhs, False)),
-             Variant("inverted-a", _e7_lhs, partial(_e7_rhs, True),
-                     note="hyperbolic sum with a replaced by 1/a, the other "
-                          "plausible pairing")),
+             # hyperbolic sum with a replaced by 1/a, the other plausible pairing
+             Variant("inverted-a", _e7_lhs, partial(_e7_rhs, True))),
             Expectation.CONTESTED),
         IdentityRecord(
             "E7b",
@@ -970,10 +968,10 @@ def build_registry() -> "Registry":
             (ParamSpec("z", (0.3, 0.6), lo=0.0, hi=1.4),
              ParamSpec("q", (0.2, math.exp(-pi)), lo=0.0, hi=0.9)),
             (Variant("base", e8_lhs, e8_rhs),
-             Variant("minus-tan", e8_lhs, partial(_e8_rhs, -1.0),
-                     note="sign variant on the tangent term"),
-             Variant("half-scale", partial(_e8_lhs, 2.0), e8_rhs,
-                     note="scale variant: factor 2 instead of 4")),
+             # sign variant on the tangent term
+             Variant("minus-tan", e8_lhs, partial(_e8_rhs, -1.0)),
+             # scale variant: factor 2 instead of 4
+             Variant("half-scale", partial(_e8_lhs, 2.0), e8_rhs)),
             Expectation.CONTESTED,
             # theta2 vanishes identically at q = 0.  A constraint, not a
             # raised lo, so that seeded uniform draws over [lo, hi] are unchanged.
@@ -984,8 +982,8 @@ def build_registry() -> "Registry":
             "e^(x^2 a/pi) theta2(x, e^(-pi/a)) / theta4(iax, e^(-a pi)) is "
             "constant in x (checked on x in {0, 0.1, 0.2, 0.3})",
             (ParamSpec("a", (1.0, 2.0), lo=0.05, hi=20.0),),
-            (Variant("base", _p4_lhs, _p4_rhs,
-                     note="lhs/rhs are the max/min of the bracket over the x grid"),),
+            # lhs/rhs are the max/min of the bracket over the x grid
+            (Variant("base", _p4_lhs, _p4_rhs),),
             Expectation.CONTESTED),
         IdentityRecord(
             "P4b",
@@ -1001,8 +999,8 @@ def build_registry() -> "Registry":
             "= 1/8 - b/(4 pi) + b^2 (E K - K^2)/(2 pi^2) at k_b",
             (ParamSpec("b", (0.5, 1.0, 2.0), lo=0.11, hi=20.0),),
             (Variant("base", _p5_lhs, _p5_rhs),
-             Variant("n-times-n-plus-1", _p5_lhs_shifted, _p5_rhs,
-                     note="proof text carries (-1)^n n(n+1) in place of (-1)^n n^2")),
+             # proof text carries (-1)^n n(n+1) in place of (-1)^n n^2
+             Variant("n-times-n-plus-1", _p5_lhs_shifted, _p5_rhs)),
             Expectation.CONTESTED),
         IdentityRecord(
             "P6",
@@ -1016,8 +1014,8 @@ def build_registry() -> "Registry":
             "sum sech(n pi a) = 1/2 + K(k_a)/pi",
             (ParamSpec("a", (0.5, 1.0, 2.0), lo=0.11, hi=20.0),),
             (Variant("base", S5_sech, partial(_p6b_rhs, 0.5)),
-             Variant("minus-half", S5_sech, partial(_p6b_rhs, -0.5),
-                     note="closed form with -1/2; the desk-checked reading")),
+             # closed form with -1/2; the desk-checked reading
+             Variant("minus-half", S5_sech, partial(_p6b_rhs, -0.5))),
             Expectation.CONTESTED),
         IdentityRecord(
             "P7",
@@ -1026,10 +1024,10 @@ def build_registry() -> "Registry":
             (ParamSpec("value", (0.3, 0.5, 0.7), lo=0.05, hi=0.95),
              ParamSpec("convention", ("modulus", "parameter"),
                        choices=("modulus", "parameter"))),
-            (Variant("base", partial(_p7_lhs, "stated-formula"), _p7_rhs_fd,
-                     note="stated derivative formula vs the fd oracle"),
-             Variant("classical", partial(_p7_lhs, "classical"), _p7_rhs_fd,
-                     note="textbook period-ratio derivative vs the fd oracle")),
+            # stated derivative formula vs the fd oracle
+            (Variant("base", partial(_p7_lhs, "stated-formula"), _p7_rhs_fd),
+             # textbook period-ratio derivative vs the fd oracle
+             Variant("classical", partial(_p7_lhs, "classical"), _p7_rhs_fd)),
             Expectation.CONTESTED),
         IdentityRecord(
             "P7b",
@@ -1037,31 +1035,30 @@ def build_registry() -> "Registry":
             "-pi sum sech(n pi x) = pi/2 - K(k_x)",
             (ParamSpec("x", (0.5, 1.0, 2.0), lo=0.11, hi=20.0),),
             (Variant("base", _p7b_lhs, _p7b_rhs_k),
-             Variant("middle-sum", _p7b_lhs, _p7b_rhs_sech,
-                     note="theta derivative against the sech sum alone"),
-             Variant("plus-half-closed", _p7b_lhs, _p7b_rhs_plus_half,
-                     note="sech sum replaced by the printed +1/2 closed form")),
+             # theta derivative against the sech sum alone
+             Variant("middle-sum", _p7b_lhs, _p7b_rhs_sech),
+             # sech sum replaced by the printed +1/2 closed form
+             Variant("plus-half-closed", _p7b_lhs, _p7b_rhs_plus_half)),
             Expectation.CONTESTED),
         IdentityRecord(
             "P8",
             "24 sum n q^n/(1-q^n) = 1 + (6E + (m-5)K)/(pi m (1-m) K dr/dm) "
             "with q = e^(-pi r), m the parameter at ratio r",
             (ParamSpec("r", (1.0, 2.0), lo=0.11, hi=20.0),),
-            (Variant("base", _p8_lhs, partial(_p8_rhs, _dadk_stated),
-                     note="dr/dm from the stated derivative formula"),
-             Variant("classical-drdk", _p8_lhs, partial(_p8_rhs, _dadk_classical),
-                     note="dr/dm from the textbook period-ratio derivative")),
+            # dr/dm from the stated derivative formula
+            (Variant("base", _p8_lhs, partial(_p8_rhs, _dadk_stated)),
+             # dr/dm from the textbook period-ratio derivative
+             Variant("classical-drdk", _p8_lhs, partial(_p8_rhs, _dadk_classical))),
             Expectation.CONTESTED),
         IdentityRecord(
             "P9",
             "K(x/(x-1))/sqrt(1-x) = K(x), read in each convention",
             (ParamSpec("x", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7), lo=0.0, hi=0.7),),
+            # descending transformation of the parameter
             (Variant("parameter", _p9_lhs_parameter,
-                     partial(_p9_rhs, Convention.PARAMETER),
-                     note="descending transformation of the parameter"),
-             Variant("modulus", _p9_lhs_modulus, partial(_p9_rhs, Convention.MODULUS),
-                     note="modulus reading; x/(x-1) leaves the real domain "
-                          "for x >= 1/2")),
+                     partial(_p9_rhs, Convention.PARAMETER)),
+             # modulus reading; x/(x-1) leaves the real domain for x >= 1/2
+             Variant("modulus", _p9_lhs_modulus, partial(_p9_rhs, Convention.MODULUS))),
             Expectation.CONTESTED),
         IdentityRecord(
             "P10",
@@ -1098,9 +1095,9 @@ def build_registry() -> "Registry":
             (ParamSpec("a", (1.0, 2.0), lo=0.11, hi=20.0),
              ParamSpec("s", (0.0, 0.5), lo=0.0, hi=0.6)),
             (Variant("base", partial(_log_theta4_shift_sum, p11b_x2),
-                     partial(_p11b_rhs, p11b_x2), note="f(x) = x^2"),
+                     partial(_p11b_rhs, p11b_x2)),  # f(x) = x^2
              Variant("mixed-parity", partial(_log_theta4_shift_sum, p11b_x_x2),
-                     partial(_p11b_rhs, p11b_x_x2), note="f(x) = x + x^2")),
+                     partial(_p11b_rhs, p11b_x_x2))),  # f(x) = x + x^2
             Expectation.CONTESTED,
             constraint=lambda p: 2.0 + abs(p["s"]) < pi * p["a"],
             constraint_note="deg f + |s| < pi*a"),
@@ -1112,10 +1109,9 @@ def build_registry() -> "Registry":
             (ParamSpec("a", (1.0, 2.0), lo=0.2, hi=20.0),
              ParamSpec("s", (0.3, 0.6), lo=0.0, hi=1.5)),
             (Variant("base", p12_lhs, _p12_rhs_printed),
-             Variant("derived-bilateral", p12_lhs, _p12_rhs_derived,
-                     note="right side rebuilt by transforming theta2 to the "
-                          "theta4 chain: 2a f_1 s - 2a f_2 "
-                          "- sum f(2 pi a n) e^(-2 pi a s n)/(2n sinh(pi^2 a n))")),
+             # right side rebuilt by transforming theta2 to the theta4 chain:
+             # 2a f_1 s - 2a f_2 - sum f(2 pi a n) e^(-2 pi a s n)/(2n sinh(pi^2 a n))
+             Variant("derived-bilateral", p12_lhs, _p12_rhs_derived)),
             Expectation.CONTESTED),
     ]
     return Registry(records)

@@ -4,11 +4,20 @@ Run as ``python tests/golden_diff.py [--write] [--deck]`` with ``ellid``
 importable (installed, or ``src`` on PYTHONPATH).  It prints one line per row
 whose bytes differ from ``tests/data/check_all.json``: identity, variant,
 point, old and new residual, old and new class, and the 50-digit residual and
-class of ``tests/oracle.py``.  It then lists every ``KNOWN_DEFECTS`` row that
-now has the oracle's class, so that a fix can delete its entry.  With
-``--deck`` it also evaluates ``test_expect_pass_range.deck()`` for every
-record and prints each variant whose class counts differ from
-``CLASS_COUNTS``, old counts -> new counts; nothing on an unchanged tree.
+class of ``tests/oracle.py``.  It then lists every ``KNOWN_DEFECTS`` and
+``OFF_DECK_DEFECTS`` row that now has the oracle's class, so that a fix can
+delete its entry.  With ``--deck`` it also evaluates
+``test_expect_pass_range.deck()`` for every record and prints:
+
+- each variant whose class counts differ from ``CLASS_COUNTS``, old counts
+  -> new counts;
+- each deck row that ``test_oracle_agrees_with_every_unlisted_scored_row``
+  scores, that ``KNOWN_DEFECTS`` does not list and whose class is not the
+  oracle's, with the oracle's class;
+- each ``LIBM_SENSITIVE`` row that no seed of ``LIBM_SEEDS`` moves any more,
+  so that its entry can go.
+
+Nothing prints on an unchanged tree.
 
 The exit status is 1 if a changed row's class moved and its new class is
 not the oracle's, else 0; deck lines do not change it.  With ``--write`` and no such row, it regenerates
@@ -28,7 +37,9 @@ from pathlib import Path
 import oracle
 from ellid.registry import Classification, build_registry, classify
 from ellid.reporting import render_csv, render_json, render_text
-from test_expect_pass_range import CLASS_COUNTS, KNOWN_DEFECTS, _point, shipped
+from test_expect_pass_range import (CLASS_COUNTS, KNOWN_DEFECTS, OFF_DECK_DEFECTS,
+                                    _point, refuted, shipped)
+from test_libm_range import LIBM_SENSITIVE, libm_moved
 
 DATA = Path(__file__).parent / "data"
 
@@ -78,12 +89,28 @@ def _deck_lines() -> list[str]:
     return lines
 
 
+def _deck_row_lines() -> list[str]:
+    """One line per scored deck row whose class the oracle refutes, and per
+    ``LIBM_SENSITIVE`` row that no longer moves."""
+    rows = shipped()
+    lines = []
+    for key in sorted(rows):
+        for values, (cls, true) in refuted(key, rows[key]).items():
+            lines.append(f"deck row not the oracle's class: {key[0]} {key[1]} "
+                         f"{values}: {cls.value}, oracle {true:.2g} "
+                         f"({classify(true).value})")
+    for identity, variant, values in sorted(LIBM_SENSITIVE.keys() - libm_moved()):
+        lines.append(f"LIBM_SENSITIVE row no longer moves: {identity} {variant} "
+                     f"{values}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true",
                         help="regenerate tests/data/check_all.{json,csv,txt}")
     parser.add_argument("--deck", action="store_true",
-                        help="also list the deck class counts that moved")
+                        help="also list the deck rows and class counts that moved")
     args = parser.parse_args(argv)
 
     registry = build_registry()
@@ -100,14 +127,16 @@ def main(argv: list[str] | None = None) -> int:
         print(line)
     print(f"{len(changed)} changed row(s), {moved_away} moved away from the oracle")
 
-    for (identity, variant, values), (_, true, _) in sorted(KNOWN_DEFECTS.items()):
-        got = registry.evaluate(identity, variant, _point(identity, values))
-        if got.classification is classify(true):
-            print(f"KNOWN_DEFECTS row now has the oracle's class: {identity} "
-                  f"{variant} {values}: {got.classification.value}, oracle {true:.2g}")
+    for name, table in (("KNOWN_DEFECTS", KNOWN_DEFECTS),
+                        ("OFF_DECK_DEFECTS", OFF_DECK_DEFECTS)):
+        for (identity, variant, values), (_, true, _) in sorted(table.items()):
+            got = registry.evaluate(identity, variant, _point(identity, values))
+            if got.classification is classify(true):
+                print(f"{name} row now has the oracle's class: {identity} {variant} "
+                      f"{values}: {got.classification.value}, oracle {true:.2g}")
 
     if args.deck:
-        for line in _deck_lines():
+        for line in _deck_lines() + _deck_row_lines():
             print(line)
 
     if moved_away:

@@ -357,8 +357,15 @@ _SIDES = {"P1": _p1, "P2": _p2, "P2b": _p2b, "P3": _p3, "E4": _e4, "E5": _e5,
 RECORDS = tuple(_SIDES)
 
 
+def sides(identity: str, variant: str, params: dict):
+    """(lhs, rhs) of the row as mpf at DIGITS digits; use them inside
+    ``mpmath.workdps(DIGITS)`` to keep those digits."""
+    with mpmath.workdps(DIGITS):
+        return _SIDES[identity](variant, params)
+
+
 def residual(identity: str, variant: str, params: dict) -> float:
     """|lhs - rhs| / max(1, |lhs|, |rhs|) of the row, from 50-digit sides."""
+    lhs, rhs = sides(identity, variant, params)
     with mpmath.workdps(DIGITS):
-        lhs, rhs = _SIDES[identity](variant, params)
         return float(abs(lhs - rhs) / max(1, abs(lhs), abs(rhs)))

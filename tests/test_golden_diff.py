@@ -6,6 +6,7 @@ from pathlib import Path
 import golden_diff
 from ellid import registry
 from ellid.series import SeriesResult
+from test_expect_pass_range import deck, oracle_residual
 
 
 def _shifted_e4_rhs(monkeypatch, shift):
@@ -70,3 +71,41 @@ def test_deck_lists_a_moved_class_count(monkeypatch):
     monkeypatch.setattr(golden_diff, "shipped", lambda: rows)
     assert golden_diff._deck_lines() == [
         "deck E4 base: PASS 58, INCONCLUSIVE 2 -> PASS 56, INCONCLUSIVE 2, FAIL 2"]
+
+
+def _deck_with_fresh_rows(monkeypatch, identity):
+    """Point ``golden_diff.shipped`` at the deck with ``identity``'s rows
+    evaluated again on a fresh registry, which sees monkeypatched sides."""
+    fresh = registry.build_registry()
+    rows = dict(golden_diff.shipped())
+    for v in fresh.get(identity).variants:
+        rows[identity, v.variant_id] = [
+            (tuple(p.values()), fresh.evaluate(identity, v.variant_id, p).classification)
+            for p in deck(fresh.get(identity))]
+    monkeypatch.setattr(golden_diff, "shipped", lambda: rows)
+
+
+def test_deck_lists_a_scored_row_whose_class_is_not_the_oracles(monkeypatch):
+    _shifted_e4_rhs(monkeypatch, 1e-3)
+    _deck_with_fresh_rows(monkeypatch, "E4")
+    assert golden_diff._deck_lines() == ["deck E4 base: PASS 58, INCONCLUSIVE 2 -> FAIL 60"]
+    assert golden_diff._deck_row_lines() == [
+        f"deck row not the oracle's class: E4 base ({a!r},): FAIL, oracle "
+        f"{oracle_residual('E4', 'base', (a,)):.2g} (PASS)"
+        for (a,), _ in golden_diff.shipped()["E4", "base"][13::13]]
+
+
+def test_deck_lists_a_libm_sensitive_row_that_no_longer_moves(monkeypatch):
+    still = golden_diff.libm_moved() - {("P6", "base", (0.12014110515583304,))}
+    monkeypatch.setattr(golden_diff, "libm_moved", lambda: still)
+    assert golden_diff._deck_row_lines() == [
+        "LIBM_SENSITIVE row no longer moves: P6 base (0.12014110515583304,)"]
+
+
+def test_off_deck_defect_that_gets_the_oracle_class_is_listed(monkeypatch, capsys):
+    monkeypatch.setattr(registry, "_p2_lhs_sinh", lambda a, theta: SeriesResult(0.0))
+    golden_diff.main([])
+    out = capsys.readouterr().out
+    assert "OFF_DECK_DEFECTS row now has the oracle's class: P2 sinh-squared " \
+           "(0.0746, 0.232): FAIL, oracle 0.00048\n" in out
+    assert out.count("OFF_DECK_DEFECTS row now has the oracle's class: ") == 2

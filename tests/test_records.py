@@ -31,8 +31,7 @@ RECORDS = [
     (DerivativeEstimate, ("value", "error_estimate"), (2.0, 1e-9), {}),
     (ParamSpec, ("name", "grid", "lo", "hi", "choices"), ("a", (1.0, 2.0)),
      {"lo": None, "hi": None, "choices": None}),
-    (Variant, ("variant_id", "lhs", "rhs", "note"), ("base", _side, _side),
-     {"note": ""}),
+    (Variant, ("variant_id", "lhs", "rhs"), ("base", _side, _side), {}),
     (IdentityRecord,
      ("identity_id", "anchor", "params", "variants", "expected", "constraint",
       "constraint_note"),
