@@ -237,17 +237,36 @@ def _poly_log_theta_sum(kind: ThetaKind, f: PolynomialSpec, s: float, q: Nome,
 # ---------------------------------------------------------------------------
 # bilateral sums shared by the polynomial identities
 
+def _coefficient_views(f: PolynomialSpec) -> tuple:
+    """f's coefficients bound once for a sum: highest degree first, their
+    magnitudes, the even part f_2k highest k first (None when f is not
+    even), and (i, f_i, |f_i|) for each nonzero f_i.  Horner over the first
+    three takes the steps of ``eval``, ``eval_abs`` and ``eval_imag_even``."""
+    c = f.coefficients
+    rev = c[::-1]
+    return (rev, tuple(map(abs, rev)), None if any(c[1::2]) else c[::2][::-1],
+            [(i, x, abs(x)) for i, x in enumerate(c) if x != 0.0])
+
+
 def _poly_bilateral_exp_sinh(f: PolynomialSpec, a: float, s: float) -> SeriesResult:
     """-sum_{n in Z, n != 0} f(n) e^(-ns) / (2n sinh(pi a n)); converges only
     for |s| < pi a, which P11a's constraint enforces."""
+    rev, mag, _, _ = _coefficient_views(f)
+    pa, sa = math.pi * a, abs(s)
 
     def pair(n: int) -> tuple[float, float]:
         # 2 e^(y - x) / d is exp_over_sinh(y, x), with d computed once per n
-        x = math.pi * a * n
+        x = pa * n
         d = 1.0 - math.exp(-2.0 * x)
-        term = -(f.eval(n) * (2.0 * math.exp(-n * s - x) / d)
-                 + f.eval(-n) * (2.0 * math.exp(n * s - x) / d)) / (2.0 * n)
-        env = f.eval_abs(n) * (2.0 * math.exp(n * abs(s) - x) / d) / n
+        ns, mn = n * s, -n  # (-n) * s is exactly -ns
+        fp = fm = env = 0.0  # f(n), f(-n) and |f|(n) by Horner
+        for c, m in zip(rev, mag):
+            fp = fp * n + c
+            fm = fm * mn + c
+            env = env * n + m
+        term = -(fp * (2.0 * math.exp(-ns - x) / d)
+                 + fm * (2.0 * math.exp(ns - x) / d)) / (2.0 * n)
+        env = env * (2.0 * math.exp(n * sa - x) / d) / n
         return term, env
 
     return sum_series(pair)
@@ -260,19 +279,21 @@ def _poly_exp_bilateral_exp_sinh(f: PolynomialSpec, a: float, s: float) -> Serie
     n > 0 mirror (which carries f(e^n) ~ e^(deg*n)) never overflows; the sum
     converges only for deg + |s| < pi a, which P11b's constraint (deg 2) enforces.
     """
+    nonzero = _coefficient_views(f)[3]
+    pa, sa = math.pi * a, abs(s)
 
     def pair(n: int) -> tuple[float, float]:
-        x = math.pi * a * n
+        x = pa * n
         d = 1.0 - math.exp(-2.0 * x)  # as in _poly_bilateral_exp_sinh
+        ns, nsa = n * s, n * sa
         plus = 0.0
         minus = 0.0
         env = 0.0
-        for i, c in enumerate(f.coefficients):
-            if c == 0.0:
-                continue
-            plus += c * (2.0 * math.exp(n * s + i * n - x) / d)
-            minus += c * (2.0 * math.exp(-n * s - i * n - x) / d)
-            env += abs(c) * (2.0 * math.exp(n * abs(s) + i * n - x) / d)
+        for i, c, m in nonzero:
+            i_n = i * n
+            plus += c * (2.0 * math.exp(ns + i_n - x) / d)
+            minus += c * (2.0 * math.exp(-ns - i_n - x) / d)
+            env += m * (2.0 * math.exp(nsa + i_n - x) / d)
         return -(minus + plus) / (2.0 * n), env / n
 
     return sum_series(pair)
@@ -349,7 +370,9 @@ class IdentityRecord(NamedTuple):
                     raise ConstraintError(
                         f"{self.identity_id}: {p.name}={v!r} not in {p.choices}")
                 continue
-            if not isinstance(v, (int, float)) or not math.isfinite(float(v)):
+            # a bool is an int, but no parameter reads True as 1
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not math.isfinite(float(v))):
                 raise ConstraintError(
                     f"{self.identity_id}: {p.name}={v!r} is not a finite number")
             if p.lo is not None and v < p.lo:
@@ -388,26 +411,6 @@ def _error_report(identity_id: str, variant_id: str, point: Mapping,
         math.nan, Classification.INCONCLUSIVE, {"lhs": 0, "rhs": 0}, note)
 
 
-def _side_at(side: Evaluator, values: tuple,
-             seen: dict[int, SeriesResult | str]) -> SeriesResult | str:
-    """One side's value at the point ``values``, or the note of its error.
-
-    Only an ``EllidError`` becomes a note; any other exception propagates.
-    ``seen`` maps id(evaluator) to what earlier calls at this point gave.
-    Only the note is kept: a kept exception would hold its traceback, whose
-    frames hold the memo that holds the exception, a reference cycle per
-    failed side.
-    """
-    if id(side) in seen:
-        return seen[id(side)]
-    try:
-        result = side(*values)
-    except EllidError as exc:
-        result = f"{type(exc).__name__}: {exc}"
-    seen[id(side)] = result
-    return result
-
-
 def _reports_at(identity: str, variants: Sequence[Variant], point: Mapping,
                 values: tuple) -> list[ResidualReport]:
     """The rows of ``variants`` of record ``identity`` at one point, in
@@ -416,23 +419,40 @@ def _reports_at(identity: str, variants: Sequence[Variant], point: Mapping,
     ``values`` is what ``validate_point(point)`` returned; the caller
     validates.  Each distinct evaluator object (``v.lhs is w.lhs``) is
     called at most once per side, and every variant holding it gets its
-    value, or its error note.  A row's lhs and rhs never share a call, even
-    when they are one object.  A failed side, lhs first, gives one
-    INCONCLUSIVE row with its error note; a row whose lhs fails does not
-    call its rhs.
+    value, or its error note: ``lhs_seen`` and ``rhs_seen`` map
+    id(evaluator) to what its call gave.  Only an ``EllidError`` becomes a
+    note; any other exception propagates.  Only the note is kept: a kept
+    exception would hold its traceback, whose frames hold the memo that
+    holds the exception, a reference cycle per failed side.  A row's lhs
+    and rhs never share a call, even when they are one object.  A failed
+    side, lhs first, gives one INCONCLUSIVE row with its error note; a row
+    whose lhs fails does not call its rhs.
     """
     lhs_seen, rhs_seen = {}, {}
     reports = []
     for v in variants:
-        lhs = _side_at(v.lhs, values, lhs_seen)
-        rhs = lhs if isinstance(lhs, str) else _side_at(v.rhs, values, rhs_seen)
+        lhs = lhs_seen.get(id(v.lhs))
+        if lhs is None:  # a side gives a SeriesResult: None is "not called yet"
+            try:
+                lhs = v.lhs(*values)
+            except EllidError as exc:
+                lhs = f"{type(exc).__name__}: {exc}"
+            lhs_seen[id(v.lhs)] = lhs
+        rhs = lhs if isinstance(lhs, str) else rhs_seen.get(id(v.rhs))
+        if rhs is None:
+            try:
+                rhs = v.rhs(*values)
+            except EllidError as exc:
+                rhs = f"{type(exc).__name__}: {exc}"
+            rhs_seen[id(v.rhs)] = rhs
         if isinstance(rhs, str):
             reports.append(_error_report(identity, v.variant_id, point, rhs))
             continue
-        abs_res = abs(lhs.value - rhs.value)
-        rel_res = abs_res / max(1.0, abs(lhs.value), abs(rhs.value))
+        lv, rv = lhs.value, rhs.value
+        abs_res = abs(lv - rv)
+        rel_res = abs_res / max(1.0, abs(lv), abs(rv))
         reports.append(ResidualReport(
-            identity, v.variant_id, dict(point), lhs.value, rhs.value,
+            identity, v.variant_id, dict(point), lv, rv,
             abs_res, rel_res, classify(rel_res),
             {"lhs": lhs.terms_used, "rhs": rhs.terms_used}, ""))
     return reports
@@ -731,23 +751,40 @@ def _p9_lhs_modulus(x):
 
 def _alt_poly_over_expm1(F: PolynomialSpec, a: float) -> SeriesResult:
     """sum (-1)^n F(n) / (n (e^(an) - 1))."""
+    rev, mag, _, _ = _coefficient_views(F)
 
     def term(n: int) -> tuple[float, float]:
         inv = _inv_expm1(a * n)
-        env = F.eval_abs(n) * inv / n
+        val = env = 0.0
+        for c, m in zip(rev, mag):
+            val = val * n + c
+            env = env * n + m
+        env = env * inv / n
         sign = -1.0 if n % 2 else 1.0
-        return sign * F.eval(n) * inv / n, env
+        return sign * val * inv / n, env
 
     return sum_series(term)
 
 
 def _imag_poly_over_sinh(F: PolynomialSpec, b: float) -> SeriesResult:
     """sum F(ibn) / (n sinh(b n pi)) for even F (real values)."""
+    _, mag, even, _ = _coefficient_views(F)
 
     def term(n: int) -> tuple[float, float]:
-        inv = exp_over_sinh(0.0, b * n * math.pi)  # 1/sinh
-        env = F.eval_abs(b * n) * inv / n
-        return F.eval_imag_even(b * n) * inv / n, env
+        y = b * n
+        inv = exp_over_sinh(0.0, y * math.pi)  # 1/sinh
+        ay = abs(y)
+        env = 0.0
+        for m in mag:
+            env = env * ay + m
+        env = env * inv / n
+        if even is None:  # raised where F.eval_imag_even would raise
+            raise DomainError("imaginary-argument evaluation needs an even polynomial")
+        my2 = -(y * y)
+        val = 0.0
+        for c in even:
+            val = val * my2 + c
+        return val * inv / n, env
 
     return sum_series(term)
 
@@ -808,15 +845,25 @@ def _p12_bilateral(f: PolynomialSpec, a: float, s: float,
     """sum_{n != 0} f(2 pi n a) e^(-2 pi n s a) / w with w = 2n sinh(pi^2 a n)
     (weight_half_n) or w = sinh(pi^2 a n) (printed form); converges only for
     |s| < pi/2, which P12's range 0 <= s <= 1.5 enforces."""
+    rev, mag, _, _ = _coefficient_views(f)
+    p2a, sa = math.pi ** 2 * a, abs(s)
 
     def pair(n: int) -> tuple[float, float]:
-        x = math.pi ** 2 * a * n
+        x = p2a * n
         d = 1.0 - math.exp(-2.0 * x)  # as in _poly_bilateral_exp_sinh
-        c = 2.0 * math.pi * n * a
-        plus = f.eval(c) * (2.0 * math.exp(-2.0 * math.pi * n * s * a - x) / d)
+        tpn = 2.0 * math.pi * n
+        c = tpn * a
+        e = tpn * s * a  # (-2 pi n) s a is exactly -e
+        mc, ac = -c, abs(c)
+        fp = fm = env = 0.0  # f(c), f(-c) and |f|(|c|) by Horner
+        for k, m in zip(rev, mag):
+            fp = fp * c + k
+            fm = fm * mc + k
+            env = env * ac + m
+        plus = fp * (2.0 * math.exp(-e - x) / d)
         # the n -> -n mirror: f(-c) e^(+2 pi n s a) / sinh(-x) terms
-        minus_num = f.eval(-c) * (2.0 * math.exp(2.0 * math.pi * n * s * a - x) / d)
-        env = f.eval_abs(c) * (2.0 * math.exp(2.0 * math.pi * n * abs(s) * a - x) / d)
+        minus_num = fm * (2.0 * math.exp(e - x) / d)
+        env = env * (2.0 * math.exp(tpn * sa * a - x) / d)
         if weight_half_n:
             return (plus + minus_num) / (2.0 * n), env / n
         return plus - minus_num, 2.0 * env

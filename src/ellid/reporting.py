@@ -36,33 +36,49 @@ def _json_number(x) -> str:
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _json_params(params: dict) -> str:
-    inner = ", ".join([
-        f"{_json_str(k)}: "
-        f"{_json_str(v) if isinstance(v, str) else _json_number(v)}"
-        for k, v in sorted(params.items())])
-    return "{" + inner + "}"
+def _json_params(params: dict, memo: dict) -> str:
+    """``params`` as a JSON object; ``memo`` maps (name, type, value) to the
+    text of that entry, for the entries of one report.  Zeros are never
+    kept, so that 0.0 and -0.0, which are equal, never share a text; the
+    type in the key keeps 1, 1.0 and True apart."""
+    parts = []
+    for k, v in sorted(params.items()):
+        key = (k, type(v), v)
+        text = memo.get(key)
+        if text is None:
+            text = (f"{_json_str(k)}: "
+                    f"{_json_str(v) if isinstance(v, str) else _json_number(v)}")
+            if v:
+                memo[key] = text
+        parts.append(text)
+    return "{" + ", ".join(parts) + "}"
 
 
 def render_json(reports: Sequence[ResidualReport]) -> str:
     """JSON array with fixed field order; built by hand so the float format
-    stays under our control."""
+    stays under our control.  A row whose rel_residual is the same nonzero
+    float as its abs_residual reuses that text: max(1, |lhs|, |rhs|) = 1."""
     rows = []
+    memo = {}
     for r in reports:
         t = r.terms
         if len(t) == 2 and "lhs" in t and "rhs" in t:  # every engine row: no sort
             terms = f"\"lhs\": {int(t['lhs'])}, \"rhs\": {int(t['rhs'])}"
         else:
             terms = ", ".join([f"{_json_str(k)}: {int(v)}" for k, v in sorted(t.items())])
+        ab, rel = r.abs_residual, r.rel_residual
+        ab_text = _json_number(ab)
+        rel_text = (ab_text if rel == ab != 0.0 and type(rel) is type(ab) is float
+                    else _json_number(rel))
         rows.append(
             "{"
             f"\"identity\": {_json_str(r.identity)}, "
             f"\"variant\": {_json_str(r.variant)}, "
-            f"\"params\": {_json_params(r.params)}, "
+            f"\"params\": {_json_params(r.params, memo)}, "
             f"\"lhs\": {_json_number(r.lhs)}, "
             f"\"rhs\": {_json_number(r.rhs)}, "
-            f"\"abs_residual\": {_json_number(r.abs_residual)}, "
-            f"\"rel_residual\": {_json_number(r.rel_residual)}, "
+            f"\"abs_residual\": {ab_text}, "
+            f"\"rel_residual\": {rel_text}, "
             f"\"classification\": {_json_str(r.classification.value)}, "
             f"\"terms\": {{{terms}}}, "
             f"\"note\": {_json_str(r.note)}"

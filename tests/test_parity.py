@@ -1,6 +1,7 @@
 """Rewritten hot paths against the code they replaced, copied here as the
-reference: the bilateral sums with one sinh denominator per term, and
-``render_json``.  Each must give the same bits as its reference."""
+reference: the bilateral sums with one sinh denominator per term, P10's two
+sums through ``PolynomialSpec``'s methods, and ``render_json``.  Each must
+give the same bits as its reference."""
 
 import itertools
 import json
@@ -12,7 +13,7 @@ import pytest
 from ellid import EllidError, PolynomialSpec, registry
 from ellid.registry import Classification, ResidualReport, default_registry
 from ellid.reporting import render_json
-from ellid.series import exp_over_sinh, sum_series
+from ellid.series import _inv_expm1, exp_over_sinh, sum_series
 
 # -- the bilateral sums, one exp_over_sinh call per exponential ---------------
 
@@ -85,12 +86,17 @@ def _outcome(fn, *args):
     return r.value.hex(), r.terms_used, r.tail_bound.hex()
 
 
-_P11B_POLYS = (PolynomialSpec((0.0, 0.0, 1.0)), PolynomialSpec((0.0, 1.0, 1.0)))
+# P11b's two, and one with a negative coefficient, whose magnitude differs
+_P11B_POLYS = (PolynomialSpec((0.0, 0.0, 1.0)), PolynomialSpec((0.0, 1.0, 1.0)),
+               PolynomialSpec((0.5, -1.0, 1.0)))
 
 
 def _cases(identity):
-    """(hoisted sum, its reference, args) at each box point of ``identity``."""
-    for p in _box_points(identity, 500, seed=sum(map(ord, identity))):
+    """(hoisted sum, its reference, args) at each box point of ``identity``,
+    and at its mirrors a -> -a and s -> -s, where an envelope needs its
+    absolute values."""
+    points = _box_points(identity, 500, seed=sum(map(ord, identity)))
+    for p in points + [{**p, x: -p[x]} for x in ("a", "s") for p in points]:
         if identity == "P11a":
             f = PolynomialSpec.monomial(p["fdeg"])
             yield (registry._poly_bilateral_exp_sinh, _ref_poly_bilateral_exp_sinh,
@@ -110,6 +116,62 @@ def test_hoisted_bilateral_sum_gives_the_reference_bits(identity):
     mismatched = [args for fn, ref, args in _cases(identity)
                   if _outcome(fn, *args) != _outcome(ref, *args)]
     assert mismatched == []
+
+
+# -- P10's two sums, with PolynomialSpec's methods called in every term -------
+
+def _ref_alt_poly_over_expm1(F, a):
+    def term(n):
+        inv = _inv_expm1(a * n)
+        env = F.eval_abs(n) * inv / n
+        sign = -1.0 if n % 2 else 1.0
+        return sign * F.eval(n) * inv / n, env
+
+    return sum_series(term)
+
+
+def _ref_imag_poly_over_sinh(F, b):
+    def term(n):
+        inv = exp_over_sinh(0.0, b * n * math.pi)  # 1/sinh
+        env = F.eval_abs(b * n) * inv / n
+        return F.eval_imag_even(b * n) * inv / n, env
+
+    return sum_series(term)
+
+
+# Beyond the monomials of the records: mixed signs with a -0.0 (even), and
+# two odd polynomials, which F(ibn) refuses.
+_P10_POLYS = (PolynomialSpec((1.0, -0.0, -2.5, 0.0, 0.75)), PolynomialSpec.monomial(3),
+              PolynomialSpec((0.0, 1.0, 0.0, -1.0)))
+
+
+def _p10_cases(identity):
+    """(hoisted sum, its reference, args) at each box point of ``identity``,
+    for the record's monomial and each of ``_P10_POLYS``, and at b = 0 and
+    b = -1, where the envelope needs |bn|."""
+    points = _box_points(identity, 500, seed=sum(map(ord, identity)))
+    extra = [{"fdeg": fdeg, "b": b} for fdeg in (2, 4, 6) for b in (0.0, -1.0)]
+    for p in points + extra:
+        b = p["b"]
+        for F in (PolynomialSpec.monomial(p["fdeg"]), *_P10_POLYS):
+            yield registry._imag_poly_over_sinh, _ref_imag_poly_over_sinh, (F, b)
+            # P10's a = 2 pi / b; at b = 0 the sum at a = 0
+            a = 2.0 * math.pi / b if b else 0.0
+            yield registry._alt_poly_over_expm1, _ref_alt_poly_over_expm1, (F, a)
+
+
+@pytest.mark.parametrize("identity", ["P10", "P10a"])
+def test_hoisted_p10_sum_gives_the_reference_bits(identity):
+    cases = list(_p10_cases(identity))
+    outcomes = [(_outcome(fn, *args), _outcome(ref, *args)) for fn, ref, args in cases]
+    assert [args for (fn, ref, args), (got, want) in zip(cases, outcomes)
+            if got != want] == []
+    # an odd F fails at its first term: on the evenness check, or at b = 0
+    # on the sinh denominator, which comes first
+    errors = {want for _, want in outcomes if len(want) == 2}
+    assert errors >= {
+        ("DomainError", "imaginary-argument evaluation needs an even polynomial"),
+        ("DomainError", "term at n=1 is undefined: float division by zero")}
 
 
 # -- render_json before it skipped the sort of an engine row's terms -----------
@@ -172,6 +234,14 @@ _HAND_BUILT = [
     *(_ROW._replace(terms=terms) for terms in (
         {"rhs": 4, "lhs": 3}, {"lhs": 3}, {"rhs": 4}, {}, {"lhs": 1, "rhs": 2, "mid": 3},
         {"lhs": 2.9, "rhs": True}, {"lhs": 1, "rhs_": 2}, {"b": 1, "a": 2})),
+    # values that are equal but render differently, under one key, each order
+    *(_ROW._replace(params={"p": v})
+      for v in (1, 1.0, True, 0.0, -0.0, math.nan, -0.0, 0.0, True, 1.0, 1)),
+    _ROW._replace(abs_residual=3e-7, rel_residual=3e-7),
+    _ROW._replace(abs_residual=0.0, rel_residual=-0.0),
+    _ROW._replace(abs_residual=10 ** 20, rel_residual=1e20),
+    _ROW._replace(abs_residual=True, rel_residual=1.0),
+    _ROW._replace(lhs=3, rhs=1.5, abs_residual=1.5, rel_residual=0.5),
 ]
 
 

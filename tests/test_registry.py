@@ -166,6 +166,8 @@ def test_constraint_violations_raise():
         default_registry().evaluate("P1", "base", {"a": 1.0})  # missing parameter
     with pytest.raises(ConstraintError):
         default_registry().evaluate("P7", "base", {"value": 0.5, "convention": "weird"})
+    with pytest.raises(ConstraintError, match="is not a finite number"):
+        default_registry().evaluate("E4", "base", {"a": True})  # not a = 1
 
 
 def test_every_constraint_cuts_its_declared_box():
