@@ -90,13 +90,15 @@ class _PolynomialSpecFields(NamedTuple):
 class PolynomialSpec(_PolynomialSpecFields):
     """A real polynomial f(x) = sum f_n x^n of degree <= 8.
 
-    Carries the derived quantities the identity evaluators need: whether
-    it is even, the factorial-scaled coefficients g_n = n! f_n, the envelope
-    sum |f_n| |x|^n, and the real value of an even polynomial at a purely
-    imaginary argument.
+    Keeps, from construction, the views of its coefficients that the
+    identity sums read: highest degree first (``_rev``), their magnitudes
+    (``_mag``), the even part f_2k highest k first, or None when f is not
+    even (``_even``), and (n, f_n, |f_n|) for each nonzero f_n
+    (``_nonzero``).  Horner over the first three gives f(x), the envelope
+    sum |f_n| |x|^n and, for an even f, the real value f(iy).  The views
+    belong to the instance: equal polynomials may differ in the sign of a
+    zero coefficient, which f(x) keeps.
     """
-
-    __slots__ = ()
 
     def __new__(cls, coefficients: tuple[float, ...]) -> "PolynomialSpec":
         if len(coefficients) == 0:
@@ -106,11 +108,17 @@ class PolynomialSpec(_PolynomialSpecFields):
                 f"polynomial degree {len(coefficients) - 1} above cap {MAX_POLY_DEGREE}")
         if not all(math.isfinite(c) for c in coefficients):
             raise DomainError("polynomial coefficients must be finite")
-        return tuple.__new__(cls, (coefficients,))
+        self = tuple.__new__(cls, (coefficients,))
+        self._rev = coefficients[::-1]
+        self._mag = tuple(map(abs, self._rev))
+        self._even = None if any(coefficients[1::2]) else coefficients[::2][::-1]
+        self._nonzero = tuple((n, c, abs(c)) for n, c in enumerate(coefficients) if c != 0.0)
+        return self
 
     @classmethod
+    @functools.cache
     def monomial(cls, degree: int) -> "PolynomialSpec":
-        """x^degree."""
+        """x^degree, one object per degree."""
         if degree < 0:
             raise DomainError(f"monomial degree must be >= 0, got {degree}")
         return cls((0.0,) * degree + (1.0,))
@@ -124,34 +132,8 @@ class PolynomialSpec(_PolynomialSpecFields):
 
     def eval(self, x: float) -> float:
         acc = 0.0
-        for c in reversed(self.coefficients):
+        for c in self._rev:
             acc = acc * x + c
-        return acc
-
-    def eval_abs(self, x: float) -> float:
-        """sum |f_n| |x|^n, an envelope for |f| on the disk of radius |x|."""
-        ax = abs(x)
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * ax + abs(c)
-        return acc
-
-    @property
-    def is_even(self) -> bool:
-        return all(c == 0.0 for n, c in enumerate(self.coefficients) if n % 2 == 1)
-
-    def g_coefficients(self) -> tuple[float, ...]:
-        """g_n = n! f_n."""
-        return tuple(math.factorial(n) * c for n, c in enumerate(self.coefficients))
-
-    def eval_imag_even(self, y: float) -> float:
-        """f(iy) for an even polynomial, which is real: sum f_2k (-1)^k y^(2k)."""
-        if not self.is_even:
-            raise DomainError("imaginary-argument evaluation needs an even polynomial")
-        acc = 0.0
-        y2 = y * y
-        for k in range((self.degree // 2), -1, -1):
-            acc = acc * (-y2) + self.coefficient(2 * k)
         return acc
 
 
@@ -160,14 +142,13 @@ def _zeta_collapsed_coefficients(F: PolynomialSpec, what: str):
 
     Checks F first; ``what`` names the caller in the error texts.
     """
-    if not F.is_even:
+    if F._even is None:
         raise DomainError(f"zeta-collapsed {what} requires an even polynomial")
     if F.coefficient(0) != 0.0 or F.coefficient(2) != 0.0:
         raise DomainError(
             "test function must satisfy F(0) = F'(0) = F''(0) = 0")
-    g = F.g_coefficients()
     for k in range(2, F.degree // 2 + 1):
-        g2k = g[2 * k]
+        g2k = math.factorial(2 * k) * F.coefficients[2 * k]
         if g2k == 0.0:
             continue
         sign = -1.0 if k % 2 else 1.0
@@ -237,37 +218,35 @@ def _poly_log_theta_sum(kind: ThetaKind, f: PolynomialSpec, s: float, q: Nome,
 # ---------------------------------------------------------------------------
 # bilateral sums shared by the polynomial identities
 
-def _coefficient_views(f: PolynomialSpec) -> tuple:
-    """f's coefficients bound once for a sum: highest degree first, their
-    magnitudes, the even part f_2k highest k first (None when f is not
-    even), and (i, f_i, |f_i|) for each nonzero f_i.  Horner over the first
-    three takes the steps of ``eval``, ``eval_abs`` and ``eval_imag_even``."""
-    c = f.coefficients
-    rev = c[::-1]
-    return (rev, tuple(map(abs, rev)), None if any(c[1::2]) else c[::2][::-1],
-            [(i, x, abs(x)) for i, x in enumerate(c) if x != 0.0])
-
-
-def _poly_bilateral_exp_sinh(f: PolynomialSpec, a: float, s: float) -> SeriesResult:
-    """-sum_{n in Z, n != 0} f(n) e^(-ns) / (2n sinh(pi a n)); converges only
-    for |s| < pi a, which P11a's constraint enforces."""
-    rev, mag, _, _ = _coefficient_views(f)
-    pa, sa = math.pi * a, abs(s)
+def _bilateral_exp_sinh(f: PolynomialSpec, xa: float, k: float, w: float, s: float,
+                        weight_half_n: bool) -> SeriesResult:
+    """sum_{n != 0} f(c) e^(-e) / D with x = xa n, c = k n w, e = k n s w, and
+    D = 2n sinh(x) (weight_half_n) or D = sinh(x).  P11a reads it at
+    (pi a, 1, 1) and P12 at (pi^2 a, 2 pi, a); it converges only inside
+    their records' constraints."""
+    rev, mag = f._rev, f._mag
+    sa = abs(s)
 
     def pair(n: int) -> tuple[float, float]:
         # 2 e^(y - x) / d is exp_over_sinh(y, x), with d computed once per n
-        x = pa * n
+        x = xa * n
         d = 1.0 - math.exp(-2.0 * x)
-        ns, mn = n * s, -n  # (-n) * s is exactly -ns
-        fp = fm = env = 0.0  # f(n), f(-n) and |f|(n) by Horner
-        for c, m in zip(rev, mag):
-            fp = fp * n + c
-            fm = fm * mn + c
-            env = env * n + m
-        term = -(fp * (2.0 * math.exp(-ns - x) / d)
-                 + fm * (2.0 * math.exp(ns - x) / d)) / (2.0 * n)
-        env = env * (2.0 * math.exp(n * sa - x) / d) / n
-        return term, env
+        kn = k * n
+        c = kn * w
+        e = kn * s * w  # (-kn) s w is exactly -e
+        mc, ac = -c, abs(c)
+        fp = fm = env = 0.0  # f(c), f(-c) and |f|(|c|) by Horner
+        for coef, m in zip(rev, mag):
+            fp = fp * c + coef
+            fm = fm * mc + coef
+            env = env * ac + m
+        plus = fp * (2.0 * math.exp(-e - x) / d)
+        # the n -> -n mirror: f(-c) e^(+e) / sinh(-x) terms
+        minus_num = fm * (2.0 * math.exp(e - x) / d)
+        env = env * (2.0 * math.exp(kn * sa * w - x) / d)
+        if weight_half_n:
+            return (plus + minus_num) / (2.0 * n), env / n
+        return plus - minus_num, 2.0 * env
 
     return sum_series(pair)
 
@@ -279,12 +258,12 @@ def _poly_exp_bilateral_exp_sinh(f: PolynomialSpec, a: float, s: float) -> Serie
     n > 0 mirror (which carries f(e^n) ~ e^(deg*n)) never overflows; the sum
     converges only for deg + |s| < pi a, which P11b's constraint (deg 2) enforces.
     """
-    nonzero = _coefficient_views(f)[3]
+    nonzero = f._nonzero
     pa, sa = math.pi * a, abs(s)
 
     def pair(n: int) -> tuple[float, float]:
         x = pa * n
-        d = 1.0 - math.exp(-2.0 * x)  # as in _poly_bilateral_exp_sinh
+        d = 1.0 - math.exp(-2.0 * x)  # as in _bilateral_exp_sinh
         ns, nsa = n * s, n * sa
         plus = 0.0
         minus = 0.0
@@ -751,7 +730,7 @@ def _p9_lhs_modulus(x):
 
 def _alt_poly_over_expm1(F: PolynomialSpec, a: float) -> SeriesResult:
     """sum (-1)^n F(n) / (n (e^(an) - 1))."""
-    rev, mag, _, _ = _coefficient_views(F)
+    rev, mag = F._rev, F._mag
 
     def term(n: int) -> tuple[float, float]:
         inv = _inv_expm1(a * n)
@@ -768,7 +747,7 @@ def _alt_poly_over_expm1(F: PolynomialSpec, a: float) -> SeriesResult:
 
 def _imag_poly_over_sinh(F: PolynomialSpec, b: float) -> SeriesResult:
     """sum F(ibn) / (n sinh(b n pi)) for even F (real values)."""
-    _, mag, even, _ = _coefficient_views(F)
+    mag, even = F._mag, F._even
 
     def term(n: int) -> tuple[float, float]:
         y = b * n
@@ -778,7 +757,7 @@ def _imag_poly_over_sinh(F: PolynomialSpec, b: float) -> SeriesResult:
         for m in mag:
             env = env * ay + m
         env = env * inv / n
-        if even is None:  # raised where F.eval_imag_even would raise
+        if even is None:  # raised after the sinh denominator, at the first term
             raise DomainError("imaginary-argument evaluation needs an even polynomial")
         my2 = -(y * y)
         val = 0.0
@@ -811,8 +790,11 @@ def _p11a_lhs(fdeg, a, s):
 
 
 def _p11a_rhs(fdeg, a, s):
-    # The f(0) log P0 term is 0: f = x^fdeg with fdeg >= 2 has f(0) = 0.
-    return _poly_bilateral_exp_sinh(PolynomialSpec.monomial(int(fdeg)), a, s)
+    # The f(0) log P0 term is 0: f = x^fdeg with fdeg >= 2 has f(0) = 0.  The
+    # sum is minus the kernel's, and 0.0 - keeps an exact zero at +0.0.
+    bil = _bilateral_exp_sinh(PolynomialSpec.monomial(int(fdeg)), math.pi * a, 1.0, 1.0, s,
+                              weight_half_n=True)
+    return _combine(0.0 - bil.value, bil)
 
 
 def _log_theta4_shift_sum(f: PolynomialSpec, a: float, s: float) -> SeriesResult:
@@ -840,47 +822,18 @@ def _p11b_rhs(f: PolynomialSpec, a, s):
 _P12_POLY = PolynomialSpec((0.0, 0.0, 1.0, 1.0))  # x^2 + x^3, f(0) = 0
 
 
-def _p12_bilateral(f: PolynomialSpec, a: float, s: float,
-                   weight_half_n: bool) -> SeriesResult:
-    """sum_{n != 0} f(2 pi n a) e^(-2 pi n s a) / w with w = 2n sinh(pi^2 a n)
-    (weight_half_n) or w = sinh(pi^2 a n) (printed form); converges only for
-    |s| < pi/2, which P12's range 0 <= s <= 1.5 enforces."""
-    rev, mag, _, _ = _coefficient_views(f)
-    p2a, sa = math.pi ** 2 * a, abs(s)
-
-    def pair(n: int) -> tuple[float, float]:
-        x = p2a * n
-        d = 1.0 - math.exp(-2.0 * x)  # as in _poly_bilateral_exp_sinh
-        tpn = 2.0 * math.pi * n
-        c = tpn * a
-        e = tpn * s * a  # (-2 pi n) s a is exactly -e
-        mc, ac = -c, abs(c)
-        fp = fm = env = 0.0  # f(c), f(-c) and |f|(|c|) by Horner
-        for k, m in zip(rev, mag):
-            fp = fp * c + k
-            fm = fm * mc + k
-            env = env * ac + m
-        plus = fp * (2.0 * math.exp(-e - x) / d)
-        # the n -> -n mirror: f(-c) e^(+2 pi n s a) / sinh(-x) terms
-        minus_num = fm * (2.0 * math.exp(e - x) / d)
-        env = env * (2.0 * math.exp(tpn * sa * a - x) / d)
-        if weight_half_n:
-            return (plus + minus_num) / (2.0 * n), env / n
-        return plus - minus_num, 2.0 * env
-
-    return sum_series(pair)
-
-
 def _p12_rhs_printed(a, s):
     f = _P12_POLY
-    bil = _p12_bilateral(f, a, s, weight_half_n=False)
+    bil = _bilateral_exp_sinh(f, math.pi ** 2 * a, 2.0 * math.pi, a, s,
+                              weight_half_n=False)
     value = 2.0 * a - 2.0 * a * f.eval(0.0) * s + a * math.pi * bil.value
     return _combine(value, bil)
 
 
 def _p12_rhs_derived(a, s):
     f = _P12_POLY
-    bil = _p12_bilateral(f, a, s, weight_half_n=True)
+    bil = _bilateral_exp_sinh(f, math.pi ** 2 * a, 2.0 * math.pi, a, s,
+                              weight_half_n=True)
     value = (2.0 * a * f.coefficient(1) * s - 2.0 * a * f.coefficient(2)
              - bil.value)
     return _combine(value, bil)

@@ -187,8 +187,8 @@ def _sinh_over_sinh(y: float, x: float) -> float:
 
 def exp_over_sinh(y: float, x: float) -> float:
     """e^y / sinh(x) for x > 0; used by ``registry._imag_poly_over_sinh``.
-    The bilateral identity sums inline it, to compute its denominator once
-    per term."""
+    ``registry._bilateral_exp_sinh`` and ``_poly_exp_bilateral_exp_sinh``
+    inline it, to compute its denominator once per term."""
     ex = math.exp(-2.0 * x)
     return 2.0 * math.exp(y - x) / (1.0 - ex)
 

@@ -22,7 +22,10 @@ GOLDEN_REPORT = Path(__file__).parent / "data" / "check_all.json"
 
 
 def child_env(**extra):
-    return dict(PATH="/usr/bin:/bin", PYTHONPATH=ELLID_ROOT, **extra)
+    # no bytecode: a child writing it into src/ would change every later
+    # cold start of the package
+    return dict(PATH="/usr/bin:/bin", PYTHONPATH=ELLID_ROOT, PYTHONDONTWRITEBYTECODE="1",
+                **extra)
 
 
 def run(argv, capsys):
@@ -272,6 +275,13 @@ def test_cli_import_loads_no_thread_pool_dataclasses_fractions_or_csv():
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, env=child_env())
     assert out.stdout.split() == []
+
+
+def test_child_interpreters_write_no_bytecode():
+    code = "import sys; print(sys.flags.dont_write_bytecode)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=child_env())
+    assert out.stdout == "1\n"
 
 
 def test_check_all_only_filter(tmp_path, capsys):

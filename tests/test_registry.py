@@ -592,20 +592,16 @@ def test_p9_modulus_reading_recorded():
 # -- polynomial machinery -------------------------------------------------------
 
 def test_polynomial_spec_parts():
-    f = PolynomialSpec((1.0, 2.0, 3.0, 4.0))
-    assert f.g_coefficients() == (1.0, 2.0, 6.0, 24.0)
     assert PolynomialSpec.monomial(3).coefficients == (0.0, 0.0, 0.0, 1.0)
+    assert PolynomialSpec.monomial(4) is PolynomialSpec.monomial(4)
     with pytest.raises(DomainError):
         PolynomialSpec((0.0,) * 10)
-
-
-def test_polynomial_imag_eval():
-    F = PolynomialSpec((0.0, 0.0, 0.0, 0.0, 1.0))  # x^4
-    for y in (0.5, 1.0, 2.0):
-        want = complex(0.0, y) ** 4
-        assert abs(F.eval_imag_even(y) - want.real) < 1e-12
-    with pytest.raises(DomainError):
-        PolynomialSpec.monomial(3).eval_imag_even(1.0)
+    # equal polynomials, each evaluated from its own views: f(-0.0) = 1 * -0.0 + f_0
+    # is a zero with f_0's sign
+    x, minus_zero_x = PolynomialSpec((0.0, 1.0)), PolynomialSpec((-0.0, 1.0))
+    assert x == minus_zero_x
+    assert math.copysign(1.0, x.eval(-0.0)) == 1.0
+    assert math.copysign(1.0, minus_zero_x.eval(-0.0)) == -1.0
 
 
 def test_zeta_collapsed_sum_quartic():
@@ -670,9 +666,9 @@ def test_weighted_log_theta2_pole_propagates():
 
 
 @pytest.mark.parametrize("bilateral, args", [
-    (registry._poly_bilateral_exp_sinh, (PolynomialSpec.monomial(2), 0.2, 1.0)),
+    (registry._bilateral_exp_sinh, (PolynomialSpec.monomial(2), PI * 0.2, 1.0, 1.0, 1.0, True)),
     (registry._poly_exp_bilateral_exp_sinh, (PolynomialSpec((0.0, 1.0, 1.0)), 1.0, 1.2)),
-    (registry._p12_bilateral, (registry._P12_POLY, 1.0, PI / 2, False)),
+    (registry._bilateral_exp_sinh, (registry._P12_POLY, PI ** 2, 2.0 * PI, 1.0, PI / 2, False)),
 ], ids=["P11a", "P11b", "P12"])
 def test_bilateral_sum_outside_its_record_domain_does_not_converge(bilateral, args):
     # The records' constraints keep these sums convergent; called past them
