@@ -14,11 +14,11 @@ from .errors import (ConfigError, ConstraintError, DomainError, EllidError,
                      NonConvergenceError, PoleError, RangeError,
                      SingularArgumentError, UnknownIdentityError,
                      UnsupportedOrderError)
+from .catalog import build_registry
 from .registry import (Classification, Expectation, IdentityRecord,
                        PolynomialSpec, Registry, ResidualReport, Variant,
-                       build_registry, classify, default_registry,
-                       poly_even_zeta_integral, poly_even_zeta_sum,
-                       poly_weighted_log_theta2_sum,
+                       classify, default_registry, poly_even_zeta_integral,
+                       poly_even_zeta_sum, poly_weighted_log_theta2_sum,
                        poly_weighted_log_theta4_sum)
 from .series import (DEFAULT_POLICY, SeriesResult, TruncationPolicy,
                      S1_cosh_over_sinh, S2_alt_sin_sq_over_expm1,

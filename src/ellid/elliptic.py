@@ -59,6 +59,11 @@ class EllipticArgument(_EllipticArgumentFields):
         return tuple.__new__(cls, (value, convention))
 
     @classmethod
+    def _make(cls, iterable) -> "EllipticArgument":
+        """Built through ``__new__``, so ``_replace`` validates too."""
+        return cls(*iterable)
+
+    @classmethod
     def from_modulus(cls, k: float) -> "EllipticArgument":
         return cls(k, Convention.MODULUS)
 
@@ -108,6 +113,11 @@ class Nome(_NomeFields):
         if not math.isfinite(q) or not 0.0 <= q < 1.0:
             raise DomainError(f"nome must lie in [0, 1), got {q!r}")
         return tuple.__new__(cls, (q,))
+
+    @classmethod
+    def _make(cls, iterable) -> "Nome":
+        """Built through ``__new__``, so ``_replace`` validates too."""
+        return cls(*iterable)
 
     @classmethod
     def from_pi_exponent(cls, a: float) -> "Nome":

@@ -40,6 +40,11 @@ class TruncationPolicy(_TruncationPolicyFields):
             raise DomainError(f"cap must be >= 1, got {cap!r}")
         return tuple.__new__(cls, (tolerance, cap))
 
+    @classmethod
+    def _make(cls, iterable) -> "TruncationPolicy":
+        """Built through ``__new__``, so ``_replace`` validates too."""
+        return cls(*iterable)
+
 
 DEFAULT_POLICY = TruncationPolicy()
 

@@ -35,7 +35,8 @@ from collections import Counter
 from pathlib import Path
 
 import oracle
-from ellid.registry import Classification, build_registry, classify
+from ellid.catalog import build_registry
+from ellid.registry import Classification, classify
 from ellid.reporting import render_csv, render_json, render_text
 from test_expect_pass_range import (CLASS_COUNTS, KNOWN_DEFECTS, OFF_DECK_DEFECTS,
                                     _point, refuted, shipped)

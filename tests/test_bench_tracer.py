@@ -9,9 +9,12 @@ next to it.
 import importlib
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+import ellid
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -50,3 +53,25 @@ def _resolves(mod, path):
 def test_every_tracer_target_resolves(tracer):
     unresolved = {t for t in _targets(tracer) if not _resolves(*t)}
     assert unresolved == KNOWN_STALE
+
+
+def _code_objects(code):
+    """``code`` and every code object nested in it."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+def test_every_sum_series_caller_is_in_a_module_the_tracer_wraps(tracer):
+    # The tracer counts series.calls through the sum_series binding of the
+    # modules it names, so a call from any other ellid module would drop out
+    # of the counts without an error.  series itself defines the kernel.
+    wrapped = {mod for mod, attr, _, _ in tracer.BOUND_TARGETS if attr == "sum_series"}
+    callers = set()
+    for path in sorted(Path(ellid.__file__).parent.glob("*.py")):
+        code = compile(path.read_text(), str(path), "exec")
+        callers |= {(f"ellid.{path.stem}", co.co_name) for co in _code_objects(code)
+                    if "sum_series" in co.co_names}
+    assert ("ellid.registry", "_bilateral_exp_sinh") in callers
+    assert {mod for mod, _ in callers} <= wrapped | {"ellid.series"}, sorted(callers)

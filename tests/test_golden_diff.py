@@ -4,14 +4,14 @@ import shutil
 from pathlib import Path
 
 import golden_diff
-from ellid import registry
+from ellid import catalog, registry
 from ellid.series import SeriesResult
 from test_expect_pass_range import deck, oracle_residual
 
 
 def _shifted_e4_rhs(monkeypatch, shift):
-    e4_rhs = registry._e4_rhs
-    monkeypatch.setattr(registry, "_e4_rhs",
+    e4_rhs = catalog._e4_rhs
+    monkeypatch.setattr(catalog, "_e4_rhs",
                         lambda a: SeriesResult(e4_rhs(a).value + shift))
 
 
@@ -41,7 +41,7 @@ def test_moved_bits_that_keep_their_class_pass(monkeypatch, capsys):
 
 def test_known_defect_that_gets_the_oracle_class_is_listed(monkeypatch, capsys):
     # an exact rhs clears E4's two KE_CANCELLATION rows
-    monkeypatch.setattr(registry, "_e4_rhs", registry._e4_lhs)
+    monkeypatch.setattr(catalog, "_e4_rhs", catalog._e4_lhs)
     assert golden_diff.main([]) == 0
     out = capsys.readouterr().out
     assert out.count("KNOWN_DEFECTS row now has the oracle's class: E4 base (") == 2
@@ -76,7 +76,7 @@ def test_deck_lists_a_moved_class_count(monkeypatch):
 def _deck_with_fresh_rows(monkeypatch, identity):
     """Point ``golden_diff.shipped`` at the deck with ``identity``'s rows
     evaluated again on a fresh registry, which sees monkeypatched sides."""
-    fresh = registry.build_registry()
+    fresh = catalog.build_registry()
     rows = dict(golden_diff.shipped())
     for v in fresh.get(identity).variants:
         rows[identity, v.variant_id] = [
@@ -103,7 +103,7 @@ def test_deck_lists_a_libm_sensitive_row_that_no_longer_moves(monkeypatch):
 
 
 def test_off_deck_defect_that_gets_the_oracle_class_is_listed(monkeypatch, capsys):
-    monkeypatch.setattr(registry, "_p2_lhs_sinh", lambda a, theta: SeriesResult(0.0))
+    monkeypatch.setattr(catalog, "_p2_lhs_sinh", lambda a, theta: SeriesResult(0.0))
     golden_diff.main([])
     out = capsys.readouterr().out
     assert "OFF_DECK_DEFECTS row now has the oracle's class: P2 sinh-squared " \

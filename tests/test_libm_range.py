@@ -12,7 +12,7 @@ import functools
 import pytest
 
 import oracle
-from ellid import registry as ellid_registry
+from ellid import sides
 from ellid.registry import Classification, classify, default_registry
 from libm import ellid_modules, perturbed_libm
 from test_expect_pass_range import KE_CANCELLATION, KNOWN_DEFECTS, _point, shipped
@@ -57,14 +57,14 @@ def libm_moved():
         for seed in LIBM_SEEDS:
             for (identity, variant), rows in want.items():
                 for values, cls in rows:
-                    ellid_registry._ke_at.cache_clear()
+                    sides._ke_at.cache_clear()
                     with perturbed_libm(seed, modules=modules):
                         got = registry.evaluate(identity, variant,
                                                 _point(identity, values))
                     if got.classification is not cls:
                         moved.add((identity, variant, values))
     finally:
-        ellid_registry._ke_at.cache_clear()
+        sides._ke_at.cache_clear()
     return moved
 
 

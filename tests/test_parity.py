@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from ellid import DomainError, EllidError, PolynomialSpec, registry
+from ellid import DomainError, EllidError, PolynomialSpec, registry, sides
 from ellid.registry import Classification, ResidualReport, default_registry
 from ellid.reporting import render_json
 from ellid.series import _inv_expm1, exp_over_sinh, sum_series
@@ -129,7 +129,7 @@ def _cases(identity):
     points = _box_points(identity, 500, seed=sum(map(ord, identity)))
     for p in points + [{**p, x: -p[x]} for x in ("a", "s") for p in points]:
         if identity == "P11a":
-            yield registry._p11a_rhs, _ref_p11a_rhs, (p["fdeg"], p["a"], p["s"])
+            yield sides._p11a_rhs, _ref_p11a_rhs, (p["fdeg"], p["a"], p["s"])
         elif identity == "P11b":
             for f in _P11B_POLYS:
                 yield (registry._poly_exp_bilateral_exp_sinh,
@@ -137,7 +137,7 @@ def _cases(identity):
         else:
             for weight_half_n in (True, False):
                 yield (_p12_bilateral, _ref_p12_bilateral,
-                       (registry._P12_POLY, p["a"], p["s"], weight_half_n))
+                       (sides._P12_POLY, p["a"], p["s"], weight_half_n))
 
 
 @pytest.mark.parametrize("identity", ["P11a", "P11b", "P12"])

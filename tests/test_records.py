@@ -145,3 +145,31 @@ def test_invalid_record_raises_same_error(build, error, message):
         build()
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
+
+
+# (a record, a valid change, an invalid change, the error text of the latter)
+REPLACED = [
+    (EllipticArgument(0.5, Convention.MODULUS), {"convention": Convention.PARAMETER},
+     {"value": 7.0}, "elliptic argument must be <= 1, got 7.0"),
+    (Nome(0.5), {"q": 0.25}, {"q": 3.0}, "nome must lie in [0, 1), got 3.0"),
+    (TruncationPolicy(), {"cap": 5}, {"tolerance": -1.0, "cap": 0},
+     "tolerance must be positive, got -1.0"),
+    (PolynomialSpec((1.0,)), {"coefficients": (0.0, -0.0, 1.0)},
+     {"coefficients": (0.0, math.inf)}, "polynomial coefficients must be finite"),
+]
+
+
+@pytest.mark.parametrize("record, valid, invalid, message", REPLACED,
+                         ids=[type(case[0]).__name__ for case in REPLACED])
+def test_make_and_replace_build_through_the_constructor(record, valid, invalid, message):
+    cls = type(record)
+    built = cls(*{**record._asdict(), **valid}.values())
+    for made in (record._replace(**valid), cls._make(built)):
+        assert type(made) is cls and made == built
+        # PolynomialSpec's views live on the instance; the others have none
+        assert getattr(made, "__dict__", None) == getattr(built, "__dict__", None)
+    for make in (lambda: record._replace(**invalid),
+                 lambda: cls._make({**record._asdict(), **invalid}.values())):
+        with pytest.raises(DomainError) as excinfo:
+            make()
+        assert str(excinfo.value) == message

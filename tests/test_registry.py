@@ -19,8 +19,8 @@ from ellid import (Classification, ConstraintError, DomainError, Expectation,
                    S4_n_over_sinh, SeriesResult, UnknownIdentityError,
                    classify, default_registry, poly_even_zeta_integral,
                    poly_even_zeta_sum, poly_weighted_log_theta2_sum,
-                   poly_weighted_log_theta4_sum, registry)
-from ellid import cli, errors
+                   poly_weighted_log_theta4_sum, registry, sides)
+from ellid import catalog, cli, errors
 from ellid.reporting import render_csv, render_json, render_text
 from libm import perturbed_libm
 
@@ -99,7 +99,7 @@ def test_every_side_is_a_flat_function_or_a_partial_of_one():
                 if isinstance(side, functools.partial):
                     assert not side.keywords, where
                     assert flat(side.func), where
-                    assert side.func.__module__ == "ellid.registry", where
+                    assert side.func.__module__ in ("ellid.registry", "ellid.sides"), where
                 else:
                     assert flat(side), where
 
@@ -237,12 +237,12 @@ def test_no_golden_class_rests_on_libm_last_bit():
     values = {(r.lhs, r.rhs) for r in base}
     moved = 0
     for seed in range(20):
-        registry._ke_at.cache_clear()
+        sides._ke_at.cache_clear()
         try:
             with perturbed_libm(seed):
                 reports = default_registry().run_all()
         finally:
-            registry._ke_at.cache_clear()
+            sides._ke_at.cache_clear()
         assert [r.classification for r in reports] == want, seed
         moved += sum((r.lhs, r.rhs) not in values for r in reports)
     assert moved > 20 * 100  # the perturbation reaches most rows
@@ -250,14 +250,14 @@ def test_no_golden_class_rests_on_libm_last_bit():
 
 def test_run_all_solves_each_singular_modulus_once(monkeypatch):
     solved = []
-    solve_k = registry.solve_k
+    solve_k = sides.solve_k
 
     def counting_solve_k(a):
         solved.append(a)
         return solve_k(a)
 
-    monkeypatch.setattr(registry, "solve_k", counting_solve_k)
-    registry._ke_at.cache_clear()
+    monkeypatch.setattr(sides, "solve_k", counting_solve_k)
+    sides._ke_at.cache_clear()
     try:
         reports = default_registry().run_all()
         assert sorted(solved) == [0.5, 1.0, 2.0]
@@ -267,16 +267,16 @@ def test_run_all_solves_each_singular_modulus_once(monkeypatch):
         # a refused a reaches the solver every time: errors are not cached
         for attempt in (1, 2):
             with pytest.raises(RangeError):
-                registry._ke_at(0.06)
+                sides._ke_at(0.06)
             assert solved.count(0.06) == attempt
 
         # callers pass 2 or 2.0 for the same point; both must give the same bits
-        from_int = registry._ke_at(2)
-        registry._ke_at.cache_clear()
-        from_float = registry._ke_at(2.0)
+        from_int = sides._ke_at(2)
+        sides._ke_at.cache_clear()
+        from_float = sides._ke_at(2.0)
         assert [v.hex() for v in from_int] == [v.hex() for v in from_float]
     finally:
-        registry._ke_at.cache_clear()
+        sides._ke_at.cache_clear()
 
 
 
@@ -457,7 +457,7 @@ def _seeded_grid(rng, rec):
 def test_run_gives_the_rows_of_one_sort_after_the_run(seed):
     # repr, not ==, so that a row at a=1 and one at a=1.0 may not swap
     rng = random.Random(seed)
-    reg = registry.build_registry()
+    reg = catalog.build_registry()
     ids = reg.ids() + rng.sample(reg.ids(), 5)
     rng.shuffle(ids)
     for run_ids in (None, ids, ids[:7]):
@@ -657,7 +657,7 @@ def test_weighted_log_theta4_sum_quadratic_reduces_to_lambert():
 def test_weighted_log_theta4_zero_polynomial():
     f = PolynomialSpec((0.0,))
     assert poly_weighted_log_theta4_sum(f, 1.0, 0.2).value == 0.0
-    assert registry._log_theta4_shift_sum(f, 1.0, 0.2).value == 0.0
+    assert sides._log_theta4_shift_sum(f, 1.0, 0.2).value == 0.0
 
 
 def test_weighted_log_theta2_pole_propagates():
@@ -668,7 +668,7 @@ def test_weighted_log_theta2_pole_propagates():
 @pytest.mark.parametrize("bilateral, args", [
     (registry._bilateral_exp_sinh, (PolynomialSpec.monomial(2), PI * 0.2, 1.0, 1.0, 1.0, True)),
     (registry._poly_exp_bilateral_exp_sinh, (PolynomialSpec((0.0, 1.0, 1.0)), 1.0, 1.2)),
-    (registry._bilateral_exp_sinh, (registry._P12_POLY, PI ** 2, 2.0 * PI, 1.0, PI / 2, False)),
+    (registry._bilateral_exp_sinh, (sides._P12_POLY, PI ** 2, 2.0 * PI, 1.0, PI / 2, False)),
 ], ids=["P11a", "P11b", "P12"])
 def test_bilateral_sum_outside_its_record_domain_does_not_converge(bilateral, args):
     # The records' constraints keep these sums convergent; called past them

@@ -1,11 +1,18 @@
-"""Guards on the source of the kernel modules and the CLI, read with ``ast``."""
+"""Guards on the source of the kernel modules and the CLI, read with ``ast``,
+and on the size of every module of ellid."""
 
 import ast
+import tokenize
 from pathlib import Path
 
 import pytest
 
 from ellid import cli, elliptic, series, singular, theta
+
+# Without a bytecode cache, compiling the largest module sets the peak RSS of
+# a cold import.  A module that needs more room is split further, never made
+# denser.
+MAX_MODULE_TOKENS = 4096
 
 
 def _fstrings_built_before_a_failure(module):
@@ -73,3 +80,13 @@ def test_theta_restates_no_observed_ratio_stop_test():
 
     visit(ast.parse(Path(theta.__file__).read_text()))
     assert lines == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(cli.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_module_stays_within_the_token_budget(path):
+    # tokens as tokenize gives them, without COMMENT and NL
+    with open(path, encoding="utf-8") as fh:
+        count = sum(1 for token in tokenize.generate_tokens(fh.readline)
+                    if token.type not in (tokenize.COMMENT, tokenize.NL))
+    assert count <= MAX_MODULE_TOKENS
