@@ -36,6 +36,8 @@ class TruncationPolicy(_TruncationPolicyFields):
                 cap: int = 10000) -> "TruncationPolicy":
         if not (math.isfinite(tolerance) and tolerance > 0.0):
             raise DomainError(f"tolerance must be positive, got {tolerance!r}")
+        if isinstance(cap, bool) or not isinstance(cap, int):
+            raise DomainError(f"cap must be an integer, got {cap!r}")
         if cap < 1:
             raise DomainError(f"cap must be >= 1, got {cap!r}")
         return tuple.__new__(cls, (tolerance, cap))
@@ -198,8 +200,17 @@ def exp_over_sinh(y: float, x: float) -> float:
     return 2.0 * math.exp(y - x) / (1.0 - ex)
 
 
-def _sign_of(v: float) -> float:
-    return -1.0 if v < 0.0 else 1.0
+def _require_positive(what: str, name: str, x: float) -> None:
+    """Refuse ``x`` unless x > 0: NaN, zero and negatives alike."""
+    if not x > 0.0:
+        raise DomainError(f"{what} requires {name} > 0, got {x!r}")
+
+
+def _odd(v: float, res: SeriesResult) -> SeriesResult:
+    """A series odd in v, summed at |v|: ``res`` negated if v < 0, else itself."""
+    if v < 0.0:
+        return SeriesResult(-1.0 * res.value, res.terms_used, res.tail_bound)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +222,7 @@ def S1_cosh_over_sinh(a: float, t: float,
 
     Term decay is e^((2|t| - pi a) n), so 2|t| < pi*a is required.
     """
-    if not a > 0.0:
-        raise DomainError(f"S1 requires a > 0, got {a!r}")
+    _require_positive("S1", "a", a)
     ta = 2.0 * abs(t)
     if not ta < math.pi * a:
         raise DomainError(
@@ -228,8 +238,7 @@ def S1_cosh_over_sinh(a: float, t: float,
 def S2_alt_sin_sq_over_expm1(c: float, theta: float,
                              policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum (-1)^n sin(theta n)^2 / (n (e^(cn) - 1)); even in theta."""
-    if not c > 0.0:
-        raise DomainError(f"S2 requires c > 0, got {c!r}")
+    _require_positive("S2", "c", c)
     th = abs(theta)
 
     def term(n: int) -> tuple[float, float]:
@@ -244,8 +253,7 @@ def S2_alt_sin_sq_over_expm1(c: float, theta: float,
 def S2h_alt_sinh_sq_over_expm1(c: float, theta: float,
                                policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum (-1)^n sinh(theta n)^2 / (n (e^(cn) - 1)); needs 2|theta| < c."""
-    if not c > 0.0:
-        raise DomainError(f"S2h requires c > 0, got {c!r}")
+    _require_positive("S2h", "c", c)
     th = abs(theta)
     if not 2.0 * th < c:
         raise DomainError(
@@ -266,8 +274,7 @@ def S2h_alt_sinh_sq_over_expm1(c: float, theta: float,
 def S3_alt_n_over_expm1(c: float,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum (-1)^n n / (e^(cn) - 1)."""
-    if not c > 0.0:
-        raise DomainError(f"S3 requires c > 0, got {c!r}")
+    _require_positive("S3", "c", c)
 
     def term(n: int) -> tuple[float, float]:
         env = n * _inv_expm1(c * n)
@@ -280,8 +287,7 @@ def S3_alt_n_over_expm1(c: float,
 def S3sq_alt_nsq_over_expm1(c: float,
                             policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum (-1)^n n^2 / (e^(cn) - 1)."""
-    if not c > 0.0:
-        raise DomainError(f"S3sq requires c > 0, got {c!r}")
+    _require_positive("S3sq", "c", c)
 
     def term(n: int) -> tuple[float, float]:
         env = n * n * _inv_expm1(c * n)
@@ -294,8 +300,7 @@ def S3sq_alt_nsq_over_expm1(c: float,
 def S4_n_over_sinh(b: float,
                    policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum n / sinh(pi b n)."""
-    if not b > 0.0:
-        raise DomainError(f"S4 requires b > 0, got {b!r}")
+    _require_positive("S4", "b", b)
 
     def term(n: int) -> tuple[float, float]:
         v = n * _csch(math.pi * b * n)
@@ -307,8 +312,7 @@ def S4_n_over_sinh(b: float,
 def S5_sech(a: float,
             policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum 1 / cosh(n pi a)."""
-    if not a > 0.0:
-        raise DomainError(f"S5 requires a > 0, got {a!r}")
+    _require_positive("S5", "a", a)
 
     def term(n: int) -> tuple[float, float]:
         v = _sech(n * math.pi * a)
@@ -320,8 +324,7 @@ def S5_sech(a: float,
 def S5sq_sech2(x: float,
                policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum 1 / cosh(pi n x)^2."""
-    if not x > 0.0:
-        raise DomainError(f"S5sq requires x > 0, got {x!r}")
+    _require_positive("S5sq", "x", x)
 
     def term(n: int) -> tuple[float, float]:
         s = _sech(math.pi * n * x)
@@ -333,9 +336,7 @@ def S5sq_sech2(x: float,
 def S6_alt_sin_over_expm1(a: float, v: float,
                           policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum (-1)^n sin(nv) / (e^(an) - 1); odd in v, bit-exactly."""
-    if not a > 0.0:
-        raise DomainError(f"S6 requires a > 0, got {a!r}")
-    sign_v = _sign_of(v)
+    _require_positive("S6", "a", a)
     av = abs(v)
 
     def term(n: int) -> tuple[float, float]:
@@ -343,18 +344,15 @@ def S6_alt_sin_over_expm1(a: float, v: float,
         sign = -1.0 if n % 2 else 1.0
         return sign * math.sin(n * av) * env, env
 
-    res = sum_series(term, policy)
-    return SeriesResult(sign_v * res.value, res.terms_used, res.tail_bound)
+    return _odd(v, sum_series(term, policy))
 
 
 def S6closed(a: float, v: float,
              policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """-(1/2) sum sin(v) / (cos(v) + cosh(an)), the closed form paired with S6."""
-    if not a > 0.0:
-        raise DomainError(f"S6closed requires a > 0, got {a!r}")
+    _require_positive("S6closed", "a", a)
     if not math.isfinite(v):
         raise DomainError(f"S6closed requires a finite v, got {v!r}")
-    sign_v = _sign_of(v)
     av = abs(v)
     sv = math.sin(av)
     cv = math.cos(av)
@@ -365,34 +363,29 @@ def S6closed(a: float, v: float,
         inv = 2.0 * e / (1.0 + 2.0 * cv * e + e * e)
         return -0.5 * sv * inv, abs(0.5 * sv * inv) if sv != 0.0 else 2.0 * e
 
-    res = sum_series(term, policy)
-    return SeriesResult(sign_v * res.value, res.terms_used, res.tail_bound)
+    return _odd(v, sum_series(term, policy))
 
 
 def S7_csch_sinh(a: float, v: float,
                  policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum csch(2 n pi^2 / a) sinh(2 pi n v / a); odd in v, needs |v| < pi."""
-    if not a > 0.0:
-        raise DomainError(f"S7 requires a > 0, got {a!r}")
+    _require_positive("S7", "a", a)
     av = abs(v)
     if not av < math.pi:
         raise DomainError(f"S7 divergence: |v| = {av!r} must stay below pi")
-    sign_v = _sign_of(v)
 
     def term(n: int) -> tuple[float, float]:
         val = _sinh_over_sinh(2.0 * math.pi * n * av / a, 2.0 * n * math.pi ** 2 / a)
         env = val if val != 0.0 else _csch(2.0 * n * math.pi ** 2 / a)
         return val, env
 
-    res = sum_series(term, policy)
-    return SeriesResult(sign_v * res.value, res.terms_used, res.tail_bound)
+    return _odd(v, sum_series(term, policy))
 
 
 def S8_exp_over_cube(b: float,
                      policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum e^(2n pi/b) / (1 + e^(2n pi/b))^3, written as e^-2x/(1+e^-x)^3."""
-    if not b > 0.0:
-        raise DomainError(f"S8 requires b > 0, got {b!r}")
+    _require_positive("S8", "b", b)
 
     def term(n: int) -> tuple[float, float]:
         x = 2.0 * n * math.pi / b
@@ -420,7 +413,6 @@ def S10_alt_sin_lambert(z: float, q: Nome,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum (-1)^n sin(2nz) q^(2n) / (1 - q^(2n)); odd in z."""
     qq = q.q
-    sign_z = _sign_of(z)
     az = abs(z)
 
     def term(n: int) -> tuple[float, float]:
@@ -429,15 +421,13 @@ def S10_alt_sin_lambert(z: float, q: Nome,
         sign = -1.0 if n % 2 else 1.0
         return sign * math.sin(2.0 * n * az) * env, env
 
-    res = sum_series(term, policy)
-    return SeriesResult(sign_z * res.value, res.terms_used, res.tail_bound)
+    return _odd(z, sum_series(term, policy))
 
 
 def n_cosh_over_sinh_double(a: float,
                             policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """sum n cosh(a n pi) / sinh(2 a n pi), as it appears in the E5 chain."""
-    if not a > 0.0:
-        raise DomainError(f"series requires a > 0, got {a!r}")
+    _require_positive("series", "a", a)
 
     def term(n: int) -> tuple[float, float]:
         v = n * _cosh_over_sinh(a * n * math.pi, 2.0 * a * n * math.pi)

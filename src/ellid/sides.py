@@ -33,15 +33,17 @@ from .theta import (ThetaKind, log_theta_derivative, q_product_P0, theta2,
 # function, side(*constants, *params): a variant's constants (a nome
 # reading, a sign, a scale, a test polynomial) are bound with ``partial`` in
 # ``build_registry`` (``ellid.catalog``), so the record table is the one place
-# that shows them.  A partial binds functions of this module or of
-# ``ellid.registry`` only: the benchmark tracer wraps the series, theta and
-# elliptic functions by module attribute, and a reference bound at build time
-# would escape it.  For the same reason every function that calls
-# ``sum_series`` stays in ``ellid.registry``, the one module whose binding
-# of it the tracer wraps, until the tracer's wrapping is deleted.  Variants of
-# one record may hold the same evaluator object for a side; a run calls it
-# once per point and gives every such variant its result, but never hands one
-# side's result to the other side of a row (see ``registry._reports_at``).
+# that shows them.  The benchmark tracer wraps the series, theta and elliptic
+# functions by module attribute, so a function bound at build time escapes
+# it: the six sides that are ``ellid.series`` functions (S1, S4, S5, S5sq, S6,
+# S6closed) go uncounted, and traced catalog ``series.calls`` reads 124 per
+# op for 150 series sums.  For the same reason every function that calls
+# ``sum_series`` stays in ``ellid.registry``, the one module whose binding of
+# it the tracer wraps.  Counting in the engine rather than wrapping removes
+# the reason, and this rule with it.  Variants of one record may hold the
+# same evaluator object for a side; a run calls it once per point and gives
+# every such variant its result, but never hands one side's result to the
+# other side of a row (see ``registry._reports_at``).
 
 @functools.lru_cache(maxsize=64)
 def _ke_at(a: float) -> tuple[float, float, float]:

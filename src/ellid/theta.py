@@ -26,7 +26,7 @@ from enum import Enum
 from .elliptic import Nome
 from .errors import DomainError, NonConvergenceError, PoleError, UnsupportedOrderError
 from .series import (DEFAULT_POLICY, SeriesResult, TruncationPolicy,
-                     _observed_tail, _summation_error, sum_series)
+                     _observed_tail, _odd, _summation_error, sum_series)
 
 MAX_LOG_DERIVATIVE_ORDER = 12
 
@@ -142,7 +142,6 @@ def theta4_u_derivative_imag(t: float, q: Nome,
     if qq == 0.0:
         return 0.0
     _finite_imag_argument(t)
-    sign_t = -1.0 if t < 0.0 else 1.0
     ta = abs(t)
     lq = math.log(qq)
 
@@ -156,7 +155,7 @@ def theta4_u_derivative_imag(t: float, q: Nome,
         sign = 4.0 if n % 2 else -4.0  # -4 * (-1)^n
         return sign * n * sh, env
 
-    return sign_t * sum_series(term, policy, 1, 0.0, relative=True).value
+    return _odd(t, sum_series(term, policy, 1, 0.0, relative=True)).value
 
 
 def log_theta_derivative(kind: ThetaKind, order: int, s: float, q: Nome,
@@ -170,7 +169,7 @@ def log_theta_derivative(kind: ThetaKind, order: int, s: float, q: Nome,
     """
     if kind not in (ThetaKind.THETA2, ThetaKind.THETA4_IMAG_HALF):
         raise DomainError(f"log-derivative supports theta2/theta4-imag-half, got {kind!r}")
-    if not isinstance(order, int) or order < 0:
+    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
         raise DomainError(f"order must be a nonnegative integer, got {order!r}")
     if order > MAX_LOG_DERIVATIVE_ORDER:
         raise UnsupportedOrderError(

@@ -33,6 +33,8 @@ PARITY = "tests/test_parity.py::"
 GOLDEN_JSON = "tests/test_cli.py::test_check_all_matches_golden_report"
 GOLDEN_CSV = "tests/test_cli.py::test_check_all_matches_golden_csv_and_text[csv-check_all.csv]"
 GOLDEN_TEXT = "tests/test_cli.py::test_check_all_matches_golden_csv_and_text[text-check_all.txt]"
+REFERENCE_JSON = PARITY + "test_render_json_gives_the_reference_bytes"
+ARGUMENT_CHECK = "tests/test_series.py::test_argument_checks_raise_their_exact_message"
 
 
 class Mutant(NamedTuple):
@@ -61,6 +63,31 @@ MUTANTS = [
            "coefficients[::2][::-1]", "coefficients[1::2][::-1]",
            (PARITY + "test_hoisted_p10_sum_gives_the_reference_bits[P10]",
             GOLDEN_JSON, GOLDEN_CSV, GOLDEN_TEXT)),
+    Mutant("odd-without-sign-flip", "series.py", "_odd",
+           "-1.0 * res.value", "res.value",
+           ("tests/test_series.py::test_odd_parity_exact",
+            "tests/test_theta.py::test_theta4_u_derivative_imag_value")),
+    Mutant("positive-guard-passes-zero-and-nan", "series.py", "_require_positive",
+           "not x > 0.0", "x < 0.0",
+           (ARGUMENT_CHECK + "[S3_alt_n_over_expm1(0.0,)]",
+            ARGUMENT_CHECK + "[S5_sech(nan,)]")),
+    # the checks that keep the report's bytes deterministic
+    Mutant("json-memo-key-without-type", "reporting.py", "_json_params",
+           "(k, type(v), v)", "(k, v)",
+           (REFERENCE_JSON + "[all]",)),
+    Mutant("json-memo-keeps-zeros", "reporting.py", "_json_params",
+           "if v:\n    memo[key] = text", "memo[key] = text",
+           (REFERENCE_JSON + "[all]",)),
+    Mutant("validate-point-accepts-bool", "registry.py", "IdentityRecord.validate_point",
+           "isinstance(v, bool)", "False",
+           ("tests/test_registry.py::test_constraint_violations_raise",)),
+    Mutant("rel-text-reused-at-zero", "reporting.py", "render_json",
+           "rel == ab != 0.0", "rel == ab",
+           (REFERENCE_JSON + "[row24]", REFERENCE_JSON + "[all]")),
+    Mutant("one-memo-for-both-sides", "registry.py", "_reports_at",
+           "lhs_seen, rhs_seen = {}, {}", "lhs_seen = rhs_seen = {}",
+           ("tests/test_registry.py::test_variants_share_each_side_once_per_point",
+            "tests/test_registry.py::test_check_grid_shares_each_side_once_per_point")),
 ]
 
 

@@ -124,6 +124,10 @@ INVALID = [
     (lambda: TruncationPolicy(tolerance=math.inf), DomainError,
      "tolerance must be positive, got inf"),
     (lambda: TruncationPolicy(cap=0), DomainError, "cap must be >= 1, got 0"),
+    (lambda: TruncationPolicy(1e-14, 2.5), DomainError, "cap must be an integer, got 2.5"),
+    (lambda: TruncationPolicy(1e-14, 1e9), DomainError,
+     "cap must be an integer, got 1000000000.0"),
+    (lambda: TruncationPolicy(cap=True), DomainError, "cap must be an integer, got True"),
     (lambda: PolynomialSpec(()), DomainError,
      "polynomial needs at least one coefficient"),
     (lambda: PolynomialSpec((1.0,) * 10), DomainError,

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ellid import (DomainError, Nome, NonConvergenceError,
                    S1_cosh_over_sinh, S2_alt_sin_sq_over_expm1,
@@ -186,11 +186,17 @@ def test_S1_even_in_t_exact():
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=0.05, max_value=2.5))
+@example(0.0)
 def test_odd_parity_exact(v):
-    assert S6_alt_sin_over_expm1(1.5, -v).value == -S6_alt_sin_over_expm1(1.5, v).value
-    assert S7_csch_sinh(2.0, -v).value == -S7_csch_sinh(2.0, v).value
-    assert (S10_alt_sin_lambert(-v, Nome(0.3)).value
-            == -S10_alt_sin_lambert(v, Nome(0.3)).value)
+    # the sum at -v is the sum at v negated, to the bit, with the same terms
+    # and tail; -0.0 gives +0.0's result unchanged
+    sign = -1.0 if v else 1.0
+    for odd in (lambda v: S6_alt_sin_over_expm1(1.5, v), lambda v: S6closed(1.5, v),
+                lambda v: S7_csch_sinh(2.0, v),
+                lambda v: S10_alt_sin_lambert(v, Nome(0.3))):
+        plus, minus = odd(v), odd(-v)
+        assert ((float.hex(minus.value), minus.terms_used, minus.tail_bound)
+                == (float.hex(sign * plus.value), plus.terms_used, plus.tail_bound))
 
 
 # -- domain guards, convergence control ---------------------------------------
