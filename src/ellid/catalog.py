@@ -183,9 +183,9 @@ def build_registry() -> "Registry":
              ParamSpec("convention", ("modulus", "parameter"),
                        choices=("modulus", "parameter"))),
             # stated derivative formula vs the fd oracle
-            (Variant("base", partial(_p7_lhs, "stated-formula"), _p7_rhs_fd),
+            (Variant("base", partial(_p7_lhs, _dadk_stated), _p7_rhs_fd),
              # textbook period-ratio derivative vs the fd oracle
-             Variant("classical", partial(_p7_lhs, "classical"), _p7_rhs_fd)),
+             Variant("classical", partial(_p7_lhs, _dadk_classical), _p7_rhs_fd)),
             Expectation.CONTESTED),
         IdentityRecord(
             "P7b",

@@ -3,7 +3,10 @@
 Two argument conventions coexist for K and E: the modulus k and the parameter
 m = k^2, and the source material for the audited identities mixes them freely.
 Every entry point therefore takes a tagged :class:`EllipticArgument`, so call
-sites always say which convention they mean and nothing here guesses.
+sites always say which convention they mean and nothing here guesses.  Its
+tag is a :class:`Convention` member: a string tag is converted, any other is
+refused, and a checked record refuses a bool.  Every formula that depends on
+the tag takes the argument, and only ``_complement_parameter`` forms k'^2 = 1 - m.
 
 All functions are pure, binary64 only, and safe to call concurrently.
 """
@@ -29,12 +32,31 @@ class Convention(str, Enum):
     PARAMETER = "parameter"  # argument is m = k^2
 
 
+def _finite_real(x) -> bool:
+    """A finite real number, not a bool: the checked records' test of a float."""
+    try:
+        return not isinstance(x, bool) and math.isfinite(x)
+    except TypeError:
+        return False
+
+
+class _CheckedRecord:
+    """Base of the records that validate in ``__new__``: ``_make`` and
+    ``_replace`` build through it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _EllipticArgumentFields(NamedTuple):
     value: float
     convention: Convention
 
 
-class EllipticArgument(_EllipticArgumentFields):
+class EllipticArgument(_CheckedRecord, _EllipticArgumentFields):
     """A modulus-or-parameter value in [0, 1) with an explicit convention tag.
 
     The open interval near 1 (above ``SINGULAR_CUTOFF``) is rejected at
@@ -45,23 +67,22 @@ class EllipticArgument(_EllipticArgumentFields):
     __slots__ = ()
 
     def __new__(cls, value: float, convention: Convention) -> "EllipticArgument":
-        v = value
-        if not math.isfinite(v):
-            raise DomainError(f"elliptic argument must be finite, got {v!r}")
-        if v < 0.0:
-            raise DomainError(f"elliptic argument must be >= 0, got {v!r}")
-        if v > 1.0:
-            raise DomainError(f"elliptic argument must be <= 1, got {v!r}")
-        if SINGULAR_CUTOFF < v < 1.0:
+        if not _finite_real(value):
+            raise DomainError(f"elliptic argument must be finite, got {value!r}")
+        if value < 0.0:
+            raise DomainError(f"elliptic argument must be >= 0, got {value!r}")
+        if value > 1.0:
+            raise DomainError(f"elliptic argument must be <= 1, got {value!r}")
+        if SINGULAR_CUTOFF < value < 1.0:
             raise SingularArgumentError(
-                f"elliptic argument {v!r} is inside the singular band "
+                f"elliptic argument {value!r} is inside the singular band "
                 f"({SINGULAR_CUTOFF!r}, 1.0)")
+        try:
+            convention = Convention(convention)
+        except ValueError:
+            raise DomainError(f"elliptic convention must be 'modulus' or "
+                              f"'parameter', got {convention!r}") from None
         return tuple.__new__(cls, (value, convention))
-
-    @classmethod
-    def _make(cls, iterable) -> "EllipticArgument":
-        """Built through ``__new__``, so ``_replace`` validates too."""
-        return cls(*iterable)
 
     @classmethod
     def from_modulus(cls, k: float) -> "EllipticArgument":
@@ -86,22 +107,19 @@ class EllipticArgument(_EllipticArgumentFields):
         return self.value * self.value
 
     def complement(self) -> "EllipticArgument":
-        """The complementary argument in this argument's own convention.
-
-        Modulus: k' = sqrt(1 - k^2), formed as sqrt((1-k)(1+k)) to keep
-        accuracy near k = 1.  Parameter: 1 - m.
-        """
-        v = self.value
+        """The complementary argument in this argument's own convention:
+        k' = sqrt(1 - k^2) for a modulus, 1 - m for a parameter."""
+        c = _complement_parameter(self)
         if self.convention is Convention.MODULUS:
-            return EllipticArgument(math.sqrt((1.0 - v) * (1.0 + v)), self.convention)
-        return EllipticArgument(1.0 - v, self.convention)
+            c = math.sqrt(c)
+        return EllipticArgument(c, self.convention)
 
 
 class _NomeFields(NamedTuple):
     q: float
 
 
-class Nome(_NomeFields):
+class Nome(_CheckedRecord, _NomeFields):
     """A nome q in [0, 1).
 
     q = 0 is admitted as the empty-series degenerate case.
@@ -110,14 +128,9 @@ class Nome(_NomeFields):
     __slots__ = ()
 
     def __new__(cls, q: float) -> "Nome":
-        if not math.isfinite(q) or not 0.0 <= q < 1.0:
+        if not _finite_real(q) or not 0.0 <= q < 1.0:
             raise DomainError(f"nome must lie in [0, 1), got {q!r}")
         return tuple.__new__(cls, (q,))
-
-    @classmethod
-    def _make(cls, iterable) -> "Nome":
-        """Built through ``__new__``, so ``_replace`` validates too."""
-        return cls(*iterable)
 
     @classmethod
     def from_pi_exponent(cls, a: float) -> "Nome":
@@ -150,7 +163,7 @@ def agm(x: float, y: float) -> float:
 
 
 def _complement_parameter(arg: EllipticArgument) -> float:
-    """1 - m computed without forming m when the tag is a modulus."""
+    """k'^2 = 1 - m, as (1-k)(1+k) for a modulus to keep accuracy near k = 1."""
     if arg.convention is Convention.MODULUS:
         k = arg.value
         return (1.0 - k) * (1.0 + k)
@@ -186,9 +199,6 @@ def ellint_E(arg: EllipticArgument) -> float:
     """
     if arg.value == 1.0:
         return 1.0
-    if arg.value > SINGULAR_CUTOFF:
-        raise SingularArgumentError(
-            f"E rejects the singular band near 1 ({arg.convention.value} {arg.value!r})")
     k = arg.k
     a, b = 1.0, math.sqrt(_complement_parameter(arg))
     total = 0.5 * k * k
@@ -212,18 +222,18 @@ def dK(arg: EllipticArgument) -> float:
     Modulus:   dK/dk = (E - k'^2 K) / (k k'^2)
     Parameter: dK/dm = (E - (1-m) K) / (2 m (1-m))
     """
-    if not 0.0 < arg.value < 1.0 or arg.value > SINGULAR_CUTOFF:
+    if not 0.0 < arg.value < 1.0:
         raise DomainError(
             f"dK requires 0 < value < 1, got {arg.convention.value} {arg.value!r}")
-    return _dK_from(arg.value, arg.convention, ellint_K(arg), ellint_E(arg))
+    return _dK_from(arg, ellint_K(arg), ellint_E(arg))
 
 
-def _dK_from(value: float, convention: Convention, K: float, E: float) -> float:
-    """dK/dk or dK/dm, per ``convention``, at ``value`` from K and E there."""
-    if convention is Convention.MODULUS:
-        kp2 = (1.0 - value) * (1.0 + value)
-        return (E - kp2 * K) / (value * kp2)
-    return (E - (1.0 - value) * K) / (2.0 * value * (1.0 - value))
+def _dK_from(arg: EllipticArgument, K: float, E: float) -> float:
+    """dK/dk or dK/dm, per the argument's convention, from K and E there."""
+    c = _complement_parameter(arg)
+    if arg.convention is Convention.MODULUS:
+        return (E - c * K) / (arg.value * c)
+    return (E - c * K) / (2.0 * arg.value * c)
 
 
 def legendre_defect(arg: EllipticArgument) -> float:
@@ -232,7 +242,7 @@ def legendre_defect(arg: EllipticArgument) -> float:
     Identically zero in exact arithmetic; the returned magnitude is the
     implementation's own error and is used as a self-check oracle.
     """
-    if not 0.0 < arg.value < 1.0 or arg.value > SINGULAR_CUTOFF:
+    if not 0.0 < arg.value < 1.0:
         raise DomainError(
             f"legendre_defect requires 0 < value < 1, got {arg.value!r}")
     comp = arg.complement()

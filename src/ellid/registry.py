@@ -28,7 +28,7 @@ import math
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .elliptic import Nome
+from .elliptic import Nome, _CheckedRecord, _finite_real
 from .errors import (ConfigError, ConstraintError, DomainError, EllidError,
                      UnknownIdentityError)
 from .series import (DEFAULT_POLICY, SeriesResult, TruncationPolicy, _inv_expm1,
@@ -80,7 +80,7 @@ class _PolynomialSpecFields(NamedTuple):
     coefficients: tuple[float, ...]
 
 
-class PolynomialSpec(_PolynomialSpecFields):
+class PolynomialSpec(_CheckedRecord, _PolynomialSpecFields):
     """A real polynomial f(x) = sum f_n x^n of degree <= 8.
 
     Keeps, from construction, the views of its coefficients that the
@@ -99,7 +99,7 @@ class PolynomialSpec(_PolynomialSpecFields):
         if len(coefficients) - 1 > MAX_POLY_DEGREE:
             raise DomainError(
                 f"polynomial degree {len(coefficients) - 1} above cap {MAX_POLY_DEGREE}")
-        if not all(math.isfinite(c) for c in coefficients):
+        if not all(map(_finite_real, coefficients)):
             raise DomainError("polynomial coefficients must be finite")
         self = tuple.__new__(cls, (coefficients,))
         self._rev = coefficients[::-1]
@@ -107,11 +107,6 @@ class PolynomialSpec(_PolynomialSpecFields):
         self._even = None if any(coefficients[1::2]) else coefficients[::2][::-1]
         self._nonzero = tuple((n, c, abs(c)) for n, c in enumerate(coefficients) if c != 0.0)
         return self
-
-    @classmethod
-    def _make(cls, iterable) -> "PolynomialSpec":
-        """Built through ``__new__``, so ``_replace`` validates too."""
-        return cls(*iterable)
 
     @classmethod
     @functools.cache

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .elliptic import Nome
+from .elliptic import Nome, _CheckedRecord, _finite_real
 from .errors import DomainError, EllidError, NonConvergenceError
 
 
@@ -23,7 +23,7 @@ class _TruncationPolicyFields(NamedTuple):
     cap: int
 
 
-class TruncationPolicy(_TruncationPolicyFields):
+class TruncationPolicy(_CheckedRecord, _TruncationPolicyFields):
     """Parameters of the stop rule shared by all series evaluators.
 
     ``sum_series`` states the rule; hitting ``cap`` first is a
@@ -34,18 +34,13 @@ class TruncationPolicy(_TruncationPolicyFields):
 
     def __new__(cls, tolerance: float = 1e-14,
                 cap: int = 10000) -> "TruncationPolicy":
-        if not (math.isfinite(tolerance) and tolerance > 0.0):
+        if not (_finite_real(tolerance) and tolerance > 0.0):
             raise DomainError(f"tolerance must be positive, got {tolerance!r}")
         if isinstance(cap, bool) or not isinstance(cap, int):
             raise DomainError(f"cap must be an integer, got {cap!r}")
         if cap < 1:
             raise DomainError(f"cap must be >= 1, got {cap!r}")
         return tuple.__new__(cls, (tolerance, cap))
-
-    @classmethod
-    def _make(cls, iterable) -> "TruncationPolicy":
-        """Built through ``__new__``, so ``_replace`` validates too."""
-        return cls(*iterable)
 
 
 DEFAULT_POLICY = TruncationPolicy()

@@ -21,7 +21,7 @@ from .series import (S2_alt_sin_sq_over_expm1, S2h_alt_sinh_sq_over_expm1,
                      S6_alt_sin_over_expm1, S7_csch_sinh, S8_exp_over_cube,
                      S9_lambert_E2, S10_alt_sin_lambert, SeriesResult,
                      n_cosh_over_sinh_double, zeta_neg)
-from .singular import dadk_candidates, dadk_fd, solve_k
+from .singular import dadk_fd, solve_k
 from .theta import (ThetaKind, log_theta_derivative, q_product_P0, theta2,
                     theta4_imag, theta4_u_derivative_imag, theta_u_derivative)
 
@@ -258,17 +258,14 @@ def _p6b_rhs(half: float, a):
 
 # -- P7 ---------------------------------------------------------------------
 
-def _p7_arg(value, convention) -> EllipticArgument:
-    return EllipticArgument(value, Convention(convention))
-
-
-def _p7_lhs(candidate: str, value, convention):
-    """The ``dadk_candidates`` entry named ``candidate``."""
-    return SeriesResult(dadk_candidates(_p7_arg(value, convention))[candidate])
+def _p7_lhs(dadk: Callable[[EllipticArgument, float, float], float], value, convention):
+    """da/d(argument) by ``dadk``, ``singular._dadk_stated`` or ``_dadk_classical``."""
+    arg = EllipticArgument(value, convention)
+    return SeriesResult(dadk(arg, ellint_K(arg), ellint_E(arg)))
 
 
 def _p7_rhs_fd(value, convention):
-    return SeriesResult(dadk_fd(_p7_arg(value, convention)).value)
+    return SeriesResult(dadk_fd(EllipticArgument(value, convention)).value)
 
 
 # -- P8 ---------------------------------------------------------------------
@@ -278,10 +275,10 @@ def _p8_lhs(r):
     return _combine(24.0 * s.value, s)
 
 
-def _p8_rhs(drdm: Callable[[float, Convention, float, float], float], r):
+def _p8_rhs(drdm: Callable[[EllipticArgument, float, float], float], r):
     k, K, E = _ke_at(r)
     m = k * k
-    d = drdm(m, Convention.PARAMETER, K, E)
+    d = drdm(EllipticArgument.from_parameter(m), K, E)
     denominator = math.pi * m * (1.0 - m) * K * d
     if denominator == 0.0:
         raise DomainError(f"pi m (1-m) K dr/dm is 0 at r={r!r} (dr/dm = {d!r})")

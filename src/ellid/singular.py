@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .elliptic import (Convention, EllipticArgument, SINGULAR_CUTOFF, _dK_from,
-                       agm, ellint_E, ellint_K)
+from .elliptic import (Convention, EllipticArgument, SINGULAR_CUTOFF,
+                       _complement_parameter, _dK_from, agm, ellint_E, ellint_K)
 from .errors import DomainError, NonConvergenceError, RangeError
 
 SOLVE_A_MIN = 0.05
@@ -235,7 +235,7 @@ def solve_k(a: float) -> SingularSolve:
 
 def a_of_k(arg: EllipticArgument) -> float:
     """K(complement)/K(argument) under the argument's own convention."""
-    if not 0.0 < arg.value < 1.0 or arg.value > SINGULAR_CUTOFF:
+    if not 0.0 < arg.value < 1.0:
         raise DomainError(f"a_of_k requires 0 < value < 1, got {arg.value!r}")
     k = arg.k
     return _ratio_from_modulus(k)
@@ -280,11 +280,11 @@ def dadk_candidates(arg: EllipticArgument) -> dict[str, float]:
         raise DomainError(f"dadk_candidates supports arguments in [0.05, 0.95], got {arg.value!r}")
     K = ellint_K(arg)
     E = ellint_E(arg)
-    return {"stated-formula": _dadk_stated(arg.value, arg.convention, K, E),
-            "classical": _dadk_classical(arg.value, arg.convention, K, E)}
+    return {"stated-formula": _dadk_stated(arg, K, E),
+            "classical": _dadk_classical(arg, K, E)}
 
 
-def _dadk_stated(value: float, convention: Convention, K: float, E: float) -> float:
+def _dadk_stated(arg: EllipticArgument, K: float, E: float) -> float:
     """The stated da/d(argument), (dK/darg)/(E K - K^2), from K and E there.
 
     E K - K^2 rounds to 0 where K and E agree to every bit or nearly (P8's
@@ -292,15 +292,15 @@ def _dadk_stated(value: float, convention: Convention, K: float, E: float) -> fl
     """
     denominator = E * K - K * K
     if denominator == 0.0:
-        raise DomainError(f"E K - K^2 is 0 at {convention.value} {value!r} "
+        raise DomainError(f"E K - K^2 is 0 at {arg.convention.value} {arg.value!r} "
                           f"(E = {E!r}, K = {K!r})")
-    return _dK_from(value, convention, K, E) / denominator
+    return _dK_from(arg, K, E) / denominator
 
 
-def _dadk_classical(value: float, convention: Convention, K: float, E: float) -> float:
+def _dadk_classical(arg: EllipticArgument, K: float, E: float) -> float:
     """The textbook da/d(argument): -pi/(2 k k'^2 K^2) for the modulus, the
     chain-ruled -pi/(4 m (1-m) K^2) for the parameter.  E is not used."""
-    if convention is Convention.MODULUS:
-        kp2 = (1.0 - value) * (1.0 + value)
-        return -math.pi / (2.0 * value * kp2 * K * K)
-    return -math.pi / (4.0 * value * (1.0 - value) * K * K)
+    c = _complement_parameter(arg)
+    if arg.convention is Convention.MODULUS:
+        return -math.pi / (2.0 * arg.value * c * K * K)
+    return -math.pi / (4.0 * arg.value * c * K * K)

@@ -35,6 +35,8 @@ GOLDEN_CSV = "tests/test_cli.py::test_check_all_matches_golden_csv_and_text[csv-
 GOLDEN_TEXT = "tests/test_cli.py::test_check_all_matches_golden_csv_and_text[text-check_all.txt]"
 REFERENCE_JSON = PARITY + "test_render_json_gives_the_reference_bytes"
 ARGUMENT_CHECK = "tests/test_series.py::test_argument_checks_raise_their_exact_message"
+INVALID_RECORD = "tests/test_records.py::test_invalid_record_raises_same_error"
+STRING_TAG = "tests/test_elliptic.py::test_string_tag_reads_as_its_member"
 
 
 class Mutant(NamedTuple):
@@ -71,6 +73,42 @@ MUTANTS = [
            "not x > 0.0", "x < 0.0",
            (ARGUMENT_CHECK + "[S3_alt_n_over_expm1(0.0,)]",
             ARGUMENT_CHECK + "[S5_sech(nan,)]")),
+    Mutant("p11a-mirror-at-plus-c", "registry.py", "_bilateral_exp_sinh",
+           "-c", "c",
+           (PARITY + "test_hoisted_bilateral_sum_gives_the_reference_bits[P11a]",)),
+    Mutant("bilateral-exp-over-d-regrouped", "registry.py", "_bilateral_exp_sinh",
+           "2.0 * math.exp(-e - x) / d", "math.exp(-e - x) * (2.0 / d)",
+           (PARITY + "test_hoisted_bilateral_sum_gives_the_reference_bits[P11a]",
+            PARITY + "test_hoisted_bilateral_sum_gives_the_reference_bits[P12]")),
+    Mutant("even-part-in-ascending-order", "registry.py", "PolynomialSpec.__new__",
+           "coefficients[::2][::-1]", "coefficients[::2]",
+           (PARITY + "test_hoisted_p10_sum_gives_the_reference_bits[P10]",
+            GOLDEN_JSON, GOLDEN_CSV, GOLDEN_TEXT)),
+    Mutant("no-plan-kept", "registry.py", "Registry.run",
+           "self._plans[identity] = points, values, order", "pass",
+           ("tests/test_registry.py::"
+            "test_a_second_run_validates_nothing_and_calls_every_side_again",)),
+    Mutant("ties-in-reverse-order", "registry.py", "Registry.run",
+           "range(len(rows))", "reversed(range(len(rows)))",
+           ("tests/test_registry.py::test_run_gives_the_rows_of_one_sort_after_the_run[0]",)),
+    # the modulus/parameter convention
+    Mutant("complement-as-one-minus-square", "elliptic.py", "_complement_parameter",
+           "(1.0 - k) * (1.0 + k)", "1.0 - k * k",
+           (GOLDEN_JSON,
+            "tests/test_bench_replay.py::test_reference_deck_matches_reference_lines[sweep]")),
+    Mutant("p7-base-binds-classical", "catalog.py", "build_registry",
+           "partial(_p7_lhs, _dadk_stated)", "partial(_p7_lhs, _dadk_classical)",
+           (GOLDEN_JSON, GOLDEN_CSV, GOLDEN_TEXT)),
+    Mutant("string-tag-kept", "elliptic.py", "EllipticArgument.__new__",
+           "Convention(convention)", "convention",
+           (STRING_TAG + "[modulus]", STRING_TAG + "[parameter]",
+            INVALID_RECORD + "[<lambda>-DomainError-elliptic convention must be "
+            "'modulus' or 'parameter', got 'bogus']")),
+    Mutant("finite-real-accepts-bool", "elliptic.py", "_finite_real",
+           "isinstance(x, bool)", "False",
+           (INVALID_RECORD + "[<lambda>-DomainError-tolerance must be positive, got True]",
+            INVALID_RECORD + "[<lambda>-DomainError-elliptic argument must be finite, got True]",
+            INVALID_RECORD + "[polynomial-bool]")),
     # the checks that keep the report's bytes deterministic
     Mutant("json-memo-key-without-type", "reporting.py", "_json_params",
            "(k, type(v), v)", "(k, v)",
@@ -84,6 +122,16 @@ MUTANTS = [
     Mutant("rel-text-reused-at-zero", "reporting.py", "render_json",
            "rel == ab != 0.0", "rel == ab",
            (REFERENCE_JSON + "[row24]", REFERENCE_JSON + "[all]")),
+    Mutant("rel-text-reused-across-types", "reporting.py", "render_json",
+           "rel == ab != 0.0 and type(rel) is type(ab) is float", "rel == ab != 0.0",
+           (REFERENCE_JSON + "[row25]", REFERENCE_JSON + "[row26]")),
+    Mutant("terms-fast-path-too-broad", "reporting.py", "render_json",
+           'len(t) == 2 and "lhs" in t and "rhs" in t', '"lhs" in t and "rhs" in t',
+           (REFERENCE_JSON + "[row8]", REFERENCE_JSON + "[all]")),
+    Mutant("terms-fast-path-swapped", "reporting.py", "render_json",
+           r'''f"\"lhs\": {int(t['lhs'])}, \"rhs\": {int(t['rhs'])}"''',
+           r'''f"\"rhs\": {int(t['rhs'])}, \"lhs\": {int(t['lhs'])}"''',
+           (REFERENCE_JSON + "[row0]", GOLDEN_JSON)),
     Mutant("one-memo-for-both-sides", "registry.py", "_reports_at",
            "lhs_seen, rhs_seen = {}, {}", "lhs_seen = rhs_seen = {}",
            ("tests/test_registry.py::test_variants_share_each_side_once_per_point",

@@ -256,6 +256,21 @@ def test_complement():
     assert abs(arg.complement().value - 0.8) < 1e-15
 
 
+@pytest.mark.parametrize("tag", list(Convention), ids=lambda c: c.value)
+def test_string_tag_reads_as_its_member(tag):
+    # Convention is a str enum, so a string tag compares equal to its member;
+    # it must also be read as that member, never by the other branch.
+    by_string, by_member = EllipticArgument(0.5, tag.value), EllipticArgument(0.5, tag)
+    assert by_string.convention is tag
+
+    def bits(arg):
+        comp = arg.complement()
+        return [float.hex(x) for x in (ellint_K(arg), ellint_E(arg), arg.k, arg.m,
+                                       comp.value, dK(arg))]
+
+    assert bits(by_string) == bits(by_member)
+
+
 def test_nome_builds():
     q = Nome.from_pi_exponent(1.0)
     assert abs(math.log(q.q) + PI) <= 1e-14 * PI

@@ -128,6 +128,23 @@ INVALID = [
     (lambda: TruncationPolicy(1e-14, 1e9), DomainError,
      "cap must be an integer, got 1000000000.0"),
     (lambda: TruncationPolicy(cap=True), DomainError, "cap must be an integer, got True"),
+    # a bool is not a number here, and a string is refused as a DomainError
+    (lambda: TruncationPolicy(True, 50), DomainError, "tolerance must be positive, got True"),
+    (lambda: TruncationPolicy("1e-14"), DomainError,
+     "tolerance must be positive, got '1e-14'"),
+    (lambda: Nome(False), DomainError, "nome must lie in [0, 1), got False"),
+    (lambda: Nome("0.5"), DomainError, "nome must lie in [0, 1), got '0.5'"),
+    (lambda: EllipticArgument(True, Convention.MODULUS), DomainError,
+     "elliptic argument must be finite, got True"),
+    (lambda: EllipticArgument("0.5", Convention.MODULUS), DomainError,
+     "elliptic argument must be finite, got '0.5'"),
+    (lambda: EllipticArgument(0.5, "bogus"), DomainError,
+     "elliptic convention must be 'modulus' or 'parameter', got 'bogus'"),
+    # ids of their own, so the (0.0, inf) row below keeps its id
+    pytest.param(lambda: PolynomialSpec((True, 2.0)), DomainError,
+                 "polynomial coefficients must be finite", id="polynomial-bool"),
+    pytest.param(lambda: PolynomialSpec(("1",)), DomainError,
+                 "polynomial coefficients must be finite", id="polynomial-str"),
     (lambda: PolynomialSpec(()), DomainError,
      "polynomial needs at least one coefficient"),
     (lambda: PolynomialSpec((1.0,) * 10), DomainError,
