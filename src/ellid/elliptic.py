@@ -33,10 +33,11 @@ class Convention(str, Enum):
 
 
 def _finite_real(x) -> bool:
-    """A finite real number, not a bool: the checked records' test of a float."""
+    """A finite real number, not a bool: the checked records' test of a float.
+    An int too large for a float is not one."""
     try:
         return not isinstance(x, bool) and math.isfinite(x)
-    except TypeError:
+    except (TypeError, OverflowError):
         return False
 
 

@@ -386,9 +386,9 @@ class IdentityRecord(NamedTuple):
                     raise ConstraintError(
                         f"{self.identity_id}: {p.name}={v!r} not in {p.choices}")
                 continue
-            # a bool is an int, but no parameter reads True as 1
-            if (isinstance(v, bool) or not isinstance(v, (int, float))
-                    or not math.isfinite(float(v))):
+            # a bool is an int, but no parameter reads True as 1: _finite_real
+            # refuses it, and an int too large for a float
+            if not (isinstance(v, (int, float)) and _finite_real(v)):
                 raise ConstraintError(
                     f"{self.identity_id}: {p.name}={v!r} is not a finite number")
             if p.lo is not None and v < p.lo:

@@ -4,14 +4,15 @@ The ratio K(k')/K(k) is strictly decreasing in k, so ``solve_k`` bisects
 g(k) = log(K(k')/K(k)) - log max(a, 1/a) down to one ulp and polishes with
 secant steps.  Newton on k is avoided on purpose: dK/dk stiffens badly as
 k -> 1.
-The bisection is replayed rather than run: a secant estimate of the root,
-made from g alone, places a narrow window whose ends have |g| above twice
-the rounding-error bound ``_G_ERROR``; a midpoint outside the window has a
-sign that monotonicity already fixes, so g is evaluated only inside it.
-The result, ``iterations`` and every refusal are those of the plain
-bisection, from under a quarter of its AGMs.  The estimate does not start
-from the theta inversion k = theta2^2/theta3^2, which would tie the solver
-to the theta code that the audited right-hand sides are checked against.
+The bisection is replayed rather than run: Jacobi's nome product for
+k = theta2^2/theta3^2 places a narrow window around the root whose ends
+have |g| above twice the rounding-error bound ``_G_ERROR``; a midpoint
+outside the window has a sign that monotonicity already fixes, so g is
+evaluated only inside it.  The result, ``iterations`` and every refusal are
+those of the plain bisection, from under a sixth of its AGMs.  The product
+only decides where g is evaluated, never the result, and is written here
+rather than taken from ``ellid.theta``, whose sums the audited right-hand
+sides use.
 
 For a < 1 the solver works on the reciprocal problem and complements, since
 the direct root then sits within a few ulp of 1 where bisection loses all
@@ -66,64 +67,41 @@ _BRACKET_LOGS = tuple(math.log(r) for r in _BRACKET_RATIOS)
 # error seen against a 200-bit oracle is about 7 u.
 _G_ERROR = 2.0 ** -47
 
-# The root estimate stops once |g| is this small.  Near the root the secant
-# error shrinks superlinearly, so its next prediction, used unevaluated as
-# the window centre, is then close enough: over 120000 fuzzed solves every
-# window came out narrower than 2e-12 relative, where a tolerance of 2^-20
-# left one window in eight wide.
-_ESTIMATE_TOL = 2.0 ** -36
-_ESTIMATE_STEPS = 8
 
-
-def _window(g, lo: float, glo: float, hi: float,
+def _window(g, b: float, lo: float, glo: float, hi: float,
             ghi: float) -> tuple[float, float, float, float]:
     """(wlo, g(wlo), whi, g(whi)) with lo <= wlo < whi <= hi around the root.
 
-    g(wlo) > 2 eps and g(whi) < -2 eps, eps = ``_G_ERROR``.  The bracket ends
-    qualify, and every evaluation that clears 2 eps tightens its side, so
-    a step that misses leaves that side at an earlier point, at worst the
-    bracket end.  The estimate is a bisection-safeguarded secant in
-    v = log log(4/k), where g rises almost linearly (g ~ v + log(2/pi) -
-    log b as k -> 0); two evaluations 4 eps/g'(v) either side of its last
-    prediction then make the window.
+    g(wlo) > 2 eps and g(whi) < -2 eps, eps = ``_G_ERROR``.  The centre is
+    the root in closed form, Jacobi's
+
+        k = theta2^2/theta3^2 = 4 sqrt(q) prod_n ((1 + q^2n)/(1 + q^(2n-1)))^4
+
+    at the nome q = exp(-pi b) (DLMF 22.2.2, 20.5.1-20.5.3), taken to
+    v = log log(4/k); the product stops once its factors round to 1, after
+    six at b = 1 and none from b ~ 12 on.  In v, g rises with slope at
+    least 1 on the bracket (1.58 at b = 1, tending to 1 as k -> 0, where
+    g ~ v + log(2/pi) - log b), and the computed centre is within 2e-15
+    of the root for b in [1, 20], so g at v -+ 4 eps clears 2 eps on either
+    side.  An end that does not clear leaves its side at the bracket end.
     """
+    q = math.exp(-math.pi * b)
+    k = 4.0 * math.sqrt(q)
+    odd = q  # q^(2n-1)
+    while 1.0 + odd != 1.0:
+        k *= ((1.0 + odd * q) / (1.0 + odd)) ** 4
+        odd *= q * q
+    centre = math.log(math.log(4.0 / k))
+    half = 4.0 * _G_ERROR
     two_eps = 2.0 * _G_ERROR
     wlo, gwlo, whi, gwhi = lo, glo, hi, ghi
-
-    def at(v: float) -> float:
-        nonlocal wlo, gwlo, whi, gwhi
+    for v in (centre - half, centre + half):
         k = 4.0 * math.exp(-math.exp(v))
         gk = g(k)
         if gk > two_eps and k > wlo:
             wlo, gwlo = k, gk
         elif gk < -two_eps and k < whi:
             whi, gwhi = k, gk
-        return gk
-
-    vlo, vhi = math.log(math.log(4.0 / hi)), math.log(math.log(4.0 / lo))
-    vmin, vmax = vlo, vhi
-    va, fa, vb, fb = vlo, ghi, vhi, glo
-    for _ in range(_ESTIMATE_STEPS):
-        v = 0.5 * (vmin + vmax)
-        if fb != fa:
-            secant = vb - fb * (vb - va) / (fb - fa)
-            if vmin < secant < vmax:
-                v = secant
-        fv = at(v)
-        if fv > 0.0:
-            vmax = v
-        else:
-            vmin = v
-        va, fa, vb, fb = vb, fb, v, fv
-        if abs(fv) <= _ESTIMATE_TOL:
-            break
-    slope = (fb - fa) / (vb - va)
-    if slope > 0.0:
-        centre = vb - fb / slope
-        half = 4.0 * _G_ERROR / slope
-        if vlo < centre - half and centre + half < vhi:
-            at(centre - half)
-            at(centre + half)
     return wlo, gwlo, whi, gwhi
 
 
@@ -143,10 +121,10 @@ def solve_k(a: float) -> SingularSolve:
     strictly decreasing, so at every k < wlo it exceeds g(wlo) - eps > eps,
     and the computed g, within eps of it, is positive; likewise negative at
     every k > whi.  The bisection takes the same branch there without
-    evaluating g.  The estimate that places the window uses only g itself,
-    never the theta inversion k = theta2^2/theta3^2, which would tie the
-    solver to the theta code that the audited right-hand sides are checked
-    against.
+    evaluating g.  The window is centred on the closed-form root k =
+    theta2^2/theta3^2 at the nome exp(-pi b), so placing it costs two
+    evaluations of g; where the centre lands decides only which points are
+    evaluated, never the result.
     """
     if not math.isfinite(a) or not SOLVE_A_MIN <= a <= SOLVE_A_MAX:
         raise RangeError(f"solve_k supports a in [{SOLVE_A_MIN}, {SOLVE_A_MAX}], got {a!r}")
@@ -166,7 +144,7 @@ def solve_k(a: float) -> SingularSolve:
     ghi = _BRACKET_LOGS[1] - target
     if not (glo > 0.0 > ghi):
         raise RangeError(f"solve_k bracket failed for a={a!r}")
-    wlo, gwlo, whi, gwhi = _window(g, lo, glo, hi, ghi)
+    wlo, gwlo, whi, gwhi = _window(g, b, lo, glo, hi, ghi)
     # Bisection to full binary64 resolution; g is strictly decreasing.  A
     # midpoint outside the window takes the value of the window end on its
     # side, which has the right sign.  The loop ends on two adjacent floats,

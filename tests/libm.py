@@ -1,25 +1,31 @@
 """A perturbed libm for tests: ellid's transcendental results moved by a few ulps.
 
 ``perturbed_libm`` swaps the ``math`` of every loaded ``ellid`` module for a
-namespace whose chosen functions return their true result moved by a seeded
-random number of ulps in [-ulps, ulps], each step a ``math.nextafter``.  A
-libm that differs from the one the golden bytes were made with differs this
-way, so a result that survives it does not rest on libm's last bit.
+namespace whose chosen functions return their true result moved by a number
+of ulps in [-ulps, ulps], each step a ``math.nextafter``.  A libm that
+differs from the one the golden bytes were made with differs this way, so a
+result that survives it does not rest on libm's last bit.  The move is a
+hash of the argument bits and of a salt that the seed draws for each
+function, so a perturbed function, like a real libm, gives the same result
+for the same argument however many calls came before.
 """
 
 import contextlib
 import math
 import random
+import struct
 import sys
 import types
+import zlib
 
 TRANSCENDENTAL = ("exp", "log", "sin", "cos", "tan", "expm1", "log1p", "sqrt")
 
 
-def _moved(fn, rng: random.Random, ulps: int):
+def _moved(fn, salt: bytes, ulps: int):
     def wrapped(*args):
         y = fn(*args)
-        steps = rng.randint(-ulps, ulps)
+        key = struct.pack(f"<{len(args)}d", *args) + salt
+        steps = zlib.crc32(key) % (2 * ulps + 1) - ulps
         toward = math.copysign(math.inf, steps)
         for _ in range(abs(steps)):
             y = math.nextafter(y, toward)
@@ -46,7 +52,7 @@ def perturbed_libm(seed: int, ulps: int = 1, names=TRANSCENDENTAL,
     rng = random.Random(seed)
     fake = types.SimpleNamespace(**vars(math))
     for name in names:
-        setattr(fake, name, _moved(getattr(math, name), rng, ulps))
+        setattr(fake, name, _moved(getattr(math, name), rng.randbytes(8), ulps))
     for module in modules:
         module.math = fake
     try:

@@ -37,6 +37,9 @@ REFERENCE_JSON = PARITY + "test_render_json_gives_the_reference_bytes"
 ARGUMENT_CHECK = "tests/test_series.py::test_argument_checks_raise_their_exact_message"
 INVALID_RECORD = "tests/test_records.py::test_invalid_record_raises_same_error"
 STRING_TAG = "tests/test_elliptic.py::test_string_tag_reads_as_its_member"
+CONSTRAINTS = "tests/test_registry.py::test_constraint_violations_raise"
+WINDOW_ENDS = "tests/test_singular.py::test_window_ends_clear_twice_the_error_bound"
+ROOT_ONLY = "tests/test_singular.py::test_solve_k_evaluates_g_near_the_root_only"
 
 
 class Mutant(NamedTuple):
@@ -117,8 +120,20 @@ MUTANTS = [
            "if v:\n    memo[key] = text", "memo[key] = text",
            (REFERENCE_JSON + "[all]",)),
     Mutant("validate-point-accepts-bool", "registry.py", "IdentityRecord.validate_point",
-           "isinstance(v, bool)", "False",
-           ("tests/test_registry.py::test_constraint_violations_raise",)),
+           "_finite_real(v)", "(isinstance(v, bool) or _finite_real(v))",
+           (CONSTRAINTS,)),
+    Mutant("finite-real-overflows-on-a-huge-int", "elliptic.py", "_finite_real",
+           "(TypeError, OverflowError)", "TypeError",
+           (INVALID_RECORD + "[huge-int-argument]", INVALID_RECORD + "[huge-int-nome]",
+            INVALID_RECORD + "[huge-int-tolerance]", INVALID_RECORD + "[huge-int-polynomial]",
+            CONSTRAINTS)),
+    # the closed-form window of solve_k
+    Mutant("window-half-width-narrowed", "singular.py", "_window",
+           "4.0 * _G_ERROR", "0.5 * _G_ERROR",
+           (WINDOW_ENDS, ROOT_ONLY)),
+    Mutant("nome-exponent-halved", "singular.py", "_window",
+           "-math.pi * b", "-0.5 * math.pi * b",
+           (WINDOW_ENDS, ROOT_ONLY)),
     Mutant("rel-text-reused-at-zero", "reporting.py", "render_json",
            "rel == ab != 0.0", "rel == ab",
            (REFERENCE_JSON + "[row24]", REFERENCE_JSON + "[all]")),

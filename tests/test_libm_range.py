@@ -19,7 +19,7 @@ from test_expect_pass_range import KE_CANCELLATION, KNOWN_DEFECTS, _point, shipp
 
 PASS = Classification.PASS
 
-LIBM_SEEDS = (0, 1, 2)
+LIBM_SEEDS = tuple(range(6))
 
 # (identity, variant, point values in ParamSpec order) ->
 #     (shipped class, mechanism): rows whose shipped class the oracle does

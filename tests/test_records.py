@@ -103,6 +103,8 @@ def test_default_policy_is_shared_and_immutable():
 
 _SINGULAR = 1.0 - 1e-13
 
+_HUGE = 10 ** 400  # float(_HUGE) overflows
+
 INVALID = [
     (lambda: EllipticArgument(math.inf, Convention.MODULUS), DomainError,
      "elliptic argument must be finite, got inf"),
@@ -157,6 +159,15 @@ INVALID = [
      "monomial degree must be >= 0, got -1"),
     (lambda: Registry([default_registry().get("P1")] * 2), ValueError,
      "duplicate identity id 'P1'"),
+    # an int too large for a float is not a finite number
+    pytest.param(lambda: EllipticArgument(_HUGE, Convention.MODULUS), DomainError,
+                 f"elliptic argument must be finite, got {_HUGE!r}", id="huge-int-argument"),
+    pytest.param(lambda: Nome(_HUGE), DomainError,
+                 f"nome must lie in [0, 1), got {_HUGE!r}", id="huge-int-nome"),
+    pytest.param(lambda: TruncationPolicy(_HUGE), DomainError,
+                 f"tolerance must be positive, got {_HUGE!r}", id="huge-int-tolerance"),
+    pytest.param(lambda: PolynomialSpec((_HUGE,)), DomainError,
+                 "polynomial coefficients must be finite", id="huge-int-polynomial"),
 ]
 
 

@@ -168,6 +168,11 @@ def test_constraint_violations_raise():
         default_registry().evaluate("P7", "base", {"value": 0.5, "convention": "weird"})
     with pytest.raises(ConstraintError, match="is not a finite number"):
         default_registry().evaluate("E4", "base", {"a": True})  # not a = 1
+    huge = 10 ** 400  # float(huge) overflows
+    with pytest.raises(ConstraintError, match="is not a finite number"):
+        default_registry().evaluate("E4", "base", {"a": huge})
+    with pytest.raises(ConstraintError, match="is not a finite number"):
+        default_registry().run(["E4"], {"a": [huge]})
 
 
 def test_every_constraint_cuts_its_declared_box():
