@@ -151,6 +151,10 @@ MUTANTS = [
            "lhs_seen, rhs_seen = {}, {}", "lhs_seen = rhs_seen = {}",
            ("tests/test_registry.py::test_variants_share_each_side_once_per_point",
             "tests/test_registry.py::test_check_grid_shares_each_side_once_per_point")),
+    # the process entry
+    Mutant("entry-freezes-nothing", "cli.py", "_entry",
+           "gc.freeze()", "None",
+           ("tests/test_cli.py::test_entry_freezes_the_heap_before_main",)),
 ]
 
 

@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, formats, overrides, determinism."""
 
+import gc
 import itertools
 import json
 import os
@@ -239,6 +240,13 @@ def test_check_all_hash_seed_independent(tmp_path):
             check=True, env=child_env(PYTHONHASHSEED=seed))
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+    # and CI's golden-bytes step: the report on stdout through the process
+    # entry's whole exit path, warnings as errors, exit 0 and a quiet stderr
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ellid.cli", "check-all", "--format", "json"],
+        capture_output=True, env=child_env())
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == outs[0] == GOLDEN_REPORT.read_bytes()
 
 
 def test_check_all_matches_golden_report(capsys):
@@ -464,3 +472,30 @@ def test_malformed_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["check", "E4", "--format", "yaml"])
     assert e.value.code == 2
+
+
+# -- the process entry ---------------------------------------------------------
+
+def test_entry_freezes_the_heap_before_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+    assert cli._entry() == 7
+    assert calls == ["freeze", "main"]
+
+
+@pytest.mark.parametrize("argv", [["list"], ["check", "E4"], ["check-all"],
+                                  ["eval", "K", "--k", "0.5"]])
+def test_main_in_process_freezes_nothing(argv, capsys):
+    # a frozen caller's heap would keep its garbage cycles for good
+    frozen = gc.get_freeze_count()
+    assert run(argv, capsys)[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_script_entry_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"ellid": "ellid.cli:_entry"}
