@@ -173,11 +173,7 @@ def _complement_parameter(arg: EllipticArgument) -> float:
 
 def ellint_K(arg: EllipticArgument) -> float:
     """Complete elliptic integral of the first kind, K = pi / (2*agm(1, k'))."""
-    if arg.value > SINGULAR_CUTOFF:
-        raise SingularArgumentError(
-            f"K is singular for {arg.convention.value} {arg.value!r}")
-    kprime = math.sqrt(_complement_parameter(arg))
-    return math.pi / (2.0 * agm(1.0, kprime))
+    return _ke(arg)[0]
 
 
 def ellint_K_extended(m: float) -> float:
@@ -192,14 +188,22 @@ def ellint_K_extended(m: float) -> float:
 
 
 def ellint_E(arg: EllipticArgument) -> float:
-    """Complete elliptic integral of the second kind.
-
-    AGM descent with the correction sum E = K * (1 - sum 2^(n-1) c_n^2),
-    c_0 = k, c_n = (a_(n-1) - b_(n-1))/2; the sum is accumulated in
-    compensated form.  E(1) = 1 is returned directly.
-    """
+    """Complete elliptic integral of the second kind; E(1) = 1 exactly."""
     if arg.value == 1.0:
         return 1.0
+    return _ke(arg)[1]
+
+
+def _ke(arg: EllipticArgument) -> tuple[float, float]:
+    """(K, E) from one AGM descent from (1, k'), the only loop for either.
+
+    It is ``agm``'s update and stop test, so K = pi/(2 (a_N + b_N)/2) has
+    ``agm``'s bits.  E = (pi/(2 a_N)) (1 - sum 2^(n-1) c_n^2), c_0 = k, c_n =
+    (a_(n-1) - b_(n-1))/2, the sum compensated.  Refuses K's singular band.
+    """
+    if arg.value > SINGULAR_CUTOFF:
+        raise SingularArgumentError(
+            f"K is singular for {arg.convention.value} {arg.value!r}")
     k = arg.k
     a, b = 1.0, math.sqrt(_complement_parameter(arg))
     total = 0.5 * k * k
@@ -214,7 +218,7 @@ def ellint_E(arg: EllipticArgument) -> float:
         comp = (t - total) - y
         total = t
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return (1.0 - total) * math.pi / (2.0 * a)
+    return math.pi / (2.0 * (0.5 * (a + b))), (1.0 - total) * math.pi / (2.0 * a)
 
 
 def dK(arg: EllipticArgument) -> float:
@@ -226,7 +230,7 @@ def dK(arg: EllipticArgument) -> float:
     if not 0.0 < arg.value < 1.0:
         raise DomainError(
             f"dK requires 0 < value < 1, got {arg.convention.value} {arg.value!r}")
-    return _dK_from(arg, ellint_K(arg), ellint_E(arg))
+    return _dK_from(arg, *_ke(arg))
 
 
 def _dK_from(arg: EllipticArgument, K: float, E: float) -> float:
@@ -246,9 +250,6 @@ def legendre_defect(arg: EllipticArgument) -> float:
     if not 0.0 < arg.value < 1.0:
         raise DomainError(
             f"legendre_defect requires 0 < value < 1, got {arg.value!r}")
-    comp = arg.complement()
-    K = ellint_K(arg)
-    E = ellint_E(arg)
-    Kc = ellint_K(comp)
-    Ec = ellint_E(comp)
+    K, E = _ke(arg)
+    Kc, Ec = _ke(arg.complement())
     return E * Kc + Ec * K - K * Kc - 0.5 * math.pi

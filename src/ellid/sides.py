@@ -10,7 +10,7 @@ import functools
 import math
 from typing import Callable
 
-from .elliptic import (Convention, EllipticArgument, Nome, ellint_E, ellint_K,
+from .elliptic import (Convention, EllipticArgument, Nome, _ke, ellint_K,
                        ellint_K_extended)
 from .errors import DomainError
 from .registry import (PolynomialSpec, _alt_poly_over_expm1, _bilateral_exp_sinh,
@@ -55,8 +55,7 @@ def _ke_at(a: float) -> tuple[float, float, float]:
     sweep never repeats an a.  Errors are not cached.
     """
     k = solve_k(a).k.value
-    arg = EllipticArgument.from_parameter(k * k)
-    return k, ellint_K(arg), ellint_E(arg)
+    return (k, *_ke(EllipticArgument.from_parameter(k * k)))
 
 
 # -- P1 ---------------------------------------------------------------------
@@ -261,7 +260,7 @@ def _p6b_rhs(half: float, a):
 def _p7_lhs(dadk: Callable[[EllipticArgument, float, float], float], value, convention):
     """da/d(argument) by ``dadk``, ``singular._dadk_stated`` or ``_dadk_classical``."""
     arg = EllipticArgument(value, convention)
-    return SeriesResult(dadk(arg, ellint_K(arg), ellint_E(arg)))
+    return SeriesResult(dadk(arg, *_ke(arg)))
 
 
 def _p7_rhs_fd(value, convention):
@@ -362,20 +361,19 @@ _P12_POLY = PolynomialSpec((0.0, 0.0, 1.0, 1.0))  # x^2 + x^3, f(0) = 0
 
 
 def _p12_rhs_printed(a, s):
-    f = _P12_POLY
-    bil = _bilateral_exp_sinh(f, math.pi ** 2 * a, 2.0 * math.pi, a, s,
+    """2a - 2a f(0) s + a pi sum_(n != 0) f(2 pi n a) e^(-2 pi n s a)/sinh(pi^2 a n),
+    with the f(0) term dropped: it is 0 for P12's f."""
+    bil = _bilateral_exp_sinh(_P12_POLY, math.pi ** 2 * a, 2.0 * math.pi, a, s,
                               weight_half_n=False)
-    value = 2.0 * a - 2.0 * a * f.eval(0.0) * s + a * math.pi * bil.value
-    return _combine(value, bil)
+    return _combine(2.0 * a + a * math.pi * bil.value, bil)
 
 
 def _p12_rhs_derived(a, s):
-    f = _P12_POLY
-    bil = _bilateral_exp_sinh(f, math.pi ** 2 * a, 2.0 * math.pi, a, s,
+    """2a f_1 s - 2a f_2 - sum_(n != 0) f(2 pi a n) e^(-2 pi a s n)/(2n sinh(pi^2 a n)),
+    with f_1 = 0 and f_2 = 1 for P12's f."""
+    bil = _bilateral_exp_sinh(_P12_POLY, math.pi ** 2 * a, 2.0 * math.pi, a, s,
                               weight_half_n=True)
-    value = (2.0 * a * f.coefficient(1) * s - 2.0 * a * f.coefficient(2)
-             - bil.value)
-    return _combine(value, bil)
+    return _combine(-2.0 * a - bil.value, bil)
 
 
 # -- P7b ----------------------------------------------------------------

@@ -29,7 +29,7 @@ import math
 from typing import NamedTuple
 
 from .elliptic import (Convention, EllipticArgument, SINGULAR_CUTOFF,
-                       _complement_parameter, _dK_from, agm, ellint_E, ellint_K)
+                       _complement_parameter, _dK_from, _ke, agm)
 from .errors import DomainError, NonConvergenceError, RangeError
 
 SOLVE_A_MIN = 0.05
@@ -87,7 +87,7 @@ def _window(g, b: float, lo: float, glo: float, hi: float,
     """
     q = math.exp(-math.pi * b)
     k = 4.0 * math.sqrt(q)
-    odd = q  # q^(2n-1)
+    odd = q  # q^(2n-1); bound: b >= 1 gives q <= e^(-pi), so at most 6 steps
     while 1.0 + odd != 1.0:
         k *= ((1.0 + odd * q) / (1.0 + odd)) ** 4
         odd *= q * q
@@ -150,6 +150,7 @@ def solve_k(a: float) -> SingularSolve:
     # side, which has the right sign.  The loop ends on two adjacent floats,
     # and a midpoint below wlo or above whi is never one of them unless it
     # is the window end itself, so glo and ghi are computed values at exit.
+    # Bound: each pass halves [lo, hi]; a NaN g is neither > 0 nor < 0: exit.
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -256,8 +257,7 @@ def dadk_candidates(arg: EllipticArgument) -> dict[str, float]:
     """
     if not 0.05 <= arg.value <= 0.95:
         raise DomainError(f"dadk_candidates supports arguments in [0.05, 0.95], got {arg.value!r}")
-    K = ellint_K(arg)
-    E = ellint_E(arg)
+    K, E = _ke(arg)
     return {"stated-formula": _dadk_stated(arg, K, E),
             "classical": _dadk_classical(arg, K, E)}
 

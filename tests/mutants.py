@@ -151,6 +151,11 @@ MUTANTS = [
            "lhs_seen, rhs_seen = {}, {}", "lhs_seen = rhs_seen = {}",
            ("tests/test_registry.py::test_variants_share_each_side_once_per_point",
             "tests/test_registry.py::test_check_grid_shares_each_side_once_per_point")),
+    # the one AGM descent of K and E
+    Mutant("ke-K-from-last-a", "elliptic.py", "_ke",
+           "math.pi / (2.0 * (0.5 * (a + b)))", "math.pi / (2.0 * a)",
+           ("tests/test_elliptic.py::test_K_has_the_bits_of_the_raw_agm",
+            "tests/test_bench_replay.py::test_reference_deck_matches_reference_lines[library]")),
     # the process entry
     Mutant("entry-freezes-nothing", "cli.py", "_entry",
            "gc.freeze()", "None",

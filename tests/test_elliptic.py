@@ -1,6 +1,7 @@
 """Core elliptic integrals: AGM, K, E, dK, the Legendre self-check."""
 
 import math
+import random
 import warnings
 
 import pytest
@@ -10,6 +11,7 @@ from scipy.integrate import IntegrationWarning, quad
 from ellid import (Convention, DomainError, EllipticArgument, Nome,
                    SingularArgumentError, agm, dK, ellint_E, ellint_K,
                    ellint_K_extended, legendre_defect)
+from ellid.elliptic import SINGULAR_CUTOFF, _complement_parameter, _ke
 
 PI = math.pi
 
@@ -155,6 +157,37 @@ def test_singular_band_rejected():
         EllipticArgument.from_modulus(-0.1)
     with pytest.raises(DomainError):
         EllipticArgument.from_parameter(1.5)
+
+
+def _one_pass_arguments():
+    """A seeded draw in both conventions: the ends, values within 1e-11 of 1,
+    log-uniform small values and uniform ones."""
+    rng = random.Random(32)
+    values = [0.0, 5e-324, 1e-300, SINGULAR_CUTOFF]
+    values += [1.0 - rng.uniform(1e-12, 1e-11) for _ in range(300)]
+    values += [10.0 ** rng.uniform(-300.0, 0.0) for _ in range(300)]
+    values += [rng.uniform(0.0, SINGULAR_CUTOFF) for _ in range(600)]
+    return [EllipticArgument(v, c) for c in Convention for v in values]
+
+
+def test_K_has_the_bits_of_the_raw_agm():
+    # one descent gives K and E; its K is agm's final mean, bit for bit
+    def raw(arg):
+        return PI / (2.0 * agm(1.0, math.sqrt(_complement_parameter(arg))))
+
+    bad = [arg for arg in _one_pass_arguments()
+           if float.hex(ellint_K(arg)) != float.hex(raw(arg))]
+    assert bad == []
+
+
+@pytest.mark.parametrize("convention", list(Convention), ids=lambda c: c.value)
+def test_one_pass_refuses_the_singular_point_as_K_does(convention):
+    arg = EllipticArgument(1.0, convention)
+    with pytest.raises(SingularArgumentError) as by_K:
+        ellint_K(arg)
+    with pytest.raises(SingularArgumentError) as by_pass:
+        _ke(arg)
+    assert str(by_pass.value) == str(by_K.value) == f"K is singular for {convention.value} 1.0"
 
 
 @pytest.mark.parametrize("call, error, message", [

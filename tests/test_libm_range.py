@@ -49,7 +49,7 @@ def libm_moved():
     memo, so whether it moves depends on its own libm calls only, not on
     the rows evaluated before it.
     """
-    registry = default_registry()  # E8's grid computes q at build time
+    registry = default_registry()
     want = shipped()
     modules = ellid_modules()
     moved = set()

@@ -236,7 +236,6 @@ def test_run_all_deterministic():
 def test_no_golden_class_rests_on_libm_last_bit():
     # Each run moves every transcendental result and sqrt by a seeded 0 or
     # +-1 ulp, as another libm might; the bits move, the classes must not.
-    default_registry()  # E8's grid computes q at build time: build unperturbed
     base = default_registry().run_all()
     want = [r.classification for r in base]
     values = {(r.lhs, r.rhs) for r in base}

@@ -1,5 +1,5 @@
 """Guards on the source of the kernel modules and the CLI, read with ``ast``,
-and on the size of every module of ellid."""
+and on the size and the loops of every module of ellid."""
 
 import ast
 import tokenize
@@ -110,3 +110,53 @@ def test_module_stays_within_the_token_budget(path):
         count = sum(1 for token in tokenize.generate_tokens(fh.readline)
                     if token.type not in (tokenize.COMMENT, tokenize.NL))
     assert count <= MAX_MODULE_TOKENS
+
+
+# Every ``while`` loop of ellid, by (module, function), and what bounds it.
+# A ``for`` over a range or a sequence needs no entry.
+WHILE_BOUNDS = {
+    ("singular", "_window"): "the nome product: b >= 1 gives q <= e^(-pi), "
+                             "so 1 + q^(2n-1) rounds to 1 after at most 6 factors",
+    ("singular", "solve_k"): "the bisection replay: each pass halves [lo, hi] until "
+                             "they are adjacent floats, and a NaN g takes the exit branch",
+}
+
+# The two AGM descents stop on |a - b| <= 4 eps a alone, with no iteration
+# cap; this set may only shrink.
+KNOWN_UNBOUNDED = {("elliptic", "agm"), ("elliptic", "_ke")}
+
+
+def _while_loops():
+    """(module, innermost function) of each ``while`` in ellid, sorted."""
+    found = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.While):
+            found.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return sorted(found)
+
+
+def test_every_while_loop_has_a_stated_bound():
+    assert not WHILE_BOUNDS.keys() & KNOWN_UNBOUNDED
+    assert _while_loops() == sorted(WHILE_BOUNDS.keys() | KNOWN_UNBOUNDED)
+
+
+def test_no_function_calls_both_K_and_E():
+    # K and E at one argument come from one descent, elliptic._ke
+    calls = {}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, ast.FunctionDef):
+                names = {node.func.id for node in ast.walk(function)
+                         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+                calls[path.stem, function.name] = names
+    both = [key for key, names in calls.items() if {"ellint_K", "ellint_E"} <= names]
+    assert calls["elliptic", "ellint_K"] == {"_ke"}
+    assert both == []
