@@ -155,7 +155,11 @@ def agm(x: float, y: float) -> float:
     first iteration is symmetric in (x, y), so agm(x, y) == agm(y, x)
     bit for bit.
     """
-    if not (math.isfinite(x) and math.isfinite(y)) or x <= 0.0 or y <= 0.0:
+    try:
+        finite = math.isfinite(x) and math.isfinite(y)
+    except (TypeError, OverflowError):  # not a number, or an int past float
+        finite = False
+    if not finite or x <= 0.0 or y <= 0.0:
         raise DomainError(f"agm requires positive finite inputs, got ({x!r}, {y!r})")
     a, b = x, y
     while abs(a - b) > 4.0 * _EPS * a:
@@ -182,7 +186,7 @@ def ellint_K_extended(m: float) -> float:
     Same AGM route as ellint_K; exists for audits of the descending
     transformation, whose transformed argument m/(m-1) is negative.
     """
-    if not math.isfinite(m) or m > SINGULAR_CUTOFF:
+    if not _finite_real(m) or m > SINGULAR_CUTOFF:
         raise SingularArgumentError(f"K is singular or undefined for parameter {m!r}")
     return math.pi / (2.0 * agm(1.0, math.sqrt(1.0 - m)))
 

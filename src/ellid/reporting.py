@@ -88,6 +88,12 @@ def render_json(reports: Sequence[ResidualReport]) -> str:
     return "[\n  " + ",\n  ".join(rows) + "\n]\n"
 
 
+def _flat_params(params: dict, sep: str) -> str:
+    """``params`` as name=value entries in name order, joined by ``sep``."""
+    return sep.join(f"{k}={v if isinstance(v, str) else format_number(v)}"
+                    for k, v in sorted(params.items()))
+
+
 def _flat_cell(x: float) -> str:
     if isinstance(x, float) and not math.isfinite(x):
         return ""
@@ -102,9 +108,7 @@ def render_csv(reports: Sequence[ResidualReport]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(REPORT_FIELDS)
     for r in reports:
-        params = ";".join(
-            f"{k}={v if isinstance(v, str) else format_number(v)}"
-            for k, v in sorted(r.params.items()))
+        params = _flat_params(r.params, ";")
         terms = ";".join(f"{k}={int(v)}" for k, v in sorted(r.terms.items()))
         writer.writerow([
             r.identity, r.variant, params,
@@ -132,9 +136,7 @@ def render_text(reports: Sequence[ResidualReport], registry: Registry) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     for r in reports:
-        params = " ".join(
-            f"{k}={v if isinstance(v, str) else format_number(v)}"
-            for k, v in sorted(r.params.items()))
+        params = _flat_params(r.params, " ")
         rel = "" if not math.isfinite(r.rel_residual) else f"{r.rel_residual:.3e}"
         lines.append(f"{r.identity:<8} {r.variant:<18} {params:<34} "
                      f"{rel:>13} {r.classification.value:<12} {r.note}".rstrip())

@@ -1,9 +1,9 @@
 """Singular modulus: solve K(k')/K(k) = a for k, and derivative oracles.
 
 The ratio K(k')/K(k) is strictly decreasing in k, so ``solve_k`` bisects
-g(k) = log(K(k')/K(k)) - log max(a, 1/a) down to one ulp and polishes with
-secant steps.  Newton on k is avoided on purpose: dK/dk stiffens badly as
-k -> 1.
+g(k) = log(K(k')/K(k)) - log max(a, 1/a) down to one ulp and keeps the end
+with the smaller |g|, the exit midpoint on a tie.  Newton on k is avoided on
+purpose: dK/dk stiffens badly as k -> 1.
 The bisection is replayed rather than run: Jacobi's nome product for
 k = theta2^2/theta3^2 places a narrow window around the root whose ends
 have |g| above twice the rounding-error bound ``_G_ERROR``; a midpoint
@@ -29,7 +29,7 @@ import math
 from typing import NamedTuple
 
 from .elliptic import (Convention, EllipticArgument, SINGULAR_CUTOFF,
-                       _complement_parameter, _dK_from, _ke, agm)
+                       _complement_parameter, _dK_from, _finite_real, _ke, agm)
 from .errors import DomainError, NonConvergenceError, RangeError
 
 SOLVE_A_MIN = 0.05
@@ -55,7 +55,9 @@ def _ratio_from_modulus(k: float) -> float:
 
 
 # The bracket [1e-15, 0.75] that solve_k bisects, and K(k')/K(k) and its log
-# at both ends: none of them depends on a.
+# at both ends: none of them depends on a.  The logs are 3.130 and -0.057, so
+# g = log(K(k')/K(k)) - log b brackets the root for every b in [1, 20]
+# (log 20 = 2.996).
 _BRACKET = (1e-15, 0.75)
 _BRACKET_RATIOS = tuple(_ratio_from_modulus(k) for k in _BRACKET)
 _BRACKET_LOGS = tuple(math.log(r) for r in _BRACKET_RATIOS)
@@ -114,8 +116,9 @@ def solve_k(a: float) -> SingularSolve:
 
     The result is the one a plain bisection of g(k) = log(K(k')/K(k)) -
     log b over [1e-15, 0.75] to one ulp gives, ``iterations`` included,
-    but g is evaluated only at the midpoints that fall inside a narrow
-    window around the root (see ``_window``).  With eps = ``_G_ERROR`` a
+    ending on the end with the smaller |g| or, on a tie, on the exit
+    midpoint.  But g is evaluated only at the midpoints that fall inside a
+    narrow window around the root (see ``_window``).  With eps = ``_G_ERROR`` a
     bound on the rounding error of the computed log(K(k')/K(k)), the window
     ends have computed g(wlo) > 2 eps and g(whi) < -2 eps.  The exact g is
     strictly decreasing, so at every k < wlo it exceeds g(wlo) - eps > eps,
@@ -126,7 +129,7 @@ def solve_k(a: float) -> SingularSolve:
     evaluations of g; where the centre lands decides only which points are
     evaluated, never the result.
     """
-    if not math.isfinite(a) or not SOLVE_A_MIN <= a <= SOLVE_A_MAX:
+    if not _finite_real(a) or not SOLVE_A_MIN <= a <= SOLVE_A_MAX:
         raise RangeError(f"solve_k supports a in [{SOLVE_A_MIN}, {SOLVE_A_MAX}], got {a!r}")
 
     # Work on b = max(a, 1/a) >= 1, whose root lies in (0, 1/sqrt(2)].
@@ -142,8 +145,6 @@ def solve_k(a: float) -> SingularSolve:
     iterations = 0
     glo = _BRACKET_LOGS[0] - target
     ghi = _BRACKET_LOGS[1] - target
-    if not (glo > 0.0 > ghi):
-        raise RangeError(f"solve_k bracket failed for a={a!r}")
     wlo, gwlo, whi, gwhi = _window(g, b, lo, glo, hi, ghi)
     # Bisection to full binary64 resolution; g is strictly decreasing.  A
     # midpoint outside the window takes the value of the window end on its
@@ -170,27 +171,18 @@ def solve_k(a: float) -> SingularSolve:
             lo = hi = mid
             glo = ghi = gm
             break
-    # Secant polish.  lo and hi are adjacent floats, so the step can only
-    # land on one of them.  It changes the result on a tie |g(lo)| ==
-    # |g(hi)|, which is common because g takes few distinct values next to
-    # the root: the step then lands on the half-way point, which rounds to
-    # even and can move k from lo to hi.  Over 20000 draws of a it stepped
-    # in 1094 solves, each a tie, and moved k_b every time.
-    k_b, gk = (lo, glo) if abs(glo) <= abs(ghi) else (hi, ghi)
-    k_other, g_other = (hi, ghi) if k_b == lo else (lo, glo)
-    for _ in range(2):
-        denom = gk - g_other
-        if denom == 0.0:
-            break
-        candidate = k_b - gk * (k_b - k_other) / denom
-        if not 0.0 < candidate < 1.0 or candidate == k_b:
-            break
-        iterations += 1
-        g_cand = g(candidate)
-        k_other, g_other = k_b, gk
-        k_b, gk = candidate, g_cand
-        if gk == 0.0:
-            break
+    # k_b is the end with the smaller |g|.  On a tie, common because g takes
+    # few distinct values next to the root, it is the exit midpoint: the end
+    # with the even significand, where a secant step through both ends
+    # lands, or lo = hi on an exact zero of g or a NaN.  A move from lo to
+    # hi counts one iteration, the step's.
+    if abs(glo) < abs(ghi):
+        k_b = lo
+    elif abs(ghi) < abs(glo):
+        k_b = hi
+    else:
+        k_b = mid
+        iterations += mid != lo
 
     ratio = ratio_at.get(k_b)
     if ratio is None:

@@ -40,6 +40,7 @@ STRING_TAG = "tests/test_elliptic.py::test_string_tag_reads_as_its_member"
 CONSTRAINTS = "tests/test_registry.py::test_constraint_violations_raise"
 WINDOW_ENDS = "tests/test_singular.py::test_window_ends_clear_twice_the_error_bound"
 ROOT_ONLY = "tests/test_singular.py::test_solve_k_evaluates_g_near_the_root_only"
+PLAIN_BISECTION = "tests/test_singular.py::test_solve_k_matches_plain_bisection"
 
 
 class Mutant(NamedTuple):
@@ -134,6 +135,13 @@ MUTANTS = [
     Mutant("nome-exponent-halved", "singular.py", "_window",
            "-math.pi * b", "-0.5 * math.pi * b",
            (WINDOW_ENDS, ROOT_ONLY)),
+    # the tie rule that ends solve_k
+    Mutant("tie-keeps-lo", "singular.py", "solve_k",
+           "k_b = mid", "k_b = lo",
+           (PLAIN_BISECTION,)),
+    Mutant("tie-move-uncounted", "singular.py", "solve_k",
+           "iterations += mid != lo", "pass",
+           (PLAIN_BISECTION,)),
     Mutant("rel-text-reused-at-zero", "reporting.py", "render_json",
            "rel == ab != 0.0", "rel == ab",
            (REFERENCE_JSON + "[row24]", REFERENCE_JSON + "[all]")),

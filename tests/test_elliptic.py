@@ -205,6 +205,24 @@ def test_refusal_type_and_text(call, error, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("x, y", [(10 ** 400, 1.0), (1.0, -10 ** 400), ("1", 1.0)],
+                         ids=["huge-int", "huge-negative-int", "str"])
+def test_agm_refuses_a_non_float_input(x, y):
+    with pytest.raises(DomainError) as excinfo:
+        agm(x, y)
+    assert type(excinfo.value) is DomainError
+    assert str(excinfo.value) == f"agm requires positive finite inputs, got ({x!r}, {y!r})"
+
+
+@pytest.mark.parametrize("m", [10 ** 400, -10 ** 400, "0.5"],
+                         ids=["huge-int", "huge-negative-int", "str"])
+def test_K_extended_refuses_a_non_float_parameter(m):
+    with pytest.raises(SingularArgumentError) as excinfo:
+        ellint_K_extended(m)
+    assert type(excinfo.value) is SingularArgumentError
+    assert str(excinfo.value) == f"K is singular or undefined for parameter {m!r}"
+
+
 def test_K_extended_negative_parameter():
     # K(m=-3) = pi / (2 agm(1, 2))
     got = ellint_K_extended(-3.0)

@@ -4,6 +4,7 @@ import math
 import random
 import struct
 import zlib
+from collections import Counter
 
 import pytest
 
@@ -65,6 +66,23 @@ def test_solve_range_errors():
         solve_k(0.06)
 
 
+@pytest.mark.parametrize("a", [10 ** 400, -10 ** 400, "1"],
+                         ids=["huge-int", "huge-negative-int", "str"])
+def test_solve_k_refuses_a_non_float_a(a):
+    with pytest.raises(RangeError) as excinfo:
+        solve_k(a)
+    assert type(excinfo.value) is RangeError
+    assert str(excinfo.value) == f"solve_k supports a in [0.05, 20.0], got {a!r}"
+
+
+def test_bracket_holds_the_root_for_every_supported_a():
+    # solve_k relies on g > 0 at 1e-15 and g < 0 at 0.75 for every b =
+    # max(a, 1/a) it accepts, without checking it per call
+    lo, hi = singular._BRACKET_LOGS
+    b_max = max(SOLVE_A_MAX, 1.0 / SOLVE_A_MIN)
+    assert lo - math.log(b_max) > 0.0 > hi - math.log(1.0)
+
+
 def test_solve_extremes_within_range():
     res = solve_k(20.0)
     assert res.residual <= 1e-12
@@ -76,9 +94,9 @@ def test_solve_extremes_within_range():
 
 # -- the window replay against a plain bisection --------------------------------
 
-def _reference_solve_k(a: float) -> SingularSolve:
-    """The plain solver: bisect g over [1e-15, 0.75] to one ulp, evaluating
-    g at every midpoint, then the secant polish."""
+def _reference_bisection(a: float):
+    """The plain bisection of g over [1e-15, 0.75] to one ulp, evaluating g
+    at every midpoint: (g, lo, glo, hi, ghi, iterations) at its exit."""
     if not math.isfinite(a) or not SOLVE_A_MIN <= a <= SOLVE_A_MAX:
         raise RangeError(f"solve_k supports a in [{SOLVE_A_MIN}, {SOLVE_A_MAX}], got {a!r}")
     b = a if a >= 1.0 else 1.0 / a
@@ -107,6 +125,12 @@ def _reference_solve_k(a: float) -> SingularSolve:
             lo = hi = mid
             glo = ghi = gm
             break
+    return g, lo, glo, hi, ghi, iterations
+
+
+def _reference_solve_k(a: float) -> SingularSolve:
+    """The plain solver: ``_reference_bisection``, then the secant polish."""
+    g, lo, glo, hi, ghi, iterations = _reference_bisection(a)
     k_b = lo if abs(glo) <= abs(ghi) else hi
     gk = g(k_b)
     k_other, g_other = (hi, ghi) if k_b == lo else (lo, glo)
@@ -176,6 +200,19 @@ def _outcome(solver, a):
             res.residual.hex())
 
 
+def _bisection_exit(a: float) -> str:
+    """How the plain bisection at a supported ``a`` ends, which decides what
+    the secant polish does: on an exact zero of g, on adjacent ends with
+    |g(lo)| == |g(hi)| where the half-way point rounds to lo or to hi, or
+    on adjacent ends without a tie."""
+    _, lo, glo, hi, ghi, _ = _reference_bisection(a)
+    if lo == hi:
+        return "zero"
+    if abs(glo) != abs(ghi):
+        return "no tie"
+    return "tie kept at lo" if 0.5 * (lo + hi) == lo else "tie moved to hi"
+
+
 def test_solve_k_matches_plain_bisection():
     refused = 0
     for a in PARITY_DRAWS:
@@ -184,6 +221,13 @@ def test_solve_k_matches_plain_bisection():
         refused += want[0] == "RangeError"
     # the draws reach both outcomes, and the edge itself
     assert 12 < refused < len(PARITY_DRAWS) // 4
+    # and every exit of the bisection, each often (2081 zeros, 109 ties kept
+    # at lo, 113 moved to hi and 131 without a tie with a correctly rounded
+    # libm)
+    exits = Counter(_bisection_exit(a) for a in PARITY_DRAWS
+                    if math.isfinite(a) and SOLVE_A_MIN <= a <= SOLVE_A_MAX)
+    assert sorted(exits) == ["no tie", "tie kept at lo", "tie moved to hi", "zero"]
+    assert min(exits.values()) >= 50, exits
     assert _outcome(solve_k, REFUSAL_EDGE)[0] != "RangeError"
     assert _outcome(solve_k, math.nextafter(REFUSAL_EDGE, 0.0))[0] == "RangeError"
 
@@ -206,7 +250,7 @@ def test_solve_k_evaluates_g_near_the_root_only(monkeypatch):
             except RangeError:
                 pass
     # the plain bisection spends about 130 AGMs per solve on these draws,
-    # the window replay 20.5 on average and 36 at most
+    # the window replay 20.4 on average and 34 at most
     assert calls[0] <= 22 * solves
 
 
