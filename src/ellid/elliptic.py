@@ -33,8 +33,9 @@ class Convention(str, Enum):
 
 
 def _finite_real(x) -> bool:
-    """A finite real number, not a bool: the checked records' test of a float.
-    An int too large for a float is not one."""
+    """A finite real number, not a bool: the checked records' test of a value
+    that their float shortcut does not take.  An int too large for a float is
+    not one."""
     try:
         return not isinstance(x, bool) and math.isfinite(x)
     except (TypeError, OverflowError):
@@ -68,21 +69,25 @@ class EllipticArgument(_CheckedRecord, _EllipticArgumentFields):
     __slots__ = ()
 
     def __new__(cls, value: float, convention: Convention) -> "EllipticArgument":
-        if not _finite_real(value):
-            raise DomainError(f"elliptic argument must be finite, got {value!r}")
-        if value < 0.0:
-            raise DomainError(f"elliptic argument must be >= 0, got {value!r}")
-        if value > 1.0:
-            raise DomainError(f"elliptic argument must be <= 1, got {value!r}")
-        if SINGULAR_CUTOFF < value < 1.0:
-            raise SingularArgumentError(
-                f"elliptic argument {value!r} is inside the singular band "
-                f"({SINGULAR_CUTOFF!r}, 1.0)")
-        try:
-            convention = Convention(convention)
-        except ValueError:
-            raise DomainError(f"elliptic convention must be 'modulus' or "
-                              f"'parameter', got {convention!r}") from None
+        # A float in [0, SINGULAR_CUTOFF] passes every check below, and a
+        # member needs no conversion: both skip the work they would do.
+        if type(value) is not float or not 0.0 <= value <= SINGULAR_CUTOFF:
+            if not _finite_real(value):
+                raise DomainError(f"elliptic argument must be finite, got {value!r}")
+            if value < 0.0:
+                raise DomainError(f"elliptic argument must be >= 0, got {value!r}")
+            if value > 1.0:
+                raise DomainError(f"elliptic argument must be <= 1, got {value!r}")
+            if SINGULAR_CUTOFF < value < 1.0:
+                raise SingularArgumentError(
+                    f"elliptic argument {value!r} is inside the singular band "
+                    f"({SINGULAR_CUTOFF!r}, 1.0)")
+        if type(convention) is not Convention:
+            try:
+                convention = Convention(convention)
+            except ValueError:
+                raise DomainError(f"elliptic convention must be 'modulus' or "
+                                  f"'parameter', got {convention!r}") from None
         return tuple.__new__(cls, (value, convention))
 
     @classmethod
@@ -129,23 +134,40 @@ class Nome(_CheckedRecord, _NomeFields):
     __slots__ = ()
 
     def __new__(cls, q: float) -> "Nome":
-        if not _finite_real(q) or not 0.0 <= q < 1.0:
+        # a float needs no _finite_real: the range test refuses NaN and inf
+        if not (type(q) is float or _finite_real(q)) or not 0.0 <= q < 1.0:
             raise DomainError(f"nome must lie in [0, 1), got {q!r}")
         return tuple.__new__(cls, (q,))
 
     @classmethod
     def from_pi_exponent(cls, a: float) -> "Nome":
         """q = exp(-pi*a) for a > 0."""
-        if not a > 0.0:
+        try:
+            positive = a > 0.0
+        except TypeError:  # not a number: refused as a NaN is
+            positive = False
+        if not positive:
             raise DomainError(f"pi-exponent must be positive, got {a!r}")
-        return cls(math.exp(-math.pi * a))
+        try:
+            q = math.exp(-math.pi * a)
+        except OverflowError:  # an int too large for a float
+            raise DomainError(f"pi-exponent {a!r} does not fit in a float") from None
+        return cls(q)
 
     @classmethod
     def from_exponent(cls, c: float) -> "Nome":
         """q = exp(-c) for c > 0."""
-        if not c > 0.0:
+        try:
+            positive = c > 0.0
+        except TypeError:  # not a number: refused as a NaN is
+            positive = False
+        if not positive:
             raise DomainError(f"exponent must be positive, got {c!r}")
-        return cls(math.exp(-c))
+        try:
+            q = math.exp(-c)
+        except OverflowError:  # an int too large for a float
+            raise DomainError(f"exponent {c!r} does not fit in a float") from None
+        return cls(q)
 
 
 def agm(x: float, y: float) -> float:

@@ -373,7 +373,7 @@ class IdentityRecord(NamedTuple):
     def validate_point(self, point: Mapping) -> tuple:
         """The point's values in ``ParamSpec`` order; a violation raises."""
         names = {p.name for p in self.params}
-        if set(point.keys()) != names:
+        if point.keys() != names:  # a keys view compares as a set
             raise ConstraintError(
                 f"{self.identity_id}: expected parameters {sorted(names)}, "
                 f"got {sorted(point.keys())}")
@@ -386,17 +386,22 @@ class IdentityRecord(NamedTuple):
                     raise ConstraintError(
                         f"{self.identity_id}: {p.name}={v!r} not in {p.choices}")
                 continue
+            lo, hi = p.lo, p.hi
+            # a finite float inside both bounds passes every check below
+            if (type(v) is float and lo is not None and hi is not None
+                    and lo <= v <= hi and math.isfinite(v)):
+                continue
             # a bool is an int, but no parameter reads True as 1: _finite_real
             # refuses it, and an int too large for a float
             if not (isinstance(v, (int, float)) and _finite_real(v)):
                 raise ConstraintError(
                     f"{self.identity_id}: {p.name}={v!r} is not a finite number")
-            if p.lo is not None and v < p.lo:
+            if lo is not None and v < lo:
                 raise ConstraintError(
-                    f"{self.identity_id}: {p.name}={v!r} below {p.lo}")
-            if p.hi is not None and v > p.hi:
+                    f"{self.identity_id}: {p.name}={v!r} below {lo}")
+            if hi is not None and v > hi:
                 raise ConstraintError(
-                    f"{self.identity_id}: {p.name}={v!r} above {p.hi}")
+                    f"{self.identity_id}: {p.name}={v!r} above {hi}")
         if self.constraint is not None and not self.constraint(point):
             raise ConstraintError(
                 f"{self.identity_id}: point {dict(point)!r} violates "

@@ -218,13 +218,20 @@ def S1_cosh_over_sinh(a: float, t: float,
     Term decay is e^((2|t| - pi a) n), so 2|t| < pi*a is required.
     """
     _require_positive("S1", "a", a)
-    ta = 2.0 * abs(t)
-    if not ta < math.pi * a:
+    try:
+        ta = 2.0 * abs(t)
+    except OverflowError:  # an int too large for a float: inf, as for a huge float
+        ta = math.inf
+    try:
+        pa = math.pi * a
+    except OverflowError:  # an int too large for a float
+        raise DomainError(f"S1 a={a!r} does not fit in a float") from None
+    if not ta < pa:
         raise DomainError(
-            f"S1 divergence: angle scale {ta!r} must stay below pi*a = {math.pi * a!r}")
+            f"S1 divergence: angle scale {ta!r} must stay below pi*a = {pa!r}")
 
     def term(n: int) -> tuple[float, float]:
-        v = _cosh_over_sinh(ta * n, math.pi * a * n) / n
+        v = _cosh_over_sinh(ta * n, pa * n) / n
         return v, v
 
     return sum_series(term, policy)
@@ -250,9 +257,13 @@ def S2h_alt_sinh_sq_over_expm1(c: float, theta: float,
     """sum (-1)^n sinh(theta n)^2 / (n (e^(cn) - 1)); needs 2|theta| < c."""
     _require_positive("S2h", "c", c)
     th = abs(theta)
-    if not 2.0 * th < c:
+    try:
+        scale = 2.0 * th
+    except OverflowError:  # an int too large for a float: inf, as for a huge float
+        scale = math.inf
+    if not scale < c:
         raise DomainError(
-            f"S2h divergence: 2|theta| = {2.0 * th!r} must stay below c = {c!r}")
+            f"S2h divergence: 2|theta| = {scale!r} must stay below c = {c!r}")
 
     def term(n: int) -> tuple[float, float]:
         # sinh^2(y)/(e^x - 1) = e^(2y-x) (1 - e^(-2y))^2 / (4 (1 - e^(-x)))
@@ -346,7 +357,11 @@ def S6closed(a: float, v: float,
              policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """-(1/2) sum sin(v) / (cos(v) + cosh(an)), the closed form paired with S6."""
     _require_positive("S6closed", "a", a)
-    if not math.isfinite(v):
+    try:
+        finite = math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
         raise DomainError(f"S6closed requires a finite v, got {v!r}")
     av = abs(v)
     sv = math.sin(av)

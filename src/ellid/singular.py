@@ -8,11 +8,11 @@ The bisection is replayed rather than run: Jacobi's nome product for
 k = theta2^2/theta3^2 places a narrow window around the root whose ends
 have |g| above twice the rounding-error bound ``_G_ERROR``; a midpoint
 outside the window has a sign that monotonicity already fixes, so g is
-evaluated only inside it.  The result, ``iterations`` and every refusal are
-those of the plain bisection, from under a sixth of its AGMs.  The product
-only decides where g is evaluated, never the result, and is written here
-rather than taken from ``ellid.theta``, whose sums the audited right-hand
-sides use.
+evaluated only inside it, and a step outside it only moves an end.  The
+result, ``iterations`` and every refusal are those of the plain bisection,
+from under a sixth of its AGMs.  The product only decides where g is
+evaluated, never the result, and is written here rather than taken from
+``ellid.theta``, whose sums the audited right-hand sides use.
 
 For a < 1 the solver works on the reciprocal problem and complements, since
 the direct root then sits within a few ulp of 1 where bisection loses all
@@ -55,12 +55,12 @@ def _ratio_from_modulus(k: float) -> float:
 
 
 # The bracket [1e-15, 0.75] that solve_k bisects, and K(k')/K(k) and its log
-# at both ends: none of them depends on a.  The logs are 3.130 and -0.057, so
-# g = log(K(k')/K(k)) - log b brackets the root for every b in [1, 20]
-# (log 20 = 2.996).
+# at both ends: none of them depends on a, so each solve starts from a copy of
+# the ratio map.  The logs are 3.130 and -0.057, so g = log(K(k')/K(k)) -
+# log b brackets the root for every b in [1, 20] (log 20 = 2.996).
 _BRACKET = (1e-15, 0.75)
-_BRACKET_RATIOS = tuple(_ratio_from_modulus(k) for k in _BRACKET)
-_BRACKET_LOGS = tuple(math.log(r) for r in _BRACKET_RATIOS)
+_BRACKET_RATIO_AT = {k: _ratio_from_modulus(k) for k in _BRACKET}
+_BRACKET_LOGS = tuple(math.log(_BRACKET_RATIO_AT[k]) for k in _BRACKET)
 
 # Bound on the rounding error of the computed log(K(k')/K(k)) for k in the
 # bracket [1e-15, 0.75]: 64 u (u = 2^-53).  Each AGM step adds at most about
@@ -124,18 +124,21 @@ def solve_k(a: float) -> SingularSolve:
     strictly decreasing, so at every k < wlo it exceeds g(wlo) - eps > eps,
     and the computed g, within eps of it, is positive; likewise negative at
     every k > whi.  The bisection takes the same branch there without
-    evaluating g.  The window is centred on the closed-form root k =
+    evaluating g: such a step moves lo or hi and counts its iteration, and
+    the g at each end is the window end's until a step inside the window
+    moves it.  The window is centred on the closed-form root k =
     theta2^2/theta3^2 at the nome exp(-pi b), so placing it costs two
     evaluations of g; where the centre lands decides only which points are
     evaluated, never the result.
     """
-    if not _finite_real(a) or not SOLVE_A_MIN <= a <= SOLVE_A_MAX:
+    # a float needs no _finite_real: the range test refuses NaN and +-inf
+    if not (type(a) is float or _finite_real(a)) or not SOLVE_A_MIN <= a <= SOLVE_A_MAX:
         raise RangeError(f"solve_k supports a in [{SOLVE_A_MIN}, {SOLVE_A_MAX}], got {a!r}")
 
     # Work on b = max(a, 1/a) >= 1, whose root lies in (0, 1/sqrt(2)].
     b = a if a >= 1.0 else 1.0 / a
     target = math.log(b)
-    ratio_at = dict(zip(_BRACKET, _BRACKET_RATIOS))
+    ratio_at = _BRACKET_RATIO_AT.copy()
 
     def g(k: float) -> float:
         ratio = ratio_at[k] = _ratio_from_modulus(k)
@@ -143,14 +146,16 @@ def solve_k(a: float) -> SingularSolve:
 
     lo, hi = _BRACKET
     iterations = 0
-    glo = _BRACKET_LOGS[0] - target
-    ghi = _BRACKET_LOGS[1] - target
-    wlo, gwlo, whi, gwhi = _window(g, b, lo, glo, hi, ghi)
+    wlo, glo, whi, ghi = _window(g, b, lo, _BRACKET_LOGS[0] - target,
+                                 hi, _BRACKET_LOGS[1] - target)
     # Bisection to full binary64 resolution; g is strictly decreasing.  A
-    # midpoint outside the window takes the value of the window end on its
-    # side, which has the right sign.  The loop ends on two adjacent floats,
-    # and a midpoint below wlo or above whi is never one of them unless it
-    # is the window end itself, so glo and ghi are computed values at exit.
+    # midpoint outside the window has the sign of the window end on its
+    # side, so it moves lo or hi and nothing else.  The loop ends on two
+    # adjacent floats around the root, so an end that no evaluated midpoint
+    # set is the window end on its side: a midpoint below wlo or above whi
+    # is never one of them, and a bracket end only when the window end did
+    # not leave it.  glo and ghi therefore start at the window ends' g,
+    # change only where g is evaluated, and are computed values at exit.
     # Bound: each pass halves [lo, hi]; a NaN g is neither > 0 nor < 0: exit.
     while True:
         mid = 0.5 * (lo + hi)
@@ -158,19 +163,19 @@ def solve_k(a: float) -> SingularSolve:
             break
         iterations += 1
         if mid <= wlo:
-            gm = gwlo
+            lo = mid
         elif mid >= whi:
-            gm = gwhi
+            hi = mid
         else:
             gm = g(mid)
-        if gm > 0.0:
-            lo, glo = mid, gm
-        elif gm < 0.0:
-            hi, ghi = mid, gm
-        else:
-            lo = hi = mid
-            glo = ghi = gm
-            break
+            if gm > 0.0:
+                lo, glo = mid, gm
+            elif gm < 0.0:
+                hi, ghi = mid, gm
+            else:
+                lo = hi = mid
+                glo = ghi = gm
+                break
     # k_b is the end with the smaller |g|.  On a tie, common because g takes
     # few distinct values next to the root, it is the exit midpoint: the end
     # with the even significand, where a secant step through both ends
@@ -232,7 +237,10 @@ def dadk_fd(arg: EllipticArgument, step: float = 1e-4) -> DerivativeEstimate:
     def central(hh: float) -> float:
         return (f(x + hh) - f(x - hh)) / (2.0 * hh)
 
-    d1 = central(h)
+    try:
+        d1 = central(h)
+    except OverflowError:  # x + step, an int step too large for a float
+        raise DomainError(f"dadk_fd step {step!r} does not fit in a float") from None
     d2 = central(0.5 * h)
     value = (4.0 * d2 - d1) / 3.0
     rounding_floor = 4.0 * 2.2e-16 * max(1.0, abs(f(x))) / h

@@ -39,9 +39,14 @@ def _finite_imag_argument(t: float) -> None:
     """Refuse a non-finite imaginary argument before summing.
 
     Its hyperbolic terms are inf or NaN, so no stop rule could fire and the
-    sum would run to the cap; the error is the one the cap would give.
+    sum would run to the cap; the error is the one the cap would give.  An
+    int too large for a float is refused alike.
     """
-    if not math.isfinite(t):
+    try:
+        finite = math.isfinite(t)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
         raise NonConvergenceError(
             f"series cannot converge at the non-finite imaginary argument {t!r}")
 

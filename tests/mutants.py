@@ -41,6 +41,10 @@ CONSTRAINTS = "tests/test_registry.py::test_constraint_violations_raise"
 WINDOW_ENDS = "tests/test_singular.py::test_window_ends_clear_twice_the_error_bound"
 ROOT_ONLY = "tests/test_singular.py::test_solve_k_evaluates_g_near_the_root_only"
 PLAIN_BISECTION = "tests/test_singular.py::test_solve_k_matches_plain_bisection"
+BOTH_WINDOW_ENDS = ("tests/test_singular.py::"
+                    "test_replay_ending_on_both_window_ends_matches_plain_bisection")
+EDGE = "tests/test_elliptic.py::test_checked_records_refuse_or_keep_each_edge_input"
+INFINITE_BOUNDS = "tests/test_registry.py::test_infinite_bounds_do_not_admit_an_infinite_value"
 
 
 class Mutant(NamedTuple):
@@ -142,6 +146,28 @@ MUTANTS = [
     Mutant("tie-move-uncounted", "singular.py", "solve_k",
            "iterations += mid != lo", "pass",
            (PLAIN_BISECTION,)),
+    # the replay's steps outside the window, which move only lo or hi
+    Mutant("outside-steps-keep-bracket-g", "singular.py", "solve_k",
+           "wlo, glo, whi, ghi = _window(g, b, lo, _BRACKET_LOGS[0] - target, "
+           "hi, _BRACKET_LOGS[1] - target)",
+           "(wlo, _, whi, _), glo, ghi = (_window(g, b, lo, _BRACKET_LOGS[0] - target, "
+           "hi, _BRACKET_LOGS[1] - target), _BRACKET_LOGS[0] - target, "
+           "_BRACKET_LOGS[1] - target)",
+           (BOTH_WINDOW_ENDS,)),
+    # the float shortcuts of the checked records
+    Mutant("argument-float-shortcut-without-range", "elliptic.py", "EllipticArgument.__new__",
+           "type(value) is not float or not 0.0 <= value <= SINGULAR_CUTOFF",
+           "type(value) is not float",
+           (EDGE + "[modulus-nan]", EDGE + "[parameter--inf]",
+            EDGE + "[str-tag-above-cutoff]")),
+    Mutant("nome-float-shortcut-without-range", "elliptic.py", "Nome.__new__",
+           "not (type(q) is float or _finite_real(q)) or not 0.0 <= q < 1.0",
+           "not (type(q) is float or _finite_real(q))",
+           (EDGE + "[nome-nan]", EDGE + "[nome-inf]", EDGE + "[nome-1.0]")),
+    Mutant("validate-point-shortcut-without-isfinite", "registry.py",
+           "IdentityRecord.validate_point",
+           "math.isfinite(v)", "True",
+           (INFINITE_BOUNDS + "[inf]", INFINITE_BOUNDS + "[-inf]")),
     Mutant("rel-text-reused-at-zero", "reporting.py", "render_json",
            "rel == ab != 0.0", "rel == ab",
            (REFERENCE_JSON + "[row24]", REFERENCE_JSON + "[all]")),

@@ -334,3 +334,169 @@ def test_nome_builds():
         Nome(-0.2)
     with pytest.raises(DomainError):
         Nome.from_pi_exponent(0.0)
+
+
+# -- what the checked records on the singular-modulus path refuse -------------
+
+_HUGE = 10 ** 400
+
+# EllipticArgument, Nome, solve_k and validate_point accept a float in range
+# without the full checks; each edge input below must still get the error it
+# got from the full checks (type and text, HUGE standing for repr(10**400)) or
+# be kept with the same bits.  The literals were taken from the code before
+# the float shortcuts.
+EDGE_INPUTS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0.0": -0.0,
+               "0.0": 0.0, "1.0": 1.0,
+               "above-cutoff": math.nextafter(SINGULAR_CUTOFF, 2.0),
+               "True": True, "False": False, "huge-int": _HUGE, "str": "0.5"}
+
+_BAND = "is inside the singular band (0.999999999999, 1.0)"
+_ARGUMENT_REFUSALS = {
+    "nan": ("DomainError", "elliptic argument must be finite, got nan"),
+    "inf": ("DomainError", "elliptic argument must be finite, got inf"),
+    "-inf": ("DomainError", "elliptic argument must be finite, got -inf"),
+    "above-cutoff": ("SingularArgumentError", f"elliptic argument 0.9999999999990001 {_BAND}"),
+    "True": ("DomainError", "elliptic argument must be finite, got True"),
+    "False": ("DomainError", "elliptic argument must be finite, got False"),
+    "huge-int": ("DomainError", "elliptic argument must be finite, got HUGE"),
+    "str": ("DomainError", "elliptic argument must be finite, got '0.5'"),
+}
+
+
+def _argument_outcomes(member):
+    kept = {"-0.0": ("-0x0.0p+0", member), "0.0": ("0x0.0p+0", member),
+            "1.0": ("0x1.0000000000000p+0", member)}
+    return {**_ARGUMENT_REFUSALS, **kept}
+
+
+EDGE_OUTCOMES = {
+    "modulus": _argument_outcomes("MODULUS"),
+    "parameter": _argument_outcomes("PARAMETER"),
+    "str-tag": _argument_outcomes("PARAMETER"),
+    "nome": {
+        "nan": ("DomainError", "nome must lie in [0, 1), got nan"),
+        "inf": ("DomainError", "nome must lie in [0, 1), got inf"),
+        "-inf": ("DomainError", "nome must lie in [0, 1), got -inf"),
+        "-0.0": ("-0x0.0p+0",),
+        "0.0": ("0x0.0p+0",),
+        "1.0": ("DomainError", "nome must lie in [0, 1), got 1.0"),
+        "above-cutoff": ("0x1.fffffffffdcd2p-1",),
+        "True": ("DomainError", "nome must lie in [0, 1), got True"),
+        "False": ("DomainError", "nome must lie in [0, 1), got False"),
+        "huge-int": ("DomainError", "nome must lie in [0, 1), got HUGE"),
+        "str": ("DomainError", "nome must lie in [0, 1), got '0.5'"),
+    },
+    "solve_k": {
+        **{name: ("RangeError", f"solve_k supports a in [0.05, 20.0], got {text}")
+           for name, text in (("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"),
+                              ("-0.0", "-0.0"), ("0.0", "0.0"), ("True", "True"),
+                              ("False", "False"), ("huge-int", "HUGE"),
+                              ("str", "'0.5'"))},
+        # (k, iterations, residual)
+        "1.0": ("0x1.6a09e667f3bccp-1", 52, "0x0.0p+0"),
+        "above-cutoff": ("0x1.6a09e667f5704p-1", 51, "0x0.0p+0"),
+    },
+    # P1's t, in [0, 10], with a = 1.0: the values in parameter order
+    "validate_point": {
+        **{name: ("ConstraintError", f"P1: t={text} is not a finite number")
+           for name, text in (("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"),
+                              ("True", "True"), ("False", "False"),
+                              ("huge-int", "HUGE"), ("str", "'0.5'"))},
+        "-0.0": ("0x1.0000000000000p+0", "-0x0.0p+0"),
+        "0.0": ("0x1.0000000000000p+0", "0x0.0p+0"),
+        "1.0": ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        "above-cutoff": ("0x1.0000000000000p+0", "0x1.fffffffffdcd2p-1"),
+    },
+}
+
+
+def _build_edge(builder, x):
+    from ellid import solve_k
+    from ellid.registry import default_registry
+    if builder == "modulus":
+        return EllipticArgument(x, Convention.MODULUS)
+    if builder == "parameter":
+        return EllipticArgument(x, Convention.PARAMETER)
+    if builder == "str-tag":
+        return EllipticArgument(x, "parameter")
+    if builder == "nome":
+        return Nome(x)
+    if builder == "solve_k":
+        return solve_k(x)
+    return default_registry().get("P1").validate_point({"a": 1.0, "t": x})
+
+
+def _bits(v):
+    return v.hex() if type(v) is float else repr(v)
+
+
+def _edge_outcome(builder, x):
+    from ellid import EllidError
+    try:
+        got = _build_edge(builder, x)
+    except EllidError as exc:
+        return (type(exc).__name__, str(exc).replace(repr(_HUGE), "HUGE"))
+    if isinstance(got, EllipticArgument):
+        # the tag is the member itself, not a string equal to it
+        assert type(got.convention) is Convention
+        return (_bits(got.value), got.convention.name)
+    if isinstance(got, Nome):
+        return (_bits(got.q),)
+    if builder == "solve_k":
+        return (_bits(got.k.value), got.iterations, _bits(got.residual))
+    return tuple(_bits(v) for v in got)
+
+
+@pytest.mark.parametrize("builder, name",
+                         [(b, n) for b in EDGE_OUTCOMES for n in EDGE_INPUTS],
+                         ids=[f"{b}-{n}" for b in EDGE_OUTCOMES for n in EDGE_INPUTS])
+def test_checked_records_refuse_or_keep_each_edge_input(builder, name):
+    assert _edge_outcome(builder, EDGE_INPUTS[name]) == EDGE_OUTCOMES[builder][name]
+
+
+def _huge_int_calls():
+    from ellid import (S1_cosh_over_sinh, S2h_alt_sinh_sq_over_expm1, S6closed,
+                       ThetaKind, dadk_fd, log_theta_derivative, theta4_imag,
+                       theta4_u_derivative_imag)
+    from ellid.errors import NonConvergenceError
+    q = Nome(0.3)
+    imag = "series cannot converge at the non-finite imaginary argument HUGE"
+    return {
+        "from_pi_exponent": (lambda: Nome.from_pi_exponent(_HUGE), DomainError,
+                             "pi-exponent HUGE does not fit in a float"),
+        "from_exponent": (lambda: Nome.from_exponent(_HUGE), DomainError,
+                          "exponent HUGE does not fit in a float"),
+        # a str fails the positivity test, as a NaN does, and as Nome("1") does
+        "from_pi_exponent-str": (lambda: Nome.from_pi_exponent("1"), DomainError,
+                                 "pi-exponent must be positive, got '1'"),
+        "from_exponent-str": (lambda: Nome.from_exponent("1"), DomainError,
+                              "exponent must be positive, got '1'"),
+        "S1-a": (lambda: S1_cosh_over_sinh(_HUGE, 0.1), DomainError,
+                 "S1 a=HUGE does not fit in a float"),
+        # 2|t| is inf, as for the largest float t
+        "S1-t": (lambda: S1_cosh_over_sinh(1.0, -_HUGE), DomainError,
+                 "S1 divergence: angle scale inf must stay below pi*a = 3.141592653589793"),
+        "S2h-theta": (lambda: S2h_alt_sinh_sq_over_expm1(1.0, _HUGE), DomainError,
+                      "S2h divergence: 2|theta| = inf must stay below c = 1.0"),
+        "S6closed-v": (lambda: S6closed(1.0, _HUGE), DomainError,
+                       "S6closed requires a finite v, got HUGE"),
+        "theta4_imag-t": (lambda: theta4_imag(_HUGE, q), NonConvergenceError, imag),
+        "theta4_u_derivative_imag-t": (lambda: theta4_u_derivative_imag(-_HUGE, q),
+                                       NonConvergenceError, imag.replace("HUGE", "-HUGE")),
+        "log_theta_derivative-s": (
+            lambda: log_theta_derivative(ThetaKind.THETA4_IMAG_HALF, 2, _HUGE, q),
+            NonConvergenceError, imag),
+        "dadk_fd-step": (lambda: dadk_fd(EllipticArgument.from_modulus(0.5), _HUGE),
+                         DomainError, "dadk_fd step HUGE does not fit in a float"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_huge_int_calls()))
+def test_a_huge_int_or_a_str_is_refused_as_an_ellid_error(name):
+    # an int too large for a float used to raise a bare OverflowError here,
+    # and a str given as an exponent a bare TypeError
+    call, error, message = _huge_int_calls()[name]
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value).replace(repr(_HUGE), "HUGE") == message

@@ -175,6 +175,29 @@ def test_constraint_violations_raise():
         default_registry().run(["E4"], {"a": [huge]})
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=repr)
+def test_infinite_bounds_do_not_admit_an_infinite_value(x):
+    # validate_point's float shortcut tests the bounds, and finiteness too
+    record = registry.IdentityRecord(
+        "T", "test identity",
+        (registry.ParamSpec("x", (1.0,), lo=-math.inf, hi=math.inf),), (),
+        Expectation.CONTESTED)
+    assert record.validate_point({"x": 1.5}) == (1.5,)
+    with pytest.raises(ConstraintError) as excinfo:
+        record.validate_point({"x": x})
+    assert str(excinfo.value) == f"T: x={x!r} is not a finite number"
+
+
+def test_validate_point_compares_the_names_as_a_set():
+    record = default_registry().get("P1")
+    assert record.validate_point({"t": 0.1, "a": 1.0}) == (1.0, 0.1)
+    for point in ({"a": 1.0}, {"a": 1.0, "t": 0.1, "s": 0.0}, {"a": 1.0, "s": 0.1}):
+        with pytest.raises(ConstraintError) as excinfo:
+            record.validate_point(point)
+        assert str(excinfo.value) == (f"P1: expected parameters ['a', 't'], "
+                                      f"got {sorted(point)}")
+
+
 def test_every_constraint_cuts_its_declared_box():
     # a constraint that holds at every corner of the ParamSpec box adds
     # nothing to the ranges, which validate_point checks first

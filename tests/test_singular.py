@@ -232,6 +232,27 @@ def test_solve_k_matches_plain_bisection():
     assert _outcome(solve_k, math.nextafter(REFUSAL_EDGE, 0.0))[0] == "RangeError"
 
 
+def test_replay_ending_on_both_window_ends_matches_plain_bisection(monkeypatch):
+    # A window whose ends are the plain bisection's exit ends puts every
+    # midpoint outside it, so both ends are last set by a step that does
+    # not evaluate g: their g must be the window ends', not the bracket's.
+    exits = Counter()
+    for a in PARITY_DRAWS:
+        if not (math.isfinite(a) and SOLVE_A_MIN <= a <= SOLVE_A_MAX):
+            continue
+        _, lo, _, hi, _, _ = _reference_bisection(a)
+        if lo == hi:  # an exact zero: no window has it as an end
+            continue
+        exits[_bisection_exit(a)] += 1
+
+        def window(g, b, *bracket, lo=lo, hi=hi):
+            return lo, g(lo), hi, g(hi)
+
+        monkeypatch.setattr(singular, "_window", window)
+        assert _outcome(solve_k, a) == _outcome(_reference_solve_k, a), a
+    assert min(exits.values()) >= 50 and len(exits) == 3, exits
+
+
 def test_solve_k_evaluates_g_near_the_root_only(monkeypatch):
     calls = [0]
     real_agm = singular.agm
